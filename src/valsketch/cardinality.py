@@ -5,14 +5,20 @@ of the best size-k bundle.
 Every routine returns (bundle, value) with the value in the oracle's own
 scale, wraps its queries in the "oracle-internal" ledger phase, and never
 exceeds the size budget. brute_opt_k is the uncounted reference.
+
+A CardOracleSpec holds the maximizer itself, called as
+maximize(oracle, ground, k, max_singleton=M), and its certified alpha. M
+is the best singleton value in the pool, a hint the maximizer may
+ignore; the factories below bind everything else.
 """
 
 import heapq
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from . import bitsets
-from .errors import CapabilityError, ScaleError
+from .errors import ScaleError
 from .valuations import UniformPrices, ValuationOracle
 
 ALPHA_GREEDY = math.e / (math.e - 1.0)
@@ -20,32 +26,24 @@ ALPHA_GREEDY = math.e / (math.e - 1.0)
 
 @dataclass(frozen=True)
 class CardOracleSpec:
-    """A maximizer choice plus its certified approximation factor."""
+    """A maximizer plus its certified approximation factor."""
 
-    kind: str
+    maximize: Callable
     alpha: float
-    epsilon: float | None = None
     needs_demand: bool = False
 
     def run(self, oracle: ValuationOracle, ground: int, k: int, *, max_singleton=None):
-        if self.needs_demand and not oracle.has_demand:
-            raise CapabilityError(f"{self.kind} requires a demand oracle")
-        if self.kind == "greedy-classic":
-            return card_greedy_classic(oracle, ground, k)
-        if self.kind == "greedy-threshold":
-            return card_greedy_threshold(oracle, ground, k, self.epsilon)
-        if self.kind == "matroid-augment":
-            return card_matroid_augment(oracle, ground, k)
-        if self.kind == "demand-price-grid":
-            return card_demand_price_grid(oracle, ground, k, max_singleton=max_singleton)
-        if self.kind == "brute-force":
-            return brute_opt_k(oracle, ground, k)
-        raise ValueError(f"unknown maximizer {self.kind!r}")
+        return self.maximize(oracle, ground, k, max_singleton=max_singleton)
+
+
+def _without_hint(maximize, *fixed):
+    """Adapt a maximizer that takes fixed trailing arguments and no hint."""
+    return lambda oracle, ground, k, max_singleton=None: maximize(oracle, ground, k, *fixed)
 
 
 def greedy_classic() -> CardOracleSpec:
     """Lazy greedy; e/(e-1)-approximate on monotone submodular inputs."""
-    return CardOracleSpec("greedy-classic", ALPHA_GREEDY)
+    return CardOracleSpec(_without_hint(card_greedy_classic), ALPHA_GREEDY)
 
 
 def greedy_threshold(epsilon: float = 0.1) -> CardOracleSpec:
@@ -53,22 +51,24 @@ def greedy_threshold(epsilon: float = 0.1) -> CardOracleSpec:
     monotone submodular inputs with O((n/eps) log(n/eps)) value queries."""
     if not 0 < epsilon < 1 - 1 / math.e:
         raise ValueError("epsilon must lie in (0, 1 - 1/e)")
-    return CardOracleSpec("greedy-threshold", 1.0 / (1.0 - 1.0 / math.e - epsilon), epsilon)
+    return CardOracleSpec(
+        _without_hint(card_greedy_threshold, epsilon), 1.0 / (1.0 - 1.0 / math.e - epsilon)
+    )
 
 
 def matroid_augment() -> CardOracleSpec:
     """Exact on matroid rank functions via bisection for augmenting items."""
-    return CardOracleSpec("matroid-augment", 1.0)
+    return CardOracleSpec(_without_hint(card_matroid_augment), 1.0)
 
 
 def demand_price_grid() -> CardOracleSpec:
     """8-approximate on subadditive inputs, using a logarithmic number of
     uniform-price demand queries instead of value scans."""
-    return CardOracleSpec("demand-price-grid", 8.0, needs_demand=True)
+    return CardOracleSpec(card_demand_price_grid, 8.0, needs_demand=True)
 
 
 def brute_force() -> CardOracleSpec:
-    return CardOracleSpec("brute-force", 1.0)
+    return CardOracleSpec(_without_hint(brute_opt_k), 1.0)
 
 
 def card_greedy_classic(oracle: ValuationOracle, ground: int, k: int):
@@ -179,8 +179,6 @@ def card_demand_price_grid(oracle: ValuationOracle, ground: int, k: int, *, max_
     them carries its proportional share. ceil(log2(8 k^2)) + 1 demand
     queries, value queries only for distinct candidate blocks.
     """
-    if not oracle.has_demand:
-        raise CapabilityError("demand-price-grid requires a demand oracle")
     with oracle.ledger.phase("oracle-internal"):
         if not ground or k < 1:
             return 0, 0.0

@@ -7,47 +7,45 @@ Given a bundle S, produce an additive clause a with
 
 together with the certified beta for this call. Clause weights double as
 per-item value shares, which is what the sketch stores.
+
+An XosOracleSpec holds the extraction routine itself, called as
+extract(oracle, S, v_S) with v_S the value of S in the oracle's scale
+when the caller already knows it, else None.
 """
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from . import bitsets
-from .errors import CapabilityError, ScaleError
+from .errors import ScaleError
 from .valuations import AdditiveClause, UniformPrices, ValuationOracle
 
 
 @dataclass(frozen=True)
 class XosOracleSpec:
-    kind: str
+    """A clause oracle returning (clause, certified beta)."""
+
+    extract: Callable
     needs_demand: bool = False
-    beta_guarantee: float | None = None
 
     def clause(self, oracle: ValuationOracle, bundle: int, value_of_bundle=None):
-        if self.needs_demand and not oracle.has_demand:
-            raise CapabilityError(f"{self.kind} requires a demand oracle")
-        if self.kind == "marginal":
-            return xos_clause_marginal(oracle, bundle)
-        if self.kind == "demand-uniform":
-            return xos_clause_demand_uniform(oracle, bundle, value_of_bundle)
-        if self.kind == "brute-uniform":
-            return brute_best_uniform_clause(oracle, bundle, value_of_bundle)
-        raise ValueError(f"unknown clause oracle {self.kind!r}")
+        return self.extract(oracle, bundle, value_of_bundle)
 
 
 def clause_marginal() -> XosOracleSpec:
     """Prefix marginals; a valid clause with beta = 1 on submodular inputs."""
-    return XosOracleSpec("marginal", beta_guarantee=1.0)
+    return XosOracleSpec(lambda oracle, bundle, _: xos_clause_marginal(oracle, bundle))
 
 
 def clause_demand_uniform() -> XosOracleSpec:
     """Uniform-weight clause found by demand queries; beta certified per call."""
-    return XosOracleSpec("demand-uniform", needs_demand=True)
+    return XosOracleSpec(xos_clause_demand_uniform, needs_demand=True)
 
 
 def clause_brute_uniform() -> XosOracleSpec:
     """Best possible uniform-weight clause, by enumeration (reference)."""
-    return XosOracleSpec("brute-uniform")
+    return XosOracleSpec(brute_best_uniform_clause)
 
 
 def xos_clause_marginal(oracle: ValuationOracle, bundle: int):
@@ -81,8 +79,6 @@ def xos_clause_demand_uniform(oracle: ValuationOracle, bundle: int, value_of_bun
     2 (ceil(log2 4|S|) + 1) demand queries; the only value query is v(S)
     when it is not passed in.
     """
-    if not oracle.has_demand:
-        raise CapabilityError("demand-uniform clauses require a demand oracle")
     with oracle.ledger.phase("oracle-internal"):
         v_s = oracle.value(bundle) if value_of_bundle is None else value_of_bundle
         if v_s <= 0:

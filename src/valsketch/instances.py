@@ -28,17 +28,6 @@ from .valuations import (
     RELATIVE_TOL,
 )
 
-FAMILIES = (
-    "additive",
-    "coverage",
-    "uniform-matroid",
-    "partition-matroid",
-    "graphic-matroid",
-    "xos-explicit",
-    "subadditive-table",
-)
-
-
 @dataclass(frozen=True)
 class InstanceSpec:
     family: str
@@ -47,7 +36,8 @@ class InstanceSpec:
     seed: int = 0
 
     def build(self, ledger: QueryLedger | None = None) -> ValuationOracle:
-        return _build(self, ledger)
+        _, build = _family(self.family)
+        return build(self.n, self.params, ledger)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -88,12 +78,10 @@ def load_instance(path: str) -> InstanceSpec:
 
 def generate_instance(family: str, n: int, seed: int = 0, **params) -> InstanceSpec:
     """Fill in family-specific parameters deterministically from the seed."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+    make, _ = _family(family)
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = random.Random((seed, family, n).__repr__())
-    make = _GENERATORS[family]
     filled = make(n, rng, dict(params))
     return InstanceSpec(family, n, filled, seed)
 
@@ -185,17 +173,6 @@ def _reject_extras(family, params):
         raise ValueError(f"unknown parameters for {family}: {sorted(params)}")
 
 
-_GENERATORS = {
-    "additive": _gen_additive,
-    "coverage": _gen_coverage,
-    "uniform-matroid": _gen_uniform_matroid,
-    "partition-matroid": _gen_partition_matroid,
-    "graphic-matroid": _gen_graphic_matroid,
-    "xos-explicit": _gen_xos_explicit,
-    "subadditive-table": _gen_subadditive_table,
-}
-
-
 def _repair_table(raw: np.ndarray, n: int) -> np.ndarray:
     """Turn arbitrary positive entries into a monotone subadditive table.
 
@@ -234,27 +211,45 @@ def _repair_table(raw: np.ndarray, n: int) -> np.ndarray:
     return table
 
 
-def _build(spec: InstanceSpec, ledger: QueryLedger | None) -> ValuationOracle:
-    p = spec.params
-    if spec.family == "additive":
-        return AdditiveValuation(p["weights"], ledger)
-    if spec.family == "coverage":
-        weights = [1.0] * p["universe"]
-        return CoverageValuation(weights, p["covers"], ledger)
-    if spec.family == "uniform-matroid":
-        return UniformMatroidRank(spec.n, p["cap"], ledger)
-    if spec.family == "partition-matroid":
-        return PartitionMatroidRank(p["blocks"], p["caps"], ledger)
-    if spec.family == "graphic-matroid":
-        return GraphicMatroidRank(p["vertices"], p["edges"], ledger)
-    if spec.family == "xos-explicit":
-        clauses = [
-            AdditiveClause({int(j): w for j, w in c.items()}) for c in p["clauses"]
-        ]
-        return XOSExplicitValuation(clauses, ledger, n=spec.n)
-    if spec.family == "subadditive-table":
-        return SubadditiveTableValuation(p["table"], ledger)
-    raise ValueError(f"unknown family {spec.family!r}")
+def _build_xos_explicit(n, p, ledger):
+    clauses = [AdditiveClause({int(j): w for j, w in c.items()}) for c in p["clauses"]]
+    return XOSExplicitValuation(clauses, ledger, n=n)
+
+
+# family -> (parameter generator, oracle builder from (n, params, ledger))
+_FAMILY_TABLE = {
+    "additive": (_gen_additive, lambda n, p, led: AdditiveValuation(p["weights"], led)),
+    "coverage": (
+        _gen_coverage,
+        lambda n, p, led: CoverageValuation([1.0] * p["universe"], p["covers"], led),
+    ),
+    "uniform-matroid": (
+        _gen_uniform_matroid,
+        lambda n, p, led: UniformMatroidRank(n, p["cap"], led),
+    ),
+    "partition-matroid": (
+        _gen_partition_matroid,
+        lambda n, p, led: PartitionMatroidRank(p["blocks"], p["caps"], led),
+    ),
+    "graphic-matroid": (
+        _gen_graphic_matroid,
+        lambda n, p, led: GraphicMatroidRank(p["vertices"], p["edges"], led),
+    ),
+    "xos-explicit": (_gen_xos_explicit, _build_xos_explicit),
+    "subadditive-table": (
+        _gen_subadditive_table,
+        lambda n, p, led: SubadditiveTableValuation(p["table"], led),
+    ),
+}
+
+FAMILIES = tuple(_FAMILY_TABLE)
+
+
+def _family(name: str):
+    try:
+        return _FAMILY_TABLE[name]
+    except KeyError:
+        raise ValueError(f"unknown family {name!r}") from None
 
 
 # -- exhaustive class validation (small n) -----------------------------

@@ -52,12 +52,6 @@ class QueryLedger:
     def totals(self) -> tuple[int, int]:
         return self.value_queries, self.demand_queries
 
-    def merge(self, other: "QueryLedger") -> None:
-        """Fold another ledger into this one (per-worker ledgers on join)."""
-        for p in PHASES:
-            self._value[p] += other._value[p]
-            self._demand[p] += other._demand[p]
-
     def snapshot(self) -> dict:
         return {
             "value_queries": self.value_queries,

@@ -1,5 +1,5 @@
 """Named pairings of a cardinality maximizer with a clause oracle, the
-valuation classes they are certified for, and ready-made instance sets.
+valuation class each is certified for, and ready-made instance sets.
 """
 
 from dataclasses import dataclass
@@ -17,16 +17,11 @@ class PipelineSpec:
     name: str
     card: CardOracleSpec
     xos: XosOracleSpec
-    families: tuple
     property: str
-    note: str
-
-    @property
-    def needs_demand(self) -> bool:
-        return self.card.needs_demand or self.xos.needs_demand
 
     def check_compatible(self, oracle: ValuationOracle) -> None:
-        if self.needs_demand and not oracle.has_demand:
+        """Refuse, before any query, an oracle lacking a capability the pair needs."""
+        if (self.card.needs_demand or self.xos.needs_demand) and not oracle.has_demand:
             raise CapabilityError(
                 f"pipeline {self.name!r} needs demand queries, which this valuation lacks"
             )
@@ -39,33 +34,25 @@ PIPELINES = {
             "matroid",
             cardinality.matroid_augment(),
             clauses.clause_marginal(),
-            ("uniform-matroid", "partition-matroid", "graphic-matroid"),
             "submodular",
-            "exact maximizer for matroid ranks, value queries only",
         ),
         PipelineSpec(
             "submodular",
             cardinality.greedy_threshold(0.1),
             clauses.clause_marginal(),
-            ("coverage", "additive", "uniform-matroid", "partition-matroid", "graphic-matroid"),
             "submodular",
-            "threshold greedy, value queries only",
         ),
         PipelineSpec(
             "subadditive",
             cardinality.demand_price_grid(),
             clauses.clause_demand_uniform(),
-            ("xos-explicit", "subadditive-table", "additive"),
             "subadditive",
-            "demand-query pipeline with logarithmic query budgets",
         ),
         PipelineSpec(
             "brute",
             cardinality.brute_force(),
             clauses.clause_marginal(),
-            ("additive", "coverage", "uniform-matroid", "partition-matroid", "graphic-matroid"),
             "submodular",
-            "uncounted exact maximizer, for reference traces at tiny n",
         ),
     )
 }

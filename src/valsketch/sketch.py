@@ -249,19 +249,24 @@ def _canon(x: float) -> float:
     return float(format(float(x), ".12g"))
 
 
+def _check_members(members, items: int, k, n: int) -> None:
+    """Each member a bundle inside its group of at most k items; n items in all."""
+    total = 0
+    for m in members:
+        bitsets.check_bundle(m, n)
+        if m & ~items or m.bit_count() > k:
+            raise SerializationError("family member escapes its group or size budget")
+        total += m.bit_count()
+    if total > n:
+        raise SerializationError("family members exceed the ground set")
+
+
 def _family_payload(group: SketchGroup, n: int):
     out = []
     for fam in group.families:
         if not fam.members:
             continue
-        total = 0
-        for m in fam.members:
-            bitsets.check_bundle(m, n)
-            if m & ~group.items or m.bit_count() > fam.k:
-                raise SerializationError("family member escapes its group or size budget")
-            total += m.bit_count()
-        if total > n:
-            raise SerializationError("family members exceed the ground set")
+        _check_members(fam.members, group.items, fam.k, n)
         out.append(
             {
                 "k": fam.k,
@@ -314,20 +319,16 @@ def deserialize(text: str) -> Sketch:
         raise SerializationError("singleton list must have one entry per item")
     groups = []
     try:
+        singletons = list(map(float, singletons))
+        if not all(map(math.isfinite, singletons)) or min(singletons) < 0:
+            raise SerializationError("singleton values must be finite and non-negative")
         for g in obj["groups"]:
             items = bitsets.from_hex(g["items"])
             bitsets.check_bundle(items, n)
             families = []
             for f in g["families"]:
                 members = [bitsets.from_hex(m) for m in f["members"]]
-                total = 0
-                for m in members:
-                    bitsets.check_bundle(m, n)
-                    if m & ~items or m.bit_count() > f["k"]:
-                        raise SerializationError("family member escapes its group or size budget")
-                    total += m.bit_count()
-                if total > n:
-                    raise SerializationError("family members exceed the ground set")
+                _check_members(members, items, f["k"], n)
                 families.append(SketchFamily(int(f["k"]), float(f["r"]), members))
             if g["scale"] <= 0 or g["alpha"] < 1 or g["beta"] < 1:
                 raise SerializationError("scale must be positive, alpha and beta at least 1")
@@ -341,7 +342,7 @@ def deserialize(text: str) -> Sketch:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed sketch payload: {exc}") from exc
-    return Sketch(n, [float(v) for v in singletons], groups, obj.get("build_queries"))
+    return Sketch(n, singletons, groups, obj.get("build_queries"))
 
 
 def save_sketch(sketch: Sketch, path: str) -> None:

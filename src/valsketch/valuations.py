@@ -88,9 +88,6 @@ class UniformPrices:
         self.included = included
         self.n = n
 
-    def as_list(self) -> list:
-        return [self.q if (self.included >> j) & 1 else EXCLUDED for j in range(self.n)]
-
 
 class ValuationOracle:
     """Black-box valuation with query accounting.

@@ -123,9 +123,14 @@ class TestPipelineChain:
 
     def test_eval_rejects_corrupt_sketch_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"kind": "something-else"}')
-        code, _, err = run(capsys, "eval", "--sketch", str(bad), "--bundle", "1")
-        assert code == 2 and "error:" in err
+        null_singleton = json.dumps({
+            "schema_version": 1, "kind": "valuation-sketch", "n": 2,
+            "singletons": [None, 1.0], "groups": [], "build_queries": None,
+        })
+        for text in ('{"kind": "something-else"}', null_singleton):
+            bad.write_text(text)
+            code, _, err = run(capsys, "eval", "--sketch", str(bad), "--bundle", "1")
+            assert code == 2 and "error:" in err
 
 
 class TestBench:

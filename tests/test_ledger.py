@@ -35,16 +35,6 @@ def test_unknown_phase_rejected():
             pass
 
 
-def test_merge_adds_counts():
-    a, b = QueryLedger(), QueryLedger()
-    a.count_value()
-    with b.phase("evaluation"):
-        b.count_demand()
-    a.merge(b)
-    assert a.totals() == (1, 1)
-    assert a.demand_by_phase()["evaluation"] == 1
-
-
 def test_snapshot_shape():
     led = QueryLedger()
     led.count_value()

@@ -6,6 +6,7 @@ maximization and marginal clauses, the only surviving cells are
 set, and the estimate of the full bundle is exactly 2.
 """
 
+import hashlib
 import json
 import math
 
@@ -245,6 +246,10 @@ class TestSerialization:
             {"n": 0},
             {"singletons": [1.0]},
             {"groups": [{"leader": 0}]},
+            {"singletons": [None, 1.0]},
+            {"singletons": [float("inf"), 1.0]},
+            {"singletons": [float("nan"), 1.0]},
+            {"singletons": [-1.0, 1.0]},
         ],
     )
     def test_rejects_malformed_payloads(self, breakage):
@@ -317,3 +322,29 @@ class TestBuildContract:
         for fam in by_leader[0].families:
             assert fam.members == [] or fam.members == [0b0001]
         assert vs.evaluate(sketch, 0b0001) == 100.0
+
+
+class TestPinnedOutput:
+    """Sketch bytes and query totals of the bench instances, as recorded
+    before the oracle specs began holding their functions. A change that
+    moves them must say why and re-record them here."""
+
+    @pytest.mark.parametrize(
+        "name, n, digest, totals",
+        [
+            ("matroid", 64,
+             "8ed0495ee891d10626b969743e5b4752cd4efdcdb40e6a9425fb6c4a3b9ebc40", (6450, 0)),
+            ("submodular", 64,
+             "25e088da9df1697d6c1a70eb8621e5097fc82d4a4bb79f8e324d34c790753d58", (9093, 0)),
+            ("subadditive", 64,
+             "56c6bb1442b695cbcdb453ced6e82e56fc1a77c8a8085b5d1a4d6c54ec0fa7a0", (335, 3436)),
+            ("brute", 8,
+             "179b054c31929fb6c1d9335bb1d900ae0d5f19bc05f8a968b3442be349d0479a", (14, 0)),
+        ],
+    )
+    def test_bench_instance_bytes_and_totals(self, name, n, digest, totals):
+        pipeline = vs.get_pipeline(name)
+        oracle = vs.bench_instance(name, n).build(vs.QueryLedger())
+        text = vs.serialize(vs.build_sketch(oracle, pipeline.card, pipeline.xos))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert oracle.ledger.totals() == totals
