@@ -5,6 +5,8 @@ item j is in the bundle. The serialized form is lowercase hex with bit 0
 standing for item 0.
 """
 
+import numpy as np
+
 from .errors import MalformedBundleError
 
 
@@ -25,6 +27,12 @@ def iter_items(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def to_array(mask: int, n: int) -> np.ndarray:
+    """Length-n uint8 array of 0/1 whose entry j is bit j; mask < 2^n."""
+    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little")
 
 
 def size(mask: int) -> int:

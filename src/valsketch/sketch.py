@@ -145,13 +145,18 @@ def build_group_sketch(
     aside per cell since their own singleton value covers them. From the
     rest, bundles worth k r / (2 alpha) are peeled while they last; each
     keeps the items whose clause weight clears r / (4 alpha beta), which
-    is what makes the member count per item charge against r.
+    is what makes the member count per item charge against r. Cells
+    reuse identical maximizer and clause calls made earlier in the group.
     """
     view = ScaledOracle(oracle, scale).restrict(items)
     sing = {j: singletons[j] / scale for j in bitsets.iter_items(items)}
     sqrt_n = math.sqrt(grid.n)
     beta_cert = 1.0
     families = []
+    # view is fixed here; max_singleton is a function of pool, and the
+    # clause oracle may read value, so these keys determine each call
+    best_of = {}  # (pool, k) -> card.run result
+    clause_of = {}  # (bundle, value) -> xos.clause result
     with oracle.ledger.phase("build"):
         for k in grid.k_grid:
             for r in grid.r_grid:
@@ -162,11 +167,15 @@ def build_group_sketch(
                 pool = items & ~heavy
                 members = []
                 while pool:
-                    top = max(sing[j] for j in bitsets.iter_items(pool))
-                    bundle, value = card.run(view, pool, k, max_singleton=top)
+                    if (pool, k) not in best_of:
+                        top = max(sing[j] for j in bitsets.iter_items(pool))
+                        best_of[pool, k] = card.run(view, pool, k, max_singleton=top)
+                    bundle, value = best_of[pool, k]
                     if not bundle or not meets(value, k * r / (2 * card.alpha)):
                         break
-                    clause, beta_call = xos.clause(view, bundle, value)
+                    if (bundle, value) not in clause_of:
+                        clause_of[bundle, value] = xos.clause(view, bundle, value)
+                    clause, beta_call = clause_of[bundle, value]
                     beta_cert = max(beta_cert, beta_call)
                     kept = 0
                     for j in bitsets.iter_items(bundle):
@@ -327,15 +336,19 @@ def deserialize(text: str) -> Sketch:
             bitsets.check_bundle(items, n)
             families = []
             for f in g["families"]:
+                k, r = f["k"], f["r"]
+                if k < 1 or not (math.isfinite(r) and r > 0):
+                    raise SerializationError("family k must be at least 1, r positive and finite")
                 members = [bitsets.from_hex(m) for m in f["members"]]
-                _check_members(members, items, f["k"], n)
-                families.append(SketchFamily(int(f["k"]), float(f["r"]), members))
-            if g["scale"] <= 0 or g["alpha"] < 1 or g["beta"] < 1:
-                raise SerializationError("scale must be positive, alpha and beta at least 1")
+                _check_members(members, items, k, n)
+                families.append(SketchFamily(int(k), float(r), members))
+            scale, alpha, beta = g["scale"], g["alpha"], g["beta"]
+            finite = all(map(math.isfinite, (scale, alpha, beta)))
+            if not (finite and scale > 0 and alpha >= 1 and beta >= 1):
+                raise SerializationError("scale must be positive, alpha and beta at least 1, all finite")
             groups.append(
                 SketchGroup(
-                    int(g["leader"]), items, float(g["scale"]),
-                    float(g["alpha"]), float(g["beta"]), families,
+                    int(g["leader"]), items, float(scale), float(alpha), float(beta), families
                 )
             )
     except SerializationError:

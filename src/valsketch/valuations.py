@@ -14,6 +14,7 @@ Conventions used throughout the package:
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -324,11 +325,21 @@ class PartitionMatroidRank(ValuationOracle):
         self.blocks = tuple(masks)
         self.caps = tuple(int(c) for c in caps)
 
+    @cached_property
+    def _block_arrays(self):
+        """(block id per item, caps as floats); built on first use so
+        constructing an oracle stays cheap."""
+        block_of = np.empty(self.n, dtype=np.intp)
+        for b, bm in enumerate(self.blocks):
+            block_of[bitsets.to_array(bm, self.n).astype(bool)] = b
+        return block_of, np.array(self.caps, dtype=np.float64)
+
     def _value(self, bundle: int) -> float:
-        total = 0
-        for bm, cap in zip(self.blocks, self.caps):
-            total += min((bundle & bm).bit_count(), cap)
-        return float(total)
+        block_of, caps = self._block_arrays
+        counts = np.bincount(
+            block_of, weights=bitsets.to_array(bundle, self.n), minlength=len(caps)
+        )
+        return float(np.minimum(counts, caps).sum())
 
 
 class GraphicMatroidRank(ValuationOracle):

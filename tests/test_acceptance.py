@@ -345,7 +345,7 @@ def test_criterion_10_golden_trace():
         cells == expected
         and full_estimate == 2.0
         and sketch.singletons == [1.0, 1.0, 1.0, 1.0]
-        and queries == (16, 0)
+        and queries == (12, 0)
     )
     assert _line(10, "golden-trace", ok,
                  f"families {len(cells)}, full estimate {full_estimate}, queries {queries}")

@@ -123,11 +123,17 @@ class TestPipelineChain:
 
     def test_eval_rejects_corrupt_sketch_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
-        null_singleton = json.dumps({
-            "schema_version": 1, "kind": "valuation-sketch", "n": 2,
-            "singletons": [None, 1.0], "groups": [], "build_queries": None,
-        })
-        for text in ('{"kind": "something-else"}', null_singleton):
+
+        def sketch_file(singletons=(1.0, 1.0), scale=1.0, r=1.0):
+            group = {"leader": 0, "items": "3", "scale": scale, "alpha": 1.0, "beta": 1.0,
+                     "families": [{"k": 2, "r": r, "members": ["3"]}]}
+            return json.dumps({
+                "schema_version": 1, "kind": "valuation-sketch", "n": 2,
+                "singletons": list(singletons), "groups": [group], "build_queries": None,
+            })
+
+        for text in ('{"kind": "something-else"}', sketch_file(singletons=(None, 1.0)),
+                     sketch_file(r=float("inf")), sketch_file(scale=float("nan"))):
             bad.write_text(text)
             code, _, err = run(capsys, "eval", "--sketch", str(bad), "--bundle", "1")
             assert code == 2 and "error:" in err

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import valsketch as vs
-from valsketch.valuations import AdditiveClause, meets
+from valsketch.valuations import AdditiveClause, ScaledOracle, meets
 
 
 def test_meets_tolerance_boundary():
@@ -74,6 +74,24 @@ class TestFamilies:
         assert v._value(0b00011) == 1.0
         assert v._value(0b11101) == 3.0
         assert v._value(0b00110) == 2.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_partition_matroid_is_capped_block_sum(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=70))
+        block_of = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+        blocks = [[j for j in range(n) if block_of[j] == b] for b in range(6)]  # some empty
+        caps = data.draw(st.lists(st.integers(0, 4), min_size=6, max_size=6))
+        bundle, mask = (data.draw(st.integers(0, (1 << n) - 1)) for _ in range(2))
+        scale = data.draw(st.sampled_from([0.25, 1.0, 3.0]))
+
+        def capped_sum(s):
+            return float(sum(min(sum((s >> j) & 1 for j in b), c) for b, c in zip(blocks, caps)))
+
+        v = vs.PartitionMatroidRank(blocks, caps)
+        assert v.value(bundle) == capped_sum(bundle)
+        assert v.restrict(mask).value(bundle) == capped_sum(bundle & mask)
+        assert ScaledOracle(v, scale).value(bundle) == capped_sum(bundle) / scale
 
     def test_partition_matroid_rejects_overlap_and_gaps(self):
         with pytest.raises(ValueError):
