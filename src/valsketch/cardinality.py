@@ -3,8 +3,8 @@ return a bundle T, |T| <= k, whose value is within a known factor alpha
 of the best size-k bundle.
 
 Every routine returns (bundle, value) with the value in the oracle's own
-scale, wraps its queries in the "oracle-internal" ledger phase, and never
-exceeds the size budget. brute_opt_k is the uncounted reference.
+scale and never exceeds the size budget. brute_opt_k is the uncounted
+reference.
 
 A CardOracleSpec holds the maximizer itself, called as
 maximize(oracle, ground, k, max_singleton=M), and its certified alpha. M
@@ -80,26 +80,25 @@ def card_greedy_classic(oracle: ValuationOracle, ground: int, k: int):
     accumulated from accepted marginals, so it is exact on integer-valued
     inputs and tight to float rounding otherwise.
     """
-    with oracle.ledger.phase("oracle-internal"):
-        if not ground or k < 1:
-            return 0, 0.0
-        heap = []
-        for j in bitsets.iter_items(ground):
-            heap.append((-oracle.value(1 << j), j, 0))
-        heapq.heapify(heap)
-        bundle, total, rounds = 0, 0.0, 0
-        while rounds < k and heap:
-            neg_gain, j, at = heapq.heappop(heap)
-            if at == rounds:
-                if -neg_gain <= 0:
-                    break
-                bundle |= 1 << j
-                total += -neg_gain
-                rounds += 1
-            else:
-                gain = oracle.value(bundle | (1 << j)) - total
-                heapq.heappush(heap, (-gain, j, rounds))
-        return bundle, total
+    if not ground or k < 1:
+        return 0, 0.0
+    heap = []
+    for j in bitsets.iter_items(ground):
+        heap.append((-oracle.value(1 << j), j, 0))
+    heapq.heapify(heap)
+    bundle, total, rounds = 0, 0.0, 0
+    while rounds < k and heap:
+        neg_gain, j, at = heapq.heappop(heap)
+        if at == rounds:
+            if -neg_gain <= 0:
+                break
+            bundle |= 1 << j
+            total += -neg_gain
+            rounds += 1
+        else:
+            gain = oracle.value(bundle | (1 << j)) - total
+            heapq.heappush(heap, (-gain, j, rounds))
+    return bundle, total
 
 
 def card_greedy_threshold(oracle: ValuationOracle, ground: int, k: int, epsilon: float):
@@ -108,36 +107,35 @@ def card_greedy_threshold(oracle: ValuationOracle, ground: int, k: int, epsilon:
     Cached marginals serve as upper bounds (they only shrink on submodular
     inputs), so items far below the threshold are skipped without a query.
     """
-    with oracle.ledger.phase("oracle-internal"):
-        items = list(bitsets.iter_items(ground))
-        if not items or k < 1:
-            return 0, 0.0
-        upper = {}
+    items = list(bitsets.iter_items(ground))
+    if not items or k < 1:
+        return 0, 0.0
+    upper = {}
+    for j in items:
+        upper[j] = oracle.value(1 << j)
+    w_max = max(upper.values())
+    if w_max <= 0:
+        return 0, 0.0
+    bundle, total, size = 0, 0.0, 0
+    w = w_max
+    floor = (epsilon / len(items)) * w_max
+    while w >= floor and size < k:
         for j in items:
-            upper[j] = oracle.value(1 << j)
-        w_max = max(upper.values())
-        if w_max <= 0:
-            return 0, 0.0
-        bundle, total, size = 0, 0.0, 0
-        w = w_max
-        floor = (epsilon / len(items)) * w_max
-        while w >= floor and size < k:
-            for j in items:
-                if (bundle >> j) & 1 or upper[j] < w:
-                    continue
-                if bundle:
-                    gain = oracle.value(bundle | (1 << j)) - total
-                    upper[j] = gain
-                else:
-                    gain = upper[j]
-                if gain >= w:
-                    bundle |= 1 << j
-                    total += gain
-                    size += 1
-                    if size == k:
-                        break
-            w *= 1.0 - epsilon
-        return bundle, total
+            if (bundle >> j) & 1 or upper[j] < w:
+                continue
+            if bundle:
+                gain = oracle.value(bundle | (1 << j)) - total
+                upper[j] = gain
+            else:
+                gain = upper[j]
+            if gain >= w:
+                bundle |= 1 << j
+                total += gain
+                size += 1
+                if size == k:
+                    break
+        w *= 1.0 - epsilon
+    return bundle, total
 
 
 def card_matroid_augment(oracle: ValuationOracle, ground: int, k: int):
@@ -150,23 +148,22 @@ def card_matroid_augment(oracle: ValuationOracle, ground: int, k: int):
     raises the value by exactly 1. Output on non-rank inputs is still a
     bundle of size <= k, but carries no guarantee.
     """
-    with oracle.ledger.phase("oracle-internal"):
-        bundle, total = 0, 0.0
-        remaining = ground
-        while bundle.bit_count() < k and remaining:
-            if oracle.value(bundle | remaining) <= total:
-                break
-            cand = remaining
-            while cand.bit_count() > 1:
-                left = bitsets.lower_half(cand)
-                if oracle.value(bundle | left) > total:
-                    cand = left
-                else:
-                    cand ^= left
-            bundle |= cand
-            total += 1.0
-            remaining &= ~cand
-        return bundle, total
+    bundle, total = 0, 0.0
+    remaining = ground
+    while bundle.bit_count() < k and remaining:
+        if oracle.value(bundle | remaining) <= total:
+            break
+        cand = remaining
+        while cand.bit_count() > 1:
+            left = bitsets.lower_half(cand)
+            if oracle.value(bundle | left) > total:
+                cand = left
+            else:
+                cand ^= left
+        bundle |= cand
+        total += 1.0
+        remaining &= ~cand
+    return bundle, total
 
 
 def card_demand_price_grid(oracle: ValuationOracle, ground: int, k: int, *, max_singleton=None):
@@ -179,29 +176,28 @@ def card_demand_price_grid(oracle: ValuationOracle, ground: int, k: int, *, max_
     them carries its proportional share. ceil(log2(8 k^2)) + 1 demand
     queries, value queries only for distinct candidate blocks.
     """
-    with oracle.ledger.phase("oracle-internal"):
-        if not ground or k < 1:
-            return 0, 0.0
-        if max_singleton is None:
-            max_singleton = max(oracle.value(1 << j) for j in bitsets.iter_items(ground))
-        if max_singleton <= 0:
-            return 0, 0.0
-        best_bundle, best_value = 0, 0.0
-        cache = {}
-        for t in range(math.ceil(math.log2(8 * k * k)) + 1):
-            q = max_singleton / (4 * k) * (1 << t)
-            resp = oracle.demand(UniformPrices(q, ground, oracle.n)) & ground
-            blocks = [resp] if resp.bit_count() <= k else bitsets.chunks(resp, k)
-            for block in blocks:
-                if not block:
-                    continue
-                val = cache.get(block)
-                if val is None:
-                    val = oracle.value(block)
-                    cache[block] = val
-                if val > best_value:
-                    best_bundle, best_value = block, val
-        return best_bundle, best_value
+    if not ground or k < 1:
+        return 0, 0.0
+    if max_singleton is None:
+        max_singleton = max(oracle.value(1 << j) for j in bitsets.iter_items(ground))
+    if max_singleton <= 0:
+        return 0, 0.0
+    best_bundle, best_value = 0, 0.0
+    cache = {}
+    for t in range(math.ceil(math.log2(8 * k * k)) + 1):
+        q = max_singleton / (4 * k) * (1 << t)
+        resp = oracle.demand(UniformPrices(q, ground, oracle.n)) & ground
+        blocks = [resp] if resp.bit_count() <= k else bitsets.chunks(resp, k)
+        for block in blocks:
+            if not block:
+                continue
+            val = cache.get(block)
+            if val is None:
+                val = oracle.value(block)
+                cache[block] = val
+            if val > best_value:
+                best_bundle, best_value = block, val
+    return best_bundle, best_value
 
 
 def brute_opt_k(oracle: ValuationOracle, ground: int, k: int):

@@ -55,15 +55,14 @@ def xos_clause_marginal(oracle: ValuationOracle, bundle: int):
     sub-bundle's weight sum is dominated by its value, so beta = 1.
     Costs |S| value queries. Negative float dust is clamped to zero.
     """
-    with oracle.ledger.phase("oracle-internal"):
-        weights = {}
-        prefix, prev = 0, 0.0
-        for j in bitsets.iter_items(bundle):
-            prefix |= 1 << j
-            cur = oracle.value(prefix)
-            weights[j] = max(cur - prev, 0.0)
-            prev = cur
-        return AdditiveClause(weights), 1.0
+    weights = {}
+    prefix, prev = 0, 0.0
+    for j in bitsets.iter_items(bundle):
+        prefix |= 1 << j
+        cur = oracle.value(prefix)
+        weights[j] = max(cur - prev, 0.0)
+        prev = cur
+    return AdditiveClause(weights), 1.0
 
 
 def xos_clause_demand_uniform(oracle: ValuationOracle, bundle: int, value_of_bundle=None):
@@ -79,20 +78,19 @@ def xos_clause_demand_uniform(oracle: ValuationOracle, bundle: int, value_of_bun
     2 (ceil(log2 4|S|) + 1) demand queries; the only value query is v(S)
     when it is not passed in.
     """
-    with oracle.ledger.phase("oracle-internal"):
-        v_s = oracle.value(bundle) if value_of_bundle is None else value_of_bundle
-        if v_s <= 0:
-            return AdditiveClause.uniform(0.0, bundle), 1.0
-        price, support, score, levels, last = _best_uniform_response(oracle, bundle, v_s)
-        if score < v_s / (4 * levels) and last and last != bundle:
-            p2, s2, sc2, _, _ = _best_uniform_response(oracle, last, v_s)
-            if sc2 > score:
-                price, support, score = p2, s2, sc2
-        if score <= 0:
-            # unreachable through a demand oracle honoring the profit of S
-            # itself; kept so a broken oracle fails loudly in verification
-            return AdditiveClause.uniform(0.0, bundle), math.inf
-        return AdditiveClause.uniform(price, support), max(1.0, v_s / score)
+    v_s = oracle.value(bundle) if value_of_bundle is None else value_of_bundle
+    if v_s <= 0:
+        return AdditiveClause.uniform(0.0, bundle), 1.0
+    price, support, score, levels, last = _best_uniform_response(oracle, bundle, v_s)
+    if score < v_s / (4 * levels) and last and last != bundle:
+        p2, s2, sc2, _, _ = _best_uniform_response(oracle, last, v_s)
+        if sc2 > score:
+            price, support, score = p2, s2, sc2
+    if score <= 0:
+        # unreachable through a demand oracle honoring the profit of S
+        # itself; kept so a broken oracle fails loudly in verification
+        return AdditiveClause.uniform(0.0, bundle), math.inf
+    return AdditiveClause.uniform(price, support), max(1.0, v_s / score)
 
 
 def _best_uniform_response(oracle: ValuationOracle, bundle: int, basis: float):

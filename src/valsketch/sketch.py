@@ -157,36 +157,35 @@ def build_group_sketch(
     # clause oracle may read value, so these keys determine each call
     best_of = {}  # (pool, k) -> card.run result
     clause_of = {}  # (bundle, value) -> xos.clause result
-    with oracle.ledger.phase("build"):
-        for k in grid.k_grid:
-            for r in grid.r_grid:
-                heavy = 0
-                for j, value in sing.items():
-                    if meets(value, k * r / sqrt_n):
-                        heavy |= 1 << j
-                pool = items & ~heavy
-                members = []
-                while pool:
-                    if (pool, k) not in best_of:
-                        top = max(sing[j] for j in bitsets.iter_items(pool))
-                        best_of[pool, k] = card.run(view, pool, k, max_singleton=top)
-                    bundle, value = best_of[pool, k]
-                    if not bundle or not meets(value, k * r / (2 * card.alpha)):
-                        break
-                    if (bundle, value) not in clause_of:
-                        clause_of[bundle, value] = xos.clause(view, bundle, value)
-                    clause, beta_call = clause_of[bundle, value]
-                    beta_cert = max(beta_cert, beta_call)
-                    kept = 0
-                    for j in bitsets.iter_items(bundle):
-                        if meets(clause.weight(j), r / (4 * card.alpha * beta_call)):
-                            kept |= 1 << j
-                    if not kept:
-                        break
-                    members.append(kept)
-                    pool &= ~kept
-                if members:
-                    families.append(SketchFamily(k, float(r), members))
+    for k in grid.k_grid:
+        for r in grid.r_grid:
+            heavy = 0
+            for j, value in sing.items():
+                if meets(value, k * r / sqrt_n):
+                    heavy |= 1 << j
+            pool = items & ~heavy
+            members = []
+            while pool:
+                if (pool, k) not in best_of:
+                    top = max(sing[j] for j in bitsets.iter_items(pool))
+                    best_of[pool, k] = card.run(view, pool, k, max_singleton=top)
+                bundle, value = best_of[pool, k]
+                if not bundle or not meets(value, k * r / (2 * card.alpha)):
+                    break
+                if (bundle, value) not in clause_of:
+                    clause_of[bundle, value] = xos.clause(view, bundle, value)
+                clause, beta_call = clause_of[bundle, value]
+                beta_cert = max(beta_cert, beta_call)
+                kept = 0
+                for j in bitsets.iter_items(bundle):
+                    if meets(clause.weight(j), r / (4 * card.alpha * beta_call)):
+                        kept |= 1 << j
+                if not kept:
+                    break
+                members.append(kept)
+                pool &= ~kept
+            if members:
+                families.append(SketchFamily(k, float(r), members))
     return SketchGroup(leader, items, scale, card.alpha, beta_cert, families)
 
 
@@ -202,8 +201,7 @@ def build_sketch(
         grid = GridParams.for_ground_set(n)
     elif grid.n != n:
         raise ValueError("grid was sized for a different ground set")
-    with oracle.ledger.phase("partition"):
-        singletons = [oracle.value(1 << j) for j in range(n)]
+    singletons = [oracle.value(1 << j) for j in range(n)]
     groups = []
     for leader, items in well_bounded_partition(singletons, n):
         scale = min(singletons[j] for j in bitsets.iter_items(items))
@@ -211,6 +209,11 @@ def build_sketch(
             build_group_sketch(oracle, leader, items, scale, singletons, card, xos, grid)
         )
     return Sketch(n, singletons, groups, build_queries=oracle.ledger.snapshot())
+
+
+def _unit(group: SketchGroup, fam: SketchFamily) -> float:
+    """Estimate per member item hit, for one family of one group."""
+    return fam.r / (4.0 * group.alpha * group.beta_certified) * group.scale
 
 
 def evaluate(sketch: Sketch, bundle: int) -> float:
@@ -222,7 +225,7 @@ def evaluate(sketch: Sketch, bundle: int) -> float:
             best = sketch.singletons[j]
     for group in sketch.groups:
         for fam in group.families:
-            unit = fam.r / (4.0 * group.alpha * group.beta_certified) * group.scale
+            unit = _unit(group, fam)
             for member in fam.members:
                 hits = (member & bundle).bit_count()
                 if hits and hits * unit > best:
@@ -244,13 +247,60 @@ def evaluate_all(sketch: Sketch) -> np.ndarray:
             est[has] = np.maximum(est[has], value)
     for group in sketch.groups:
         for fam in group.families:
-            unit = fam.r / (4.0 * group.alpha * group.beta_certified) * group.scale
+            unit = _unit(group, fam)
             for member in fam.members:
                 np.maximum(est, pc[masks & member] * unit, out=est)
     return est
 
 
-# -- canonical JSON form ------------------------------------------------
+# -- the file contract and its canonical JSON form ------------------------
+
+
+def sketch_errors(sketch: Sketch) -> list:
+    """Every way the sketch breaks the file contract; empty if it holds.
+
+    The contract: one finite, non-negative singleton per item; each
+    group's items inside the ground set, its leader among them, a finite
+    positive scale, and finite alpha and beta of at least 1; each family
+    an int k >= 1, a finite positive r, and pairwise disjoint members of
+    at most k items inside the group. Fields are read as given, so a
+    value of the wrong type raises TypeError.
+    """
+    n = sketch.n
+    errors = []
+    singletons = sketch.singletons
+    if len(singletons) != n:
+        errors.append("singleton list length must equal n")
+    elif not all(map(math.isfinite, singletons)) or min(singletons) < 0:
+        errors.append("singleton values must be finite and non-negative")
+    for gi, g in enumerate(sketch.groups):
+        tag = f"group {gi} (leader {g.leader})"
+        if g.items >> n:
+            errors.append(f"{tag}: items outside the ground set")
+        if not (isinstance(g.leader, int) and 0 <= g.leader < n and (g.items >> g.leader) & 1):
+            errors.append(f"{tag}: leader outside the group")
+        if not (math.isfinite(g.scale) and g.scale > 0):
+            errors.append(f"{tag}: scale must be positive and finite")
+        if not (math.isfinite(g.alpha) and math.isfinite(g.beta_certified)
+                and g.alpha >= 1 and g.beta_certified >= 1):
+            errors.append(f"{tag}: alpha and beta must be finite and at least 1")
+        outside = ~g.items
+        for fam in g.families:
+            cell = f"k={fam.k} r={fam.r}"
+            if not (isinstance(fam.k, int) and fam.k >= 1):
+                errors.append(f"{tag}: k must be an int of at least 1 at {cell}")
+            if not (math.isfinite(fam.r) and fam.r > 0):
+                errors.append(f"{tag}: r must be positive and finite at {cell}")
+            used = 0
+            for m in fam.members:
+                if m & outside:
+                    errors.append(f"{tag}: member leaves the group at {cell}")
+                if m.bit_count() > fam.k:
+                    errors.append(f"{tag}: member larger than k at {cell}")
+                if m & used:
+                    errors.append(f"{tag}: overlapping members at {cell}")
+                used |= m
+    return errors
 
 
 def _canon(x: float) -> float:
@@ -258,48 +308,27 @@ def _canon(x: float) -> float:
     return float(format(float(x), ".12g"))
 
 
-def _check_members(members, items: int, k, n: int) -> None:
-    """Each member a bundle inside its group of at most k items; n items in all."""
-    total = 0
-    for m in members:
-        bitsets.check_bundle(m, n)
-        if m & ~items or m.bit_count() > k:
-            raise SerializationError("family member escapes its group or size budget")
-        total += m.bit_count()
-    if total > n:
-        raise SerializationError("family members exceed the ground set")
-
-
-def _family_payload(group: SketchGroup, n: int):
-    out = []
-    for fam in group.families:
-        if not fam.members:
-            continue
-        _check_members(fam.members, group.items, fam.k, n)
-        out.append(
-            {
-                "k": fam.k,
-                "r": _canon(fam.r),
-                "members": [bitsets.to_hex(m) for m in fam.members],
-            }
-        )
-    return out
-
-
 def serialize(sketch: Sketch) -> str:
-    groups = []
-    for g in sketch.groups:
-        bitsets.check_bundle(g.items, sketch.n)
-        groups.append(
-            {
-                "leader": g.leader,
-                "items": bitsets.to_hex(g.items),
-                "scale": _canon(g.scale),
-                "alpha": _canon(g.alpha),
-                "beta": _canon(g.beta_certified),
-                "families": _family_payload(g, sketch.n),
-            }
-        )
+    """Canonical JSON text; raises SerializationError if the sketch
+    breaks the file contract. Empty families are left out."""
+    errors = sketch_errors(sketch)
+    if errors:
+        raise SerializationError(errors[0])
+    groups = [
+        {
+            "leader": g.leader,
+            "items": bitsets.to_hex(g.items),
+            "scale": _canon(g.scale),
+            "alpha": _canon(g.alpha),
+            "beta": _canon(g.beta_certified),
+            "families": [
+                {"k": f.k, "r": _canon(f.r), "members": [bitsets.to_hex(m) for m in f.members]}
+                for f in g.families
+                if f.members
+            ],
+        }
+        for g in sketch.groups
+    ]
     payload = {
         "schema_version": sketch.schema_version,
         "kind": "valuation-sketch",
@@ -312,6 +341,8 @@ def serialize(sketch: Sketch) -> str:
 
 
 def deserialize(text: str) -> Sketch:
+    """Decode sketch JSON and hold it to the file contract; any fault
+    raises SerializationError."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -323,45 +354,36 @@ def deserialize(text: str) -> Sketch:
     n = obj.get("n")
     if not isinstance(n, int) or n < 1:
         raise SerializationError("bad ground set size")
-    singletons = obj.get("singletons")
-    if not isinstance(singletons, list) or len(singletons) != n:
-        raise SerializationError("singleton list must have one entry per item")
-    groups = []
+    if not isinstance(obj.get("singletons"), list):
+        raise SerializationError("singletons must be a list")
     try:
-        singletons = list(map(float, singletons))
-        if not all(map(math.isfinite, singletons)) or min(singletons) < 0:
-            raise SerializationError("singleton values must be finite and non-negative")
-        for g in obj["groups"]:
-            items = bitsets.from_hex(g["items"])
-            bitsets.check_bundle(items, n)
-            families = []
-            for f in g["families"]:
-                k, r = f["k"], f["r"]
-                if k < 1 or not (math.isfinite(r) and r > 0):
-                    raise SerializationError("family k must be at least 1, r positive and finite")
-                members = [bitsets.from_hex(m) for m in f["members"]]
-                _check_members(members, items, k, n)
-                families.append(SketchFamily(int(k), float(r), members))
-            scale, alpha, beta = g["scale"], g["alpha"], g["beta"]
-            finite = all(map(math.isfinite, (scale, alpha, beta)))
-            if not (finite and scale > 0 and alpha >= 1 and beta >= 1):
-                raise SerializationError("scale must be positive, alpha and beta at least 1, all finite")
-            groups.append(
-                SketchGroup(
-                    int(g["leader"]), items, float(scale), float(alpha), float(beta), families
-                )
+        groups = [
+            SketchGroup(
+                g["leader"],
+                bitsets.from_hex(g["items"]),
+                g["scale"],
+                g["alpha"],
+                g["beta"],
+                [
+                    SketchFamily(f["k"], f["r"], [bitsets.from_hex(m) for m in f["members"]])
+                    for f in g["families"]
+                ],
             )
-    except SerializationError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+            for g in obj["groups"]
+        ]
+        sketch = Sketch(n, list(map(float, obj["singletons"])), groups, obj.get("build_queries"))
+        errors = sketch_errors(sketch)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SerializationError(f"malformed sketch payload: {exc}") from exc
-    return Sketch(n, singletons, groups, obj.get("build_queries"))
+    if errors:
+        raise SerializationError(errors[0])
+    return sketch
 
 
 def save_sketch(sketch: Sketch, path: str) -> None:
+    text = serialize(sketch)  # before open, so a rejected sketch leaves the file as it was
     with open(path, "w") as fh:
-        fh.write(serialize(sketch))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_sketch(path: str) -> Sketch:

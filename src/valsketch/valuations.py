@@ -110,7 +110,16 @@ class ValuationOracle:
     def value(self, bundle: int) -> float:
         bitsets.check_bundle(bundle, self.n)
         self.ledger.count_value()
-        return self._value(bundle)
+        v = self._value(bundle)
+        if not 0 <= v < math.inf:
+            root = self
+            while isinstance(root, (RestrictedOracle, ScaledOracle)):
+                root = root.parent  # name the oracle that answered, not a view of it
+            raise ValueError(
+                f"{type(root).__name__} valued bundle {bitsets.to_hex(bundle)} at {v!r}; "
+                "values must be finite and >= 0"
+            )
+        return v
 
     def demand(self, prices) -> int:
         """Profit-maximizing bundle under item prices (one demand query)."""

@@ -13,7 +13,7 @@ import numpy as np
 from . import bitsets
 from .errors import ScaleError
 from .ledger import QueryLedger
-from .sketch import Sketch, certified_bound, evaluate_all
+from .sketch import Sketch, certified_bound, evaluate_all, sketch_errors
 from .valuations import RELATIVE_TOL, AdditiveClause, ValuationOracle, popcount_table
 
 #: slack allowed on "never overestimates": one filter tolerance of dust
@@ -149,21 +149,16 @@ def exhaustive_ratio_report(oracle: ValuationOracle, sketch: Sketch) -> RatioRep
 
 
 def family_invariant_check(sketch: Sketch) -> list:
-    """Structural invariants of a finished sketch; returns violations."""
+    """Violations of the file contract (sketch_errors) or, on a sketch
+    that meets it, of the invariants construction guarantees."""
+    bad = sketch_errors(sketch)
+    if bad:
+        # the checks below index singletons by item id and need finite fields
+        return bad
     n = sketch.n
-    bad = []
-    if len(sketch.singletons) != n:
-        # the remaining checks index singletons by item id
-        return ["singleton list length differs from n"]
     membership = [0] * n
     for gi, g in enumerate(sketch.groups):
         tag = f"group {gi} (leader {g.leader})"
-        if not (g.items >> g.leader) & 1:
-            bad.append(f"{tag}: leader outside the group")
-        if g.scale <= 0:
-            bad.append(f"{tag}: scale must be positive")
-        if g.alpha < 1 or g.beta_certified < 1:
-            bad.append(f"{tag}: alpha and beta must be at least 1")
         for j in bitsets.iter_items(g.items):
             membership[j] += 1
         values = [sketch.singletons[j] for j in bitsets.iter_items(g.items)]
@@ -183,15 +178,6 @@ def family_invariant_check(sketch: Sketch) -> list:
                     f"{tag}: {len(fam.members)} members at k={fam.k} r={fam.r}, "
                     f"limit {fam_limit}"
                 )
-            used = 0
-            for m in fam.members:
-                if m & ~g.items:
-                    bad.append(f"{tag}: member leaves the group at k={fam.k} r={fam.r}")
-                if m.bit_count() > fam.k:
-                    bad.append(f"{tag}: member larger than k={fam.k}")
-                if m & used:
-                    bad.append(f"{tag}: overlapping members at k={fam.k} r={fam.r}")
-                used |= m
     if sketch.groups:
         base = max(n / 2, 2.0)
         group_limit = math.ceil(math.log(n * n * (1 + RELATIVE_TOL), base)) + 1

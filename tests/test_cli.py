@@ -121,6 +121,27 @@ class TestPipelineChain:
         code, _, err = run(capsys, "eval", "--sketch", str(sk), "--bundle", "zz")
         assert code == 2
 
+    def test_sketch_rejects_bad_oracle_output(self, capsys, tmp_path, monkeypatch):
+        inst = tmp_path / "inst.json"
+        run(capsys, "gen", "--family", "additive", "--n", "4", "--out", str(inst))
+        monkeypatch.setattr(vs.AdditiveValuation, "_value", lambda self, bundle: float("nan"))
+        code, _, err = run(capsys, "sketch", "--instance", str(inst), "--pipeline", "brute",
+                           "--out", str(tmp_path / "s.json"))
+        assert code == 2 and "AdditiveValuation valued bundle" in err
+
+    def test_verify_rejects_contract_breaking_sketch(self, capsys, tmp_path):
+        inst = tmp_path / "inst.json"
+        sk = tmp_path / "sketch.json"
+        run(capsys, "gen", "--family", "additive", "--n", "4", "--out", str(inst))
+        run(capsys, "sketch", "--instance", str(inst), "--pipeline", "brute",
+            "--out", str(sk))
+        payload = json.loads(sk.read_text())
+        payload["groups"][0]["leader"] = 4  # outside the ground set, so outside the group
+        sk.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "verify", "--instance", str(inst),
+                           "--pipeline", "brute", "--sketch", str(sk))
+        assert code == 2 and "leader outside the group" in err
+
     def test_eval_rejects_corrupt_sketch_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
 

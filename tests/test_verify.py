@@ -1,5 +1,9 @@
 """Verification helpers: projections, core claim, ratio reports, invariants."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import valsketch as vs
@@ -219,3 +223,16 @@ class TestBruteHelpers:
     def test_reference_table_scale_guard(self):
         with pytest.raises(vs.ScaleError):
             vs.brute_reference_table(vs.AdditiveValuation([1.0] * 21))
+
+
+def test_verify_corpus_script_smoke():
+    """scripts/verify_corpus.py runs the invariant and ratio checks end to end."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "verify_corpus.py"),
+         "--limit", "8", "--quiet"],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "checked 8 fixtures: 0 failures" in proc.stdout
