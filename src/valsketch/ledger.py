@@ -1,8 +1,7 @@
 """Query accounting.
 
-One ledger is shared by an oracle and every wrapper built on top of it, so a
-query is counted exactly once no matter how many restriction or scaling
-layers it passes through.
+One ledger is shared by an oracle and every view of it, so a query is
+counted exactly once, whichever view it is asked through.
 """
 
 

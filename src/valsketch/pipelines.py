@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from . import cardinality, clauses
 from .cardinality import CardOracleSpec
 from .clauses import XosOracleSpec
-from .errors import CapabilityError, ScaleError
+from .errors import CapabilityError
 from .instances import InstanceSpec, generate_instance
 from .valuations import ValuationOracle
 
@@ -67,22 +67,22 @@ def get_pipeline(name: str) -> PipelineSpec:
         ) from None
 
 
+#: per pipeline, the instance family of its bench instance and the
+#: generator parameters at n; queries on these stay cheap to answer
+_BENCH_RECIPES = {
+    "matroid": lambda n: ("partition-matroid", {"block_size": 4, "cap": 1}),
+    "submodular": lambda n: ("coverage", {"universe": 2 * n, "max_cover": 6}),
+    "subadditive": lambda n: (
+        "xos-explicit", {"clauses": 24, "support": max(2, n // 8), "uniform": True}
+    ),
+    "brute": lambda n: ("subadditive-table", {}),  # the generator stops at n = 12
+}
+
+
 def bench_instance(pipeline: str, n: int, seed: int = 0) -> InstanceSpec:
     """A large-n instance whose demand/value queries stay cheap to answer."""
-    p = get_pipeline(pipeline)
-    if p.name == "matroid":
-        return generate_instance("partition-matroid", n, seed, block_size=4, cap=1)
-    if p.name == "submodular":
-        return generate_instance("coverage", n, seed, universe=2 * n, max_cover=6)
-    if p.name == "subadditive":
-        return generate_instance(
-            "xos-explicit", n, seed, clauses=24, support=max(2, n // 8), uniform=True
-        )
-    if p.name == "brute":
-        if n > 12:
-            raise ScaleError("the brute pipeline benches only up to n = 12")
-        return generate_instance("subadditive-table", n, seed)
-    raise ValueError(f"no bench instance recipe for pipeline {pipeline!r}")
+    family, params = _BENCH_RECIPES[get_pipeline(pipeline).name](n)
+    return generate_instance(family, n, seed, **params)
 
 
 CORPUS_SIZES = (6, 8, 10, 12)

@@ -25,7 +25,7 @@ from .clauses import XosOracleSpec
 from .errors import ScaleError, SerializationError
 from .valuations import (
     RELATIVE_TOL,
-    ScaledOracle,
+    OracleView,
     ValuationOracle,
     meets,
     popcount_table,
@@ -148,7 +148,7 @@ def build_group_sketch(
     is what makes the member count per item charge against r. Cells
     reuse identical maximizer and clause calls made earlier in the group.
     """
-    view = ScaledOracle(oracle, scale).restrict(items)
+    view = OracleView(oracle, items, scale)
     sing = {j: singletons[j] / scale for j in bitsets.iter_items(items)}
     sqrt_n = math.sqrt(grid.n)
     beta_cert = 1.0
@@ -189,18 +189,10 @@ def build_group_sketch(
     return SketchGroup(leader, items, scale, card.alpha, beta_cert, families)
 
 
-def build_sketch(
-    oracle: ValuationOracle,
-    card: CardOracleSpec,
-    xos: XosOracleSpec,
-    grid: GridParams | None = None,
-) -> Sketch:
+def build_sketch(oracle: ValuationOracle, card: CardOracleSpec, xos: XosOracleSpec) -> Sketch:
     """Full pipeline: singleton scan, partition, per-group grid sweep."""
     n = oracle.n
-    if grid is None:
-        grid = GridParams.for_ground_set(n)
-    elif grid.n != n:
-        raise ValueError("grid was sized for a different ground set")
+    grid = GridParams.for_ground_set(n)
     singletons = [oracle.value(1 << j) for j in range(n)]
     groups = []
     for leader, items in well_bounded_partition(singletons, n):
@@ -263,8 +255,8 @@ def sketch_errors(sketch: Sketch) -> list:
     group's items inside the ground set, its leader among them, a finite
     positive scale, and finite alpha and beta of at least 1; each family
     an int k >= 1, a finite positive r, and pairwise disjoint members of
-    at most k items inside the group. Fields are read as given, so a
-    value of the wrong type raises TypeError.
+    at most k items inside the group. A bool is not an int here. Fields
+    are read as given, so a value of the wrong type raises TypeError.
     """
     n = sketch.n
     errors = []
@@ -277,7 +269,7 @@ def sketch_errors(sketch: Sketch) -> list:
         tag = f"group {gi} (leader {g.leader})"
         if g.items >> n:
             errors.append(f"{tag}: items outside the ground set")
-        if not (isinstance(g.leader, int) and 0 <= g.leader < n and (g.items >> g.leader) & 1):
+        if not (type(g.leader) is int and 0 <= g.leader < n and (g.items >> g.leader) & 1):
             errors.append(f"{tag}: leader outside the group")
         if not (math.isfinite(g.scale) and g.scale > 0):
             errors.append(f"{tag}: scale must be positive and finite")
@@ -287,7 +279,7 @@ def sketch_errors(sketch: Sketch) -> list:
         outside = ~g.items
         for fam in g.families:
             cell = f"k={fam.k} r={fam.r}"
-            if not (isinstance(fam.k, int) and fam.k >= 1):
+            if not (type(fam.k) is int and fam.k >= 1):
                 errors.append(f"{tag}: k must be an int of at least 1 at {cell}")
             if not (math.isfinite(fam.r) and fam.r > 0):
                 errors.append(f"{tag}: r must be positive and finite at {cell}")
@@ -340,38 +332,48 @@ def serialize(sketch: Sketch) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
+def _json(value, *types):
+    """value, if json.loads gave it one of `types` (a bool is not an int)."""
+    if type(value) not in types:
+        raise TypeError(f"unexpected JSON value {value!r}")
+    return value
+
+
 def deserialize(text: str) -> Sketch:
     """Decode sketch JSON and hold it to the file contract; any fault
-    raises SerializationError."""
+    raises SerializationError. Numbers must be JSON numbers, lists JSON
+    lists and bundles hex strings; k, leader, n and schema_version are ints."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SerializationError(f"sketch file is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or obj.get("kind") != "valuation-sketch":
         raise SerializationError("not a sketch payload")
-    if obj.get("schema_version") != SCHEMA_VERSION:
+    if type(obj.get("schema_version")) is not int or obj["schema_version"] != SCHEMA_VERSION:
         raise SerializationError(f"unsupported schema version {obj.get('schema_version')!r}")
     n = obj.get("n")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise SerializationError("bad ground set size")
-    if not isinstance(obj.get("singletons"), list):
-        raise SerializationError("singletons must be a list")
     try:
         groups = [
             SketchGroup(
                 g["leader"],
                 bitsets.from_hex(g["items"]),
-                g["scale"],
-                g["alpha"],
-                g["beta"],
+                _json(g["scale"], int, float),
+                _json(g["alpha"], int, float),
+                _json(g["beta"], int, float),
                 [
-                    SketchFamily(f["k"], f["r"], [bitsets.from_hex(m) for m in f["members"]])
-                    for f in g["families"]
+                    SketchFamily(f["k"], _json(f["r"], int, float),
+                                 [bitsets.from_hex(m) for m in _json(f["members"], list)])
+                    for f in _json(g["families"], list)
                 ],
             )
-            for g in obj["groups"]
+            for g in _json(obj["groups"], list)
         ]
-        sketch = Sketch(n, list(map(float, obj["singletons"])), groups, obj.get("build_queries"))
+        singletons = _json(obj["singletons"], list)
+        if not set(map(type, singletons)) <= {int, float}:
+            raise TypeError("singletons must be JSON numbers")
+        sketch = Sketch(n, list(map(float, singletons)), groups, obj.get("build_queries"))
         errors = sketch_errors(sketch)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SerializationError(f"malformed sketch payload: {exc}") from exc

@@ -94,8 +94,8 @@ class ValuationOracle:
     """Black-box valuation with query accounting.
 
     Subclasses implement _value (and may override _demand and
-    _demand_uniform). The public value()/demand() wrappers do the counting,
-    so internal computations of an implementation never inflate the ledger.
+    _demand_uniform). The public value()/demand() wrappers count and check
+    each answer, so internal computations never inflate the ledger.
     """
 
     def __init__(self, n: int, ledger: QueryLedger | None = None, has_demand: bool = False):
@@ -112,11 +112,8 @@ class ValuationOracle:
         self.ledger.count_value()
         v = self._value(bundle)
         if not 0 <= v < math.inf:
-            root = self
-            while isinstance(root, (RestrictedOracle, ScaledOracle)):
-                root = root.parent  # name the oracle that answered, not a view of it
             raise ValueError(
-                f"{type(root).__name__} valued bundle {bitsets.to_hex(bundle)} at {v!r}; "
+                f"{self._answerer()} valued bundle {bitsets.to_hex(bundle)} at {v!r}; "
                 "values must be finite and >= 0"
             )
         return v
@@ -130,21 +127,39 @@ class ValuationOracle:
                 raise ValueError("price vector length does not match the ground set")
             bitsets.check_bundle(prices.included, self.n)
             _check_price(prices.q)
+            priced = prices.included
             self.ledger.count_demand()
-            return self._demand_uniform(prices.q, prices.included)
-        prices = list(prices)
-        if len(prices) != self.n:
-            raise ValueError("price vector length does not match the ground set")
-        for p in prices:
-            if p is not EXCLUDED:
-                _check_price(p)
-        self.ledger.count_demand()
-        return self._demand(prices)
+            answer = self._demand_uniform(prices.q, priced)
+        else:
+            prices = list(prices)
+            if len(prices) != self.n:
+                raise ValueError("price vector length does not match the ground set")
+            priced = 0
+            for j, p in enumerate(prices):
+                if p is not EXCLUDED:
+                    _check_price(p)
+                    priced |= 1 << j
+            self.ledger.count_demand()
+            answer = self._demand(prices)
+        # a negative int has bits outside any priced set
+        if type(answer) is not int or answer & ~priced:
+            raise ValueError(
+                f"{self._answerer()} answered a demand query with {answer!r}; "
+                "answers must be int bundles of priced items"
+            )
+        return answer
 
-    def restrict(self, mask: int) -> "RestrictedOracle":
+    def _answerer(self) -> str:
+        """Class name of the oracle that answers this one's queries."""
+        root = self
+        while isinstance(root, OracleView):
+            root = root.parent  # name the oracle that answered, not a view of it
+        return type(root).__name__
+
+    def restrict(self, mask: int) -> "OracleView":
         """View of this valuation on a sub-ground-set, sharing the ledger."""
         bitsets.check_bundle(mask, self.n)
-        return RestrictedOracle(self, mask)
+        return OracleView(self, mask)
 
     # -- implementation hooks (uncounted) ------------------------------
 
@@ -188,44 +203,34 @@ def _demand_brute(oracle: ValuationOracle, prices: list) -> int:
     return best_mask
 
 
-class RestrictedOracle(ValuationOracle):
-    """Valuation masked to a sub-ground-set; shares the parent ledger."""
+class OracleView(ValuationOracle):
+    """The parent valuation on the items of `mask`, in units of `scale`.
 
-    def __init__(self, parent: ValuationOracle, mask: int):
-        super().__init__(parent.n, parent.ledger, parent.has_demand)
-        self.parent = parent
-        self.mask = mask
+    Items outside the mask add nothing and are never demanded; values are
+    divided by the scale and prices multiplied by it. Shares the parent's
+    ledger, so a query through the view is counted once.
+    """
 
-    def _value(self, bundle: int) -> float:
-        return self.parent._value(bundle & self.mask)
-
-    def _demand(self, prices: list) -> int:
-        masked = [p if (self.mask >> j) & 1 else EXCLUDED for j, p in enumerate(prices)]
-        return self.parent._demand(masked)
-
-    def _demand_uniform(self, q: float, included: int) -> int:
-        return self.parent._demand_uniform(q, included & self.mask)
-
-
-class ScaledOracle(ValuationOracle):
-    """Valuation divided by a positive scale; shares the parent ledger."""
-
-    def __init__(self, parent: ValuationOracle, scale: float):
+    def __init__(self, parent: ValuationOracle, mask: int, scale: float = 1.0):
         if scale <= 0 or not math.isfinite(scale):
             raise ValueError("scale must be positive and finite")
         super().__init__(parent.n, parent.ledger, parent.has_demand)
         self.parent = parent
+        self.mask = mask
         self.scale = float(scale)
 
     def _value(self, bundle: int) -> float:
-        return self.parent._value(bundle) / self.scale
+        return self.parent._value(bundle & self.mask) / self.scale
 
     def _demand(self, prices: list) -> int:
-        rescaled = [p if p is EXCLUDED else p * self.scale for p in prices]
-        return self.parent._demand(rescaled)
+        viewed = [
+            p * self.scale if (self.mask >> j) & 1 and p is not EXCLUDED else EXCLUDED
+            for j, p in enumerate(prices)
+        ]
+        return self.parent._demand(viewed)
 
     def _demand_uniform(self, q: float, included: int) -> int:
-        return self.parent._demand_uniform(q * self.scale, included)
+        return self.parent._demand_uniform(q * self.scale, included & self.mask)
 
 
 # ---------------------------------------------------------------------
@@ -533,7 +538,6 @@ def _check_table_subadditive(arr: np.ndarray, n: int) -> None:
                     f"table is not subadditive: v({a:#x}) + v({s ^ a:#x}) < v({s:#x})"
                 )
             a = (a - 1) & s
-    return None
 
 
 def popcount_table(n: int) -> np.ndarray:

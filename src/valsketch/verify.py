@@ -119,23 +119,17 @@ def exhaustive_ratio_report(oracle: ValuationOracle, sketch: Sketch) -> RatioRep
     if n > 16:
         raise ScaleError("exhaustive comparison needs n <= 16")
     est = evaluate_all(sketch)
-    truth = np.array([oracle._value(s) for s in range(1 << n)])
+    truth = brute_reference_table(oracle)
     alpha = max((g.alpha for g in sketch.groups), default=1.0)
     beta = max((g.beta_certified for g in sketch.groups), default=1.0)
     bound = certified_bound(n, alpha, beta)
-
-    max_over, argmax_over = 1.0, 0
-    max_under, argmax_under = 1.0, 0
-    for s in range(1, 1 << n):
-        v, e = truth[s], est[s]
-        if e > v:
-            ratio = e / v if v > 0 else math.inf
-            if ratio > max_over:
-                max_over, argmax_over = ratio, s
-        if v > 0:
-            ratio = v / e if e > 0 else math.inf
-            if ratio > max_under:
-                max_under, argmax_under = ratio, s
+    # ratio 1 where a side holds trivially (the empty bundle included);
+    # argmax keeps the first worst bundle
+    with np.errstate(divide="ignore", invalid="ignore"):
+        over = np.where(est > truth, est / truth, 1.0)
+        under = np.where(truth > 0, truth / est, 1.0)
+    argmax_over, argmax_under = int(over.argmax()), int(under.argmax())
+    max_over, max_under = float(over[argmax_over]), float(under[argmax_under])
     return RatioReport(
         n=n,
         max_over=max_over,

@@ -17,9 +17,9 @@ class CorpusEntry:
     estimate: np.ndarray
 
 
-def build_and_check(oracle, card, xos, grid=None):
+def build_and_check(oracle, card, xos):
     """Build a sketch and insist its structural invariants hold."""
-    sketch = vs.build_sketch(oracle, card, xos, grid)
+    sketch = vs.build_sketch(oracle, card, xos)
     violations = family_invariant_check(sketch)
     assert violations == [], violations
     return sketch

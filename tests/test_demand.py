@@ -113,7 +113,7 @@ def test_demand_capability_gate():
 def test_scaled_demand_rescales_prices():
     led = vs.QueryLedger()
     v = vs.AdditiveValuation([2.0, 6.0], led)
-    half = vs.valuations.ScaledOracle(v, 2.0)
+    half = vs.valuations.OracleView(v, 0b11, 2.0)
     # in half-scale units the weights are 1 and 3; price 2 keeps only item 1
     assert half.demand([2.0, 2.0]) == 0b10
     assert half.demand(UniformPrices(2.0, 0b11, 2)) == 0b10
@@ -124,3 +124,19 @@ def test_restricted_demand_excludes_masked_items():
     view = v.restrict(0b011)
     assert view.demand([1.0, 1.0, 1.0]) == 0b011
     assert view.demand(UniformPrices(1.0, 0b111, 3)) == 0b011
+
+
+@pytest.mark.parametrize("answer", [0b100, -1, 1.0, True])
+def test_demand_answer_must_be_priced_int_bundle(answer):
+    class Wayward(vs.AdditiveValuation):
+        def _demand(self, prices):
+            return answer
+
+        def _demand_uniform(self, q, included):
+            return answer
+
+    v = Wayward([1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="Wayward answered a demand query"):
+        v.demand([0.5, 0.5, EXCLUDED])
+    with pytest.raises(ValueError, match="Wayward answered a demand query"):
+        v.restrict(0b011).demand(UniformPrices(0.5, 0b011, 3))

@@ -43,12 +43,6 @@ class TestGrid:
             assert all(b == min(2 * a, n) for a, b in zip(ks, ks[1:]))
             assert len(set(ks)) == len(ks)
 
-    def test_grid_must_match_oracle(self):
-        oracle = vs.AdditiveValuation([1, 2])
-        with pytest.raises(ValueError):
-            vs.build_sketch(oracle, vs.brute_force(), vs.clause_marginal(),
-                            GridParams.for_ground_set(3))
-
 
 class TestPartition:
     def test_frozen_partition(self):
@@ -257,6 +251,17 @@ class TestSerialization:
             {"groups": _group(family={"k": 0, "members": []})},
             {"groups": _group(leader=1, items="1")},
             {"groups": _group(family={"k": 2, "members": ["1", "1"]})},
+            {"groups": _group(scale=True)},
+            {"groups": _group(alpha=True)},
+            {"groups": _group(family={"r": True})},
+            {"groups": _group(leader=True)},
+            {"schema_version": True},
+            {"singletons": ["2", 1.0]},
+            {"singletons": [True, 1.0]},
+            {"groups": _group(family={"members": "1"})},
+            {"groups": _group(families="")},
+            {"groups": _group(family={"k": True})},
+            {"groups": ""},
         ],
     )
     def test_rejects_malformed_payloads(self, breakage):
@@ -307,6 +312,7 @@ class TestSerializeContract:
             ({"scale": math.nan}, "scale"),
             ({"families": [vs.SketchFamily(1, math.inf, [0b01])]}, "r must be"),
             ({"leader": 1, "items": 0b01}, "leader outside"),
+            ({"families": [vs.SketchFamily(True, 1.0, [0b01])]}, "k must be"),
         ],
     )
     def test_serialize_refuses_what_deserialize_would(self, tmp_path, fields, needle):
@@ -410,6 +416,21 @@ class TestBuildContract:
         oracle = Broken([1.0, 1.0, 1.0, 1.0])
         pipeline = vs.get_pipeline("submodular")
         with pytest.raises(ValueError, match=f"Broken valued bundle {bundle:x} at"):
+            vs.build_sketch(oracle, pipeline.card, pipeline.xos)
+
+    @pytest.mark.parametrize("stray", ["outside", "negative"])
+    def test_build_refuses_bad_demand_answer(self, stray):
+        # item 7 is worth nothing, so no group ever prices it
+        class Stray(vs.XOSExplicitValuation):
+            def _demand_uniform(self, q, included):
+                answer = super()._demand_uniform(q, included)
+                return answer | 1 << 7 if stray == "outside" else -1
+
+        clauses = [vs.AdditiveClause({j: 1.0 for j in range(7)}),
+                   vs.AdditiveClause({0: 3.0, 1: 2.0})]
+        oracle = Stray(clauses, n=8)
+        pipeline = vs.get_pipeline("subadditive")
+        with pytest.raises(ValueError, match="Stray answered a demand query with"):
             vs.build_sketch(oracle, pipeline.card, pipeline.xos)
 
     def test_heavy_cells_stay_out_of_families(self):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import valsketch as vs
-from valsketch.valuations import AdditiveClause, ScaledOracle, meets
+from valsketch.valuations import AdditiveClause, OracleView, meets
 
 
 def test_meets_tolerance_boundary():
@@ -91,7 +91,7 @@ class TestFamilies:
         v = vs.PartitionMatroidRank(blocks, caps)
         assert v.value(bundle) == capped_sum(bundle)
         assert v.restrict(mask).value(bundle) == capped_sum(bundle & mask)
-        assert ScaledOracle(v, scale).value(bundle) == capped_sum(bundle) / scale
+        assert OracleView(v, mask, scale).value(bundle) == capped_sum(bundle & mask) / scale
 
     def test_partition_matroid_rejects_overlap_and_gaps(self):
         with pytest.raises(ValueError):
@@ -154,18 +154,19 @@ class TestWrappers:
 
     def test_scaled_divides_value(self):
         v = vs.AdditiveValuation([2, 4])
-        s = vs.valuations.ScaledOracle(v, 2.0)
+        s = OracleView(v, 0b11, 2.0)
         assert s._value(0b11) == 3.0
 
     def test_scaled_rejects_bad_scale(self):
         v = vs.AdditiveValuation([1])
-        with pytest.raises(ValueError):
-            vs.valuations.ScaledOracle(v, 0.0)
+        for scale in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                OracleView(v, 0b1, scale)
 
     def test_stacked_wrappers_share_ledger(self):
         led = vs.QueryLedger()
         v = vs.AdditiveValuation([1, 2, 4], led)
-        view = vs.valuations.ScaledOracle(v, 2.0).restrict(0b101)
+        view = OracleView(v, 0b111, 2.0).restrict(0b101)
         assert view.value(0b111) == 2.5
         assert led.value_queries == 1
 

@@ -1,5 +1,7 @@
 """Verification helpers: projections, core claim, ratio reports, invariants."""
 
+import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -86,6 +88,24 @@ class TestCoreClaim:
             assert ok, info
 
 
+def _loop_ratios(truth, est):
+    """(max over, its bundle, max under, its bundle), one bundle at a time;
+    a ratio must beat the best so far, so the first worst bundle wins."""
+    max_over, argmax_over = 1.0, 0
+    max_under, argmax_under = 1.0, 0
+    for s in range(1, len(truth)):
+        v, e = truth[s], est[s]
+        if e > v:
+            ratio = e / v if v > 0 else math.inf
+            if ratio > max_over:
+                max_over, argmax_over = ratio, s
+        if v > 0:
+            ratio = v / e if e > 0 else math.inf
+            if ratio > max_under:
+                max_under, argmax_under = ratio, s
+    return max_over, argmax_over, max_under, argmax_under
+
+
 class TestRatioReport:
     def test_honest_sketch_passes(self):
         oracle = vs.AdditiveValuation([1.0, 2.0, 4.0])
@@ -109,6 +129,21 @@ class TestRatioReport:
         report = vs.exhaustive_ratio_report(oracle, empty)
         assert report.sound and not report.within_bound
         assert report.max_under == float("inf")
+
+    def test_matches_per_bundle_loop(self, corpus):
+        """The worst ratios and the first bundles attaining them, as the
+        per-bundle loop finds them, on corpus sketches and on unsound
+        (tripled singletons) and empty variants of some."""
+        for i, entry in enumerate(corpus):
+            sketches = [entry.sketch]
+            if i % 10 == 0:
+                tripled = [3 * v for v in entry.sketch.singletons]
+                sketches += [dataclasses.replace(entry.sketch, singletons=tripled),
+                             Sketch(entry.oracle.n, [0.0] * entry.oracle.n, [])]
+            for sketch in sketches:
+                report = vs.exhaustive_ratio_report(entry.oracle, sketch)
+                got = (report.max_over, report.argmax_over, report.max_under, report.argmax_under)
+                assert got == _loop_ratios(entry.truth.tolist(), vs.evaluate_all(sketch).tolist())
 
     def test_ground_set_mismatch(self):
         oracle = vs.AdditiveValuation([1.0, 2.0])
