@@ -53,9 +53,13 @@ def to_hex(mask: int) -> str:
 
 
 def from_hex(text: str) -> int:
+    """Parse the serialized form, refusing other spellings int() accepts:
+    a sign, 0x, underscores, spaces, leading zeros, non-ASCII digits.
+    Uppercase digits still pass, as refusing them costs a scan per field."""
     mask = int(text, 16)
-    if mask < 0:
-        raise MalformedBundleError(f"negative bundle {text!r}")
+    # any sign, prefix, separator, space or leading zero makes the text longer
+    if len(text) != ((mask.bit_length() + 3) >> 2 or 1) or not text.isascii():
+        raise MalformedBundleError(f"bundle {text!r} is not bare lowercase hex")
     return mask
 
 
@@ -70,14 +74,17 @@ def submasks(mask: int):
 
 
 def lower_half(mask: int) -> int:
-    """The smaller-id half of a nonempty bitset, rounded up."""
+    """The smaller-id half of a nonempty bitset, rounded up: the shortest
+    prefix holding that many bits, found by bisecting on its length."""
     take = (mask.bit_count() + 1) // 2
-    out = 0
-    for _ in range(take):
-        low = mask & -mask
-        out |= low
-        mask ^= low
-    return out
+    lo, hi = 0, mask.bit_length()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mask & ((1 << mid) - 1)).bit_count() >= take:
+            hi = mid
+        else:
+            lo = mid + 1
+    return mask & ((1 << lo) - 1)
 
 
 def chunks(mask: int, k: int) -> list[int]:

@@ -10,11 +10,22 @@ A CardOracleSpec holds the maximizer itself, called as
 maximize(oracle, ground, k, max_singleton=M), and its certified alpha. M
 is the best singleton value in the pool, a hint the maximizer may
 ignore; the factories below bind everything else.
+
+Lazy greedy, threshold greedy and matroid augmenting add one item at a
+time, and with budget k they stop after the first k steps of their run
+with a larger budget. Each is written once, as a step generator
+steps(oracle, ground) that yields (bundle, value) after every item it
+adds; its spec's maximize takes step k, or the last step if the run
+ends sooner. Handed a step table, the spec's run keeps one trajectory
+per pool and serves every budget from it, pulling only steps not yet
+taken.
 """
 
 import heapq
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from typing import Callable
 
 from . import bitsets
@@ -26,24 +37,47 @@ ALPHA_GREEDY = math.e / (math.e - 1.0)
 
 @dataclass(frozen=True)
 class CardOracleSpec:
-    """A maximizer plus its certified approximation factor."""
+    """A maximizer plus its certified approximation factor, and the step
+    generator it is derived from, if any."""
 
     maximize: Callable
     alpha: float
     needs_demand: bool = False
+    steps: Callable | None = None
 
-    def run(self, oracle: ValuationOracle, ground: int, k: int, *, max_singleton=None):
-        return self.maximize(oracle, ground, k, max_singleton=max_singleton)
+    @classmethod
+    def stepwise(cls, steps: Callable, alpha: float) -> "CardOracleSpec":
+        """A spec whose maximize with budget k is step k of steps."""
+        return cls(lambda oracle, ground, k, max_singleton=None:
+                   take_step(steps(oracle, ground), k), alpha, steps=steps)
+
+    def run(self, oracle: ValuationOracle, ground: int, k: int, *, max_singleton=None,
+            trajectories: dict | None = None):
+        """maximize(oracle, ground, k). A step spec handed `trajectories`,
+        a table the caller keeps for this oracle, resumes the pool's
+        trajectory there instead of starting afresh."""
+        if self.steps is None or trajectories is None:
+            return self.maximize(oracle, ground, k, max_singleton=max_singleton)
+        if ground not in trajectories:
+            trajectories[ground] = (self.steps(oracle, ground), [])
+        trajectory, taken = trajectories[ground]
+        return take_step(trajectory, k, taken)
 
 
-def _without_hint(maximize, *fixed):
-    """Adapt a maximizer that takes fixed trailing arguments and no hint."""
-    return lambda oracle, ground, k, max_singleton=None: maximize(oracle, ground, k, *fixed)
+def take_step(trajectory, k: int, taken: list | None = None):
+    """Step k of a trajectory, or its last step if it ends sooner;
+    (0, 0.0) before the first. `taken` holds the steps already pulled
+    from it and receives the new ones."""
+    taken = [] if taken is None else taken
+    taken.extend(islice(trajectory, max(k - len(taken), 0)))
+    if k < 1 or not taken:
+        return 0, 0.0
+    return taken[min(k, len(taken)) - 1]
 
 
 def greedy_classic() -> CardOracleSpec:
     """Lazy greedy; e/(e-1)-approximate on monotone submodular inputs."""
-    return CardOracleSpec(_without_hint(card_greedy_classic), ALPHA_GREEDY)
+    return CardOracleSpec.stepwise(greedy_classic_steps, ALPHA_GREEDY)
 
 
 def greedy_threshold(epsilon: float = 0.1) -> CardOracleSpec:
@@ -51,14 +85,14 @@ def greedy_threshold(epsilon: float = 0.1) -> CardOracleSpec:
     monotone submodular inputs with O((n/eps) log(n/eps)) value queries."""
     if not 0 < epsilon < 1 - 1 / math.e:
         raise ValueError("epsilon must lie in (0, 1 - 1/e)")
-    return CardOracleSpec(
-        _without_hint(card_greedy_threshold, epsilon), 1.0 / (1.0 - 1.0 / math.e - epsilon)
+    return CardOracleSpec.stepwise(
+        partial(greedy_threshold_steps, epsilon=epsilon), 1.0 / (1.0 - 1.0 / math.e - epsilon)
     )
 
 
 def matroid_augment() -> CardOracleSpec:
     """Exact on matroid rank functions via bisection for augmenting items."""
-    return CardOracleSpec(_without_hint(card_matroid_augment), 1.0)
+    return CardOracleSpec.stepwise(matroid_augment_steps, 1.0)
 
 
 def demand_price_grid() -> CardOracleSpec:
@@ -68,58 +102,55 @@ def demand_price_grid() -> CardOracleSpec:
 
 
 def brute_force() -> CardOracleSpec:
-    return CardOracleSpec(_without_hint(brute_opt_k), 1.0)
+    return CardOracleSpec(
+        lambda oracle, ground, k, max_singleton=None: brute_opt_k(oracle, ground, k), 1.0
+    )
 
 
-def card_greedy_classic(oracle: ValuationOracle, ground: int, k: int):
+def greedy_classic_steps(oracle: ValuationOracle, ground: int):
     """Greedy with lazy marginal re-evaluation.
 
     Entries carry the round their gain was computed at; a popped entry is
     accepted only when fresh, which is valid whenever marginals shrink as
-    the solution grows. At most n*k value queries. The running value is
-    accumulated from accepted marginals, so it is exact on integer-valued
-    inputs and tight to float rounding otherwise.
+    the solution grows. The first k steps take at most n*k value
+    queries. The running value is accumulated from accepted marginals, so
+    it is exact on integer-valued inputs and tight to float rounding
+    otherwise.
     """
-    if not ground or k < 1:
-        return 0, 0.0
-    heap = []
-    for j in bitsets.iter_items(ground):
-        heap.append((-oracle.value(1 << j), j, 0))
+    heap = [(-oracle.value(1 << j), j, 0) for j in bitsets.iter_items(ground)]
     heapq.heapify(heap)
     bundle, total, rounds = 0, 0.0, 0
-    while rounds < k and heap:
+    while heap:
         neg_gain, j, at = heapq.heappop(heap)
         if at == rounds:
             if -neg_gain <= 0:
-                break
+                return
             bundle |= 1 << j
             total += -neg_gain
             rounds += 1
+            yield bundle, total
         else:
             gain = oracle.value(bundle | (1 << j)) - total
             heapq.heappush(heap, (-gain, j, rounds))
-    return bundle, total
 
 
-def card_greedy_threshold(oracle: ValuationOracle, ground: int, k: int, epsilon: float):
+def greedy_threshold_steps(oracle: ValuationOracle, ground: int, epsilon: float):
     """Take every item whose marginal clears w; lower w geometrically.
 
     Cached marginals serve as upper bounds (they only shrink on submodular
     inputs), so items far below the threshold are skipped without a query.
     """
     items = list(bitsets.iter_items(ground))
-    if not items or k < 1:
-        return 0, 0.0
-    upper = {}
-    for j in items:
-        upper[j] = oracle.value(1 << j)
+    if not items:
+        return
+    upper = {j: oracle.value(1 << j) for j in items}
     w_max = max(upper.values())
     if w_max <= 0:
-        return 0, 0.0
-    bundle, total, size = 0, 0.0, 0
+        return
+    bundle, total = 0, 0.0
     w = w_max
     floor = (epsilon / len(items)) * w_max
-    while w >= floor and size < k:
+    while w >= floor:
         for j in items:
             if (bundle >> j) & 1 or upper[j] < w:
                 continue
@@ -131,28 +162,23 @@ def card_greedy_threshold(oracle: ValuationOracle, ground: int, k: int, epsilon:
             if gain >= w:
                 bundle |= 1 << j
                 total += gain
-                size += 1
-                if size == k:
-                    break
+                yield bundle, total
         w *= 1.0 - epsilon
-    return bundle, total
 
 
-def card_matroid_augment(oracle: ValuationOracle, ground: int, k: int):
+def matroid_augment_steps(oracle: ValuationOracle, ground: int):
     """Exact maximizer for matroid rank functions.
 
     While the pool still raises the rank, bisect for a single augmenting
     item: if adding the lower half changes nothing, the witness must sit in
     the upper half (spanned sets stay spanned), so that branch costs no
     query. Each item found costs at most ceil(log2 n) + 1 queries and
-    raises the value by exactly 1. Output on non-rank inputs is still a
-    bundle of size <= k, but carries no guarantee.
+    raises the value by exactly 1. On non-rank inputs each step still
+    adds one item, but the bundles carry no guarantee.
     """
     bundle, total = 0, 0.0
     remaining = ground
-    while bundle.bit_count() < k and remaining:
-        if oracle.value(bundle | remaining) <= total:
-            break
+    while remaining and oracle.value(bundle | remaining) > total:
         cand = remaining
         while cand.bit_count() > 1:
             left = bitsets.lower_half(cand)
@@ -163,7 +189,7 @@ def card_matroid_augment(oracle: ValuationOracle, ground: int, k: int):
         bundle |= cand
         total += 1.0
         remaining &= ~cand
-    return bundle, total
+        yield bundle, total
 
 
 def card_demand_price_grid(oracle: ValuationOracle, ground: int, k: int, *, max_singleton=None):

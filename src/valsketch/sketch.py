@@ -146,7 +146,8 @@ def build_group_sketch(
     rest, bundles worth k r / (2 alpha) are peeled while they last; each
     keeps the items whose clause weight clears r / (4 alpha beta), which
     is what makes the member count per item charge against r. Cells
-    reuse identical maximizer and clause calls made earlier in the group.
+    reuse identical maximizer and clause calls made earlier in the group,
+    and a step maximizer resumes each pool's trajectory for every k.
     """
     view = OracleView(oracle, items, scale)
     sing = {j: singletons[j] / scale for j in bitsets.iter_items(items)}
@@ -156,6 +157,7 @@ def build_group_sketch(
     # view is fixed here; max_singleton is a function of pool, and the
     # clause oracle may read value, so these keys determine each call
     best_of = {}  # (pool, k) -> card.run result
+    trajectories = {}  # pool -> card.run's step table, shared across k
     clause_of = {}  # (bundle, value) -> xos.clause result
     for k in grid.k_grid:
         for r in grid.r_grid:
@@ -168,7 +170,8 @@ def build_group_sketch(
             while pool:
                 if (pool, k) not in best_of:
                     top = max(sing[j] for j in bitsets.iter_items(pool))
-                    best_of[pool, k] = card.run(view, pool, k, max_singleton=top)
+                    best_of[pool, k] = card.run(view, pool, k, max_singleton=top,
+                                                trajectories=trajectories)
                 bundle, value = best_of[pool, k]
                 if not bundle or not meets(value, k * r / (2 * card.alpha)):
                     break

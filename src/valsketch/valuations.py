@@ -104,6 +104,7 @@ class ValuationOracle:
         self.n = n
         self.ledger = ledger if ledger is not None else QueryLedger()
         self.has_demand = has_demand
+        self._reach = bitsets.full_mask(n)  # items a demand answer may hold
 
     # -- public, counted interface ------------------------------------
 
@@ -142,7 +143,7 @@ class ValuationOracle:
             self.ledger.count_demand()
             answer = self._demand(prices)
         # a negative int has bits outside any priced set
-        if type(answer) is not int or answer & ~priced:
+        if type(answer) is not int or answer & ~(priced & self._reach):
             raise ValueError(
                 f"{self._answerer()} answered a demand query with {answer!r}; "
                 "answers must be int bundles of priced items"
@@ -218,6 +219,7 @@ class OracleView(ValuationOracle):
         self.parent = parent
         self.mask = mask
         self.scale = float(scale)
+        self._reach = parent._reach & mask
 
     def _value(self, bundle: int) -> float:
         return self.parent._value(bundle & self.mask) / self.scale

@@ -34,6 +34,15 @@ def test_from_hex_rejects_negative():
         bitsets.from_hex("-4")
 
 
+@pytest.mark.parametrize(
+    "text", ["0x3", " +1 ", "+1", "1_0", "03", "00", "", " 1", "1\n", "\u0663", "\uff11"]
+)
+def test_from_hex_refuses_other_spellings(text):
+    # each would parse, or fail to, differently from the bare form serialize writes
+    with pytest.raises(ValueError):
+        bitsets.from_hex(text)
+
+
 def test_check_bundle():
     bitsets.check_bundle(0b111, 3)
     with pytest.raises(MalformedBundleError):
@@ -70,6 +79,24 @@ def test_lower_half_splits_by_id(mask):
     assert left.bit_count() == (mask.bit_count() + 1) // 2
     if right:
         assert max(bitsets.items(left)) < min(bitsets.items(right))
+
+
+def _lower_half_by_peeling(mask):
+    """Reference: peel the lowest set bit until half the bits are taken."""
+    out = 0
+    for _ in range((mask.bit_count() + 1) // 2):
+        low = mask & -mask
+        out |= low
+        mask ^= low
+    return out
+
+
+@given(st.one_of(
+    st.integers(min_value=0, max_value=(1 << 2048) - 1),
+    st.sets(st.integers(min_value=0, max_value=2047)).map(bitsets.from_items),
+))
+def test_lower_half_matches_peeling(mask):
+    assert bitsets.lower_half(mask) == _lower_half_by_peeling(mask)
 
 
 @given(masks, st.integers(min_value=1, max_value=8))

@@ -61,7 +61,7 @@ class TestPipelineChain:
         assert "n=8" in text and "value_queries=" in text
 
         code, text, _ = run(capsys, "eval", "--sketch", str(sk),
-                            "--bundle", "0xff", "--bundle", "1")
+                            "--bundle", "ff", "--bundle", "1")
         assert code == 0
         lines = text.strip().splitlines()
         assert len(lines) == 2
@@ -120,6 +120,9 @@ class TestPipelineChain:
         assert code == 2 and "error:" in err
         code, _, err = run(capsys, "eval", "--sketch", str(sk), "--bundle", "zz")
         assert code == 2
+        # in range, but not the bare hex of the file format
+        code, _, err = run(capsys, "eval", "--sketch", str(sk), "--bundle", "0x3")
+        assert code == 2 and "not bare lowercase hex" in err
 
     def test_sketch_rejects_bad_oracle_output(self, capsys, tmp_path, monkeypatch):
         inst = tmp_path / "inst.json"
@@ -174,6 +177,18 @@ class TestBench:
         saved = csv_path.read_text().strip().splitlines()
         assert saved[0] == "n,value_queries,demand_queries,wall_ms"
         assert len(saved) == 3
+
+    @pytest.mark.parametrize(
+        "pipeline, counts",
+        [("matroid", "6570,0"), ("submodular", "9129,0"), ("subadditive", "460,2454")],
+    )
+    def test_query_counts_at_n_256(self, capsys, pipeline, counts):
+        # exact ledger totals of the bench instance at seed 0; they do not
+        # depend on the machine, so a change that moves them must say why
+        code, text, _ = run(capsys, "bench", "--pipeline", pipeline, "--n", "256")
+        assert code == 0
+        n, value_q, demand_q, _ = text.strip().splitlines()[1].split(",")
+        assert (n, f"{value_q},{demand_q}") == ("256", counts)
 
     def test_oversized_brute_bench(self, capsys):
         code, _, err = run(capsys, "bench", "--pipeline", "brute", "--n", "16")

@@ -140,3 +140,8 @@ def test_demand_answer_must_be_priced_int_bundle(answer):
         v.demand([0.5, 0.5, EXCLUDED])
     with pytest.raises(ValueError, match="Wayward answered a demand query"):
         v.restrict(0b011).demand(UniformPrices(0.5, 0b011, 3))
+    # every item priced: the masks of the nested views, not the prices, bound the answer
+    with pytest.raises(ValueError, match="Wayward answered a demand query"):
+        v.restrict(0b011).demand([0.5, 0.5, 0.5])
+    with pytest.raises(ValueError, match="Wayward answered a demand query"):
+        v.restrict(0b011).restrict(0b111).demand(UniformPrices(0.5, 0b111, 3))
