@@ -32,9 +32,10 @@ def check_entry(pipeline_name: str, spec) -> tuple:
         notes.append(f"class violated at {witness}")
     notes.extend(violations)
     if not report.sound:
-        notes.append(f"unsound: over-ratio {report.max_over}")
+        notes.append(f"unsound: over-ratio {report.max_over} at {report.argmax_over:x}")
     if not report.within_bound:
-        notes.append(f"coverage: under-ratio {report.max_under} > {report.bound}")
+        notes.append(f"coverage: under-ratio {report.max_under} at {report.argmax_under:x} "
+                     f"> {report.bound}")
     return ok, report, notes
 
 

@@ -35,6 +35,13 @@ def to_array(mask: int, n: int) -> np.ndarray:
     return np.unpackbits(raw, count=n, bitorder="little")
 
 
+def to_words(masks, n: int) -> np.ndarray:
+    """Row i holds masks[i] < 2^n as ceil(n/64) little-endian uint64 words."""
+    width = (n + 63) // 64
+    raw = b"".join([m.to_bytes(8 * width, "little") for m in masks])
+    return np.frombuffer(raw, dtype="<u8").reshape(-1, width)
+
+
 def size(mask: int) -> int:
     return mask.bit_count()
 
@@ -55,7 +62,7 @@ def to_hex(mask: int) -> str:
 def from_hex(text: str) -> int:
     """Parse the serialized form, refusing other spellings int() accepts:
     a sign, 0x, underscores, spaces, leading zeros, non-ASCII digits.
-    Uppercase digits still pass, as refusing them costs a scan per field."""
+    Uppercase digits pass; to_hex writes them back in lowercase."""
     mask = int(text, 16)
     # any sign, prefix, separator, space or leading zero makes the text longer
     if len(text) != ((mask.bit_length() + 3) >> 2 or 1) or not text.isascii():

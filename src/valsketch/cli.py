@@ -13,21 +13,15 @@ import sys
 import time
 
 from . import bitsets
-from .errors import CapabilityError, MalformedBundleError, ScaleError, SerializationError
+from .errors import CapabilityError
 from .instances import FAMILIES, InstanceSpec, generate_instance, load_instance, save_instance, validate_class
 from .ledger import QueryLedger
 from .pipelines import PIPELINES, bench_instance, get_pipeline
 from .sketch import build_sketch, evaluate, load_sketch, save_sketch
 from .verify import exhaustive_ratio_report, family_invariant_check
 
-USER_ERRORS = (
-    CapabilityError,
-    MalformedBundleError,
-    ScaleError,
-    SerializationError,
-    ValueError,
-    OSError,
-)
+# MalformedBundleError, ScaleError and SerializationError are ValueErrors
+USER_ERRORS = (CapabilityError, ValueError, OSError)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -109,10 +103,8 @@ def cmd_sketch(args) -> int:
     sketch = build_sketch(oracle, pipeline.card, pipeline.xos)
     save_sketch(sketch, args.out)
     value_q, demand_q = oracle.ledger.totals()
-    print(
-        f"sketch: n={sketch.n} groups={len(sketch.groups)} "
-        f"value_queries={value_q} demand_queries={demand_q}"
-    )
+    print(f"sketch: n={sketch.n} groups={len(sketch.groups)} "
+          f"value_queries={value_q} demand_queries={demand_q}")
     return 0
 
 
@@ -143,11 +135,10 @@ def cmd_verify(args) -> int:
     ok &= not violations
 
     report = exhaustive_ratio_report(oracle, sketch)
-    print(f"soundness: max_over={report.max_over:.12f} {'ok' if report.sound else 'VIOLATED'}")
-    print(
-        f"coverage: max_under={report.max_under:.3f} bound={report.bound:.1f} "
-        f"{'ok' if report.within_bound else 'VIOLATED'}"
-    )
+    print(f"soundness: max_over={report.max_over:.12f} at {bitsets.to_hex(report.argmax_over)} "
+          f"{'ok' if report.sound else 'VIOLATED'}")
+    print(f"coverage: max_under={report.max_under:.3f} at {bitsets.to_hex(report.argmax_under)} "
+          f"bound={report.bound:.1f} {'ok' if report.within_bound else 'VIOLATED'}")
     ok &= report.sound and report.within_bound
     print(f"verify {spec.family} n={spec.n} seed={spec.seed}: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
@@ -164,12 +155,8 @@ def cmd_bench(args) -> int:
         build_sketch(oracle, pipeline.card, pipeline.xos)
         wall_ms = (time.perf_counter() - start) * 1000.0
         value_q, demand_q = oracle.ledger.totals()
-        rows.append({
-            "n": n,
-            "value_queries": value_q,
-            "demand_queries": demand_q,
-            "wall_ms": round(wall_ms, 3),
-        })
+        rows.append({"n": n, "value_queries": value_q, "demand_queries": demand_q,
+                     "wall_ms": round(wall_ms, 3)})
     header = ["n", "value_queries", "demand_queries", "wall_ms"]
     print(",".join(header))
     for row in rows:

@@ -36,8 +36,15 @@ class InstanceSpec:
     seed: int = 0
 
     def build(self, ledger: QueryLedger | None = None) -> ValuationOracle:
+        """The oracle; SerializationError if params are malformed or give another n."""
         _, build = _family(self.family)
-        return build(self.n, self.params, ledger)
+        try:
+            oracle = build(self.n, self.params, ledger)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise SerializationError(f"bad {self.family} parameters: {exc!r}") from exc
+        if oracle.n != self.n:
+            raise SerializationError(f"{self.family} parameters give n = {oracle.n}, not {self.n}")
+        return oracle
 
     def to_json(self) -> str:
         return json.dumps(
@@ -57,12 +64,17 @@ class InstanceSpec:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SerializationError(f"instance file is not valid JSON: {exc}") from exc
-        for key in ("family", "n", "seed"):
-            if key not in obj:
-                raise SerializationError(f"instance file is missing {key!r}")
-        if obj["family"] not in FAMILIES:
-            raise SerializationError(f"unknown family {obj['family']!r}")
-        return cls(obj["family"], int(obj["n"]), obj.get("params", {}), int(obj["seed"]))
+        if not isinstance(obj, dict):
+            raise SerializationError("instance file must hold a JSON object")
+        family, n, seed = obj.get("family"), obj.get("n"), obj.get("seed")
+        params = obj.get("params", {})
+        if family not in FAMILIES:
+            raise SerializationError(f"unknown family {family!r}")
+        # a bool is not an int here
+        if type(n) is not int or n < 1 or type(seed) is not int or type(params) is not dict:
+            raise SerializationError("instance needs int n >= 1, int seed, object params; got "
+                                     f"n={n!r}, seed={seed!r}, params {type(params).__name__}")
+        return cls(family, n, params, seed)
 
 
 def save_instance(spec: InstanceSpec, path: str) -> None:

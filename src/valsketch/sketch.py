@@ -16,6 +16,7 @@ items their supporting clause certifies as individually valuable.
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,15 +24,10 @@ from . import bitsets
 from .cardinality import CardOracleSpec
 from .clauses import XosOracleSpec
 from .errors import ScaleError, SerializationError
-from .valuations import (
-    RELATIVE_TOL,
-    OracleView,
-    ValuationOracle,
-    meets,
-    popcount_table,
-)
+from .valuations import RELATIVE_TOL, OracleView, ValuationOracle, meets
 
 SCHEMA_VERSION = 1
+EVAL_CHUNK = 1024  # bundles per kernel call in evaluate_all
 
 
 def certified_bound(n: int, alpha: float, beta: float) -> float:
@@ -64,7 +60,7 @@ class GridParams:
         return cls(n, tuple(ks), rs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SketchFamily:
     """Member bundles kept for one (k, r) cell; disjoint, each <= k items."""
 
@@ -73,7 +69,7 @@ class SketchFamily:
     members: list
 
 
-@dataclass
+@dataclass(frozen=True)
 class SketchGroup:
     """Sketch of one well-bounded part, in units of its scale."""
 
@@ -85,13 +81,30 @@ class SketchGroup:
     families: list
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sketch:
+    """Read-only once built or loaded: the first evaluation compiles it
+    into `_table`, which an edit would leave stale."""
+
     n: int
     singletons: list
     groups: list
     build_queries: dict | None = None
     schema_version: int = field(default=SCHEMA_VERSION)
+
+    @cached_property
+    def _table(self):
+        """(words, weights): each stored member as a column of `bitsets.to_words`
+        words, shape (ceil(n/64), M), as a sum over the leading axis is twice as
+        fast; the n singleton values, then each member's unit, its estimate per hit."""
+        fams = [(f, f.r / (4.0 * g.alpha * g.beta_certified) * g.scale)
+                for g in self.groups for f in g.families]
+        words = bitsets.to_words([m for f, _ in fams for m in f.members], self.n).T
+        units = [unit for f, unit in fams for _ in f.members]
+        weights = np.array([*self.singletons, *units], dtype=np.float64)
+        if not np.isfinite(weights).all():
+            raise SerializationError("a member's unit r / (4 alpha beta) * scale overflows")
+        return np.ascontiguousarray(words), weights
 
 
 def well_bounded_partition(singletons, n: int):
@@ -206,26 +219,19 @@ def build_sketch(oracle: ValuationOracle, card: CardOracleSpec, xos: XosOracleSp
     return Sketch(n, singletons, groups, build_queries=oracle.ledger.snapshot())
 
 
-def _unit(group: SketchGroup, fam: SketchFamily) -> float:
-    """Estimate per member item hit, for one family of one group."""
-    return fam.r / (4.0 * group.alpha * group.beta_certified) * group.scale
+def _estimates(sketch: Sketch, bundles: np.ndarray) -> np.ndarray:
+    """The evaluation kernel, over bundles as `bitsets.to_words` rows: the best
+    of each item's singleton value and each member's |member & bundle| * unit."""
+    words, weights = sketch._table
+    items = np.unpackbits(bundles.view(np.uint8), axis=1, count=sketch.n, bitorder="little")
+    hits = np.add.reduce(np.bitwise_count(bundles[:, :, None] & words), axis=1)
+    return np.maximum.reduce(np.concatenate((items, hits), axis=1) * weights, axis=1)
 
 
 def evaluate(sketch: Sketch, bundle: int) -> float:
     """Query-free value estimate; a true lower bound up to float dust."""
     bitsets.check_bundle(bundle, sketch.n)
-    best = 0.0
-    for j in bitsets.iter_items(bundle):
-        if sketch.singletons[j] > best:
-            best = sketch.singletons[j]
-    for group in sketch.groups:
-        for fam in group.families:
-            unit = _unit(group, fam)
-            for member in fam.members:
-                hits = (member & bundle).bit_count()
-                if hits and hits * unit > best:
-                    best = hits * unit
-    return best
+    return float(_estimates(sketch, bitsets.to_words([bundle], sketch.n))[0])
 
 
 def evaluate_all(sketch: Sketch) -> np.ndarray:
@@ -233,19 +239,9 @@ def evaluate_all(sketch: Sketch) -> np.ndarray:
     n = sketch.n
     if n > 20:
         raise ScaleError("dense evaluation over 2^n bundles needs n <= 20")
-    masks = np.arange(1 << n, dtype=np.int64)
-    pc = popcount_table(n)
-    est = np.zeros(1 << n)
-    for j, value in enumerate(sketch.singletons):
-        if value > 0:
-            has = ((masks >> j) & 1) == 1
-            est[has] = np.maximum(est[has], value)
-    for group in sketch.groups:
-        for fam in group.families:
-            unit = _unit(group, fam)
-            for member in fam.members:
-                np.maximum(est, pc[masks & member] * unit, out=est)
-    return est
+    bundles = np.arange(1 << n, dtype="<u8").reshape(-1, 1)
+    return np.concatenate([_estimates(sketch, bundles[lo:lo + EVAL_CHUNK])
+                           for lo in range(0, 1 << n, EVAL_CHUNK)])
 
 
 # -- the file contract and its canonical JSON form ------------------------

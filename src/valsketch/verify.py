@@ -195,12 +195,10 @@ def demand_pipeline_budgets(n: int, c: int = 64):
 
 def query_budget_check(ledger_or_snapshot, value_budget: float, demand_budget: float):
     """Compare realized query totals against ceilings; (ok, info)."""
-    if isinstance(ledger_or_snapshot, QueryLedger):
-        snap = ledger_or_snapshot.snapshot()
-    else:
-        snap = ledger_or_snapshot
-    value_q = snap["value_queries"]
-    demand_q = snap["demand_queries"]
+    snap = ledger_or_snapshot
+    if isinstance(snap, QueryLedger):
+        snap = snap.snapshot()
+    value_q, demand_q = snap["value_queries"], snap["demand_queries"]
     ok = value_q <= value_budget and demand_q <= demand_budget
     return ok, {
         "value_queries": value_q,

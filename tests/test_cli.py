@@ -1,6 +1,7 @@
 """End-to-end command line coverage: gen, sketch, eval, verify, bench."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 import valsketch as vs
 from valsketch.cli import main
+from valsketch.instances import FAMILIES
 
 
 def run(capsys, *argv):
@@ -97,6 +99,13 @@ class TestPipelineChain:
         assert code == 1
         assert "soundness" in text and "VIOLATED" in text
         assert text.strip().endswith("FAIL")
+        report = vs.exhaustive_ratio_report(vs.load_instance(str(inst)).build(),
+                                            vs.load_sketch(str(sk)))
+        assert report.argmax_over > 0
+        over = re.search(r"soundness: max_over=\S+ at ([0-9a-f]+) VIOLATED", text)
+        under = re.search(r"coverage: max_under=\S+ at ([0-9a-f]+) bound=", text)
+        assert int(over.group(1), 16) == report.argmax_over
+        assert int(under.group(1), 16) == report.argmax_under
 
     def test_incompatible_pipeline(self, capsys, tmp_path):
         inst = tmp_path / "inst.json"
@@ -109,6 +118,41 @@ class TestPipelineChain:
         code, _, err = run(capsys, "sketch", "--instance", str(tmp_path / "absent.json"),
                            "--pipeline", "brute", "--out", str(tmp_path / "s.json"))
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"family": "additive", "n": 2, "seed": 0},  # no params
+            {"family": "partition-matroid", "n": 2, "seed": 0,
+             "params": {"blocks": [[0], [1]], "caps": [1, "x"]}},
+            {"family": "additive", "n": 2, "seed": 0, "params": [1, 2, 3]},
+            {"family": "xos-explicit", "n": 2, "seed": 0, "params": {"clauses": [[1]]}},
+            5,
+            {"family": "additive", "n": 3, "seed": 0, "params": {"weights": [1, 2]}},
+            {"family": "additive", "n": 2.9, "seed": 0, "params": {"weights": [1, 2]}},
+            {"family": "additive", "n": "2", "seed": 0, "params": {"weights": [1, 2]}},
+            {"family": "additive", "n": True, "seed": 0, "params": {"weights": [1]}},
+            {"family": "additive", "n": 0, "seed": 0, "params": {"weights": []}},
+            {"family": "additive", "n": 2, "seed": 1.5, "params": {"weights": [1, 2]}},
+            {"family": "additive", "n": 2, "seed": False, "params": {"weights": [1, 2]}},
+            {"family": "additive", "n": 2, "params": {"weights": [1, 2]}},  # no seed
+        ],
+        ids=["no-params", "cap-str", "params-list", "clause-list", "top-level-int",
+             "n-differs", "n-float", "n-str", "n-bool", "n-zero", "seed-float",
+             "seed-bool", "no-seed"],
+    )
+    def test_sketch_rejects_malformed_instance(self, capsys, tmp_path, body):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(body))
+        code, _, err = run(capsys, "sketch", "--instance", str(inst), "--pipeline", "brute",
+                           "--out", str(tmp_path / "s.json"))
+        assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_gen_output_loads_and_builds(self, capsys, tmp_path, family):
+        inst = tmp_path / "inst.json"
+        assert run(capsys, "gen", "--family", family, "--n", "6", "--out", str(inst))[0] == 0
+        assert vs.load_instance(str(inst)).build().n == 6
 
     def test_eval_rejects_foreign_bundle(self, capsys, tmp_path):
         inst = tmp_path / "inst.json"

@@ -10,18 +10,73 @@ import dataclasses
 import hashlib
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import valsketch as vs
 from valsketch import bitsets
 from valsketch.errors import SerializationError
-from valsketch.sketch import GridParams, well_bounded_partition
+from valsketch.sketch import GridParams, _estimates, well_bounded_partition
 
 from conftest import build_and_check
 
 seeds = st.integers(min_value=0, max_value=2_000)
+
+
+def _loop_estimate(sketch, bundle):
+    """Reference estimate: the per-member loop `evaluate` ran before the
+    compiled table, kept to check the kernel bit for bit."""
+    best = 0.0
+    for j in bitsets.iter_items(bundle):
+        if sketch.singletons[j] > best:
+            best = sketch.singletons[j]
+    for group in sketch.groups:
+        for fam in group.families:
+            unit = fam.r / (4.0 * group.alpha * group.beta_certified) * group.scale
+            for member in fam.members:
+                hits = (member & bundle).bit_count()
+                if hits and hits * unit > best:
+                    best = hits * unit
+    return best
+
+
+def _sampled_bundles(sketch, count, rng):
+    """Bundles drawn as perfbench draws them (random bundles of log-uniform
+    size, stored members, prefixes of members), then the empty and the
+    full bundle."""
+    n = sketch.n
+    members = [m for g in sketch.groups for f in g.families for m in f.members]
+    members = members or [1 << j for j in range(n)]
+    out = []
+    for i in range(count):
+        if i % 3 == 0:
+            size = min(n, max(1, int(math.exp(rng.random() * math.log(n + 1)))))
+            bundle = bitsets.from_items(rng.sample(range(n), size))
+        else:
+            bundle = rng.choice(members)
+            if i % 3 == 2:
+                items = bitsets.items(bundle)
+                bundle = bitsets.from_items(items[:rng.randint(1, len(items))])
+        out.append(bundle)
+    return out + [0, bitsets.full_mask(n)]
+
+
+def assert_matches_loop(sketch, bundles):
+    """evaluate, one by one and as one batch through the kernel, equals
+    the reference loop exactly."""
+    expected = [_loop_estimate(sketch, b) for b in bundles]
+    assert [vs.evaluate(sketch, b) for b in bundles] == expected
+    batch = _estimates(sketch, bitsets.to_words(bundles, sketch.n))
+    assert np.array_equal(batch, expected)
+
+
+def assert_dense_matches_loop(sketch):
+    expected = [_loop_estimate(sketch, b) for b in range(1 << sketch.n)]
+    assert np.array_equal(vs.evaluate_all(sketch), expected)
+    assert [vs.evaluate(sketch, b) for b in range(1 << sketch.n)] == expected
 
 
 class TestGrid:
@@ -138,7 +193,7 @@ class TestEvaluate:
         sketch = build_and_check(oracle, pipeline.card, pipeline.xos)
         dense = vs.evaluate_all(sketch)
         for mask in range(1 << 7):
-            assert dense[mask] == vs.evaluate(sketch, mask)
+            assert dense[mask] == vs.evaluate(sketch, mask) == _loop_estimate(sketch, mask)
 
     def test_rejects_foreign_bundle(self):
         oracle = vs.AdditiveValuation([1, 2])
@@ -156,6 +211,60 @@ class TestEvaluate:
         oracle = vs.AdditiveValuation([5.0])
         sketch = vs.build_sketch(oracle, vs.brute_force(), vs.clause_marginal())
         assert vs.evaluate(sketch, 0b1) == 5.0
+
+    def test_corpus_matches_loop_on_every_bundle(self, corpus):
+        for entry in corpus:
+            assert_dense_matches_loop(entry.sketch)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 130])  # around 64-bit word boundaries
+    @pytest.mark.parametrize("name", ["matroid", "submodular", "subadditive"])
+    def test_bench_instances_match_loop(self, name, n):
+        pipeline = vs.get_pipeline(name)
+        oracle = vs.bench_instance(name, n).build(vs.QueryLedger())
+        sketch = vs.build_sketch(oracle, pipeline.card, pipeline.xos)
+        assert_matches_loop(sketch, _sampled_bundles(sketch, 600, random.Random(n)))
+
+    @pytest.mark.parametrize(
+        "name, family, n, params",
+        [
+            ("matroid", "partition-matroid", 512, {"block_size": 4, "cap": 1}),
+            ("submodular", "coverage", 512, {"universe": 1024, "max_cover": 6}),
+            ("subadditive", "xos-explicit", 2048, {"clauses": 24, "support": 256, "uniform": True}),
+        ],
+    )
+    def test_perfbench_recipes_match_loop(self, name, family, n, params):
+        pipeline = vs.get_pipeline(name)
+        oracle = vs.generate_instance(family, n, 0, **params).build(vs.QueryLedger())
+        sketch = vs.deserialize(vs.serialize(vs.build_sketch(oracle, pipeline.card, pipeline.xos)))
+        assert_matches_loop(sketch, _sampled_bundles(sketch, 600, random.Random(0)))
+
+    @pytest.mark.parametrize("weights", [[0.0, 0.0, 0.0], [5.0], [0.0]])
+    def test_degenerate_sketches_match_loop(self, weights):
+        oracle = vs.AdditiveValuation(weights)
+        sketch = vs.build_sketch(oracle, vs.brute_force(), vs.clause_marginal())
+        assert_dense_matches_loop(sketch)
+        assert_matches_loop(sketch, list(range(1 << sketch.n)))
+
+    def test_refuses_a_unit_that_overflows(self):
+        # each field is finite, but r * scale is not: no estimate may be inf
+        group = vs.SketchGroup(0, 0b11, 1e300, 1.0, 1.0, [vs.SketchFamily(1, 1e300, [0b01])])
+        sketch = vs.Sketch(2, [1.0, 1.0], [group])
+        with pytest.raises(SerializationError, match="overflows"):
+            vs.evaluate(sketch, 0b10)
+        with pytest.raises(SerializationError, match="overflows"):
+            vs.evaluate_all(sketch)
+
+    def test_table_is_built_on_first_evaluate_not_on_load(self):
+        oracle = vs.generate_instance("coverage", 8, 2).build(vs.QueryLedger())
+        text = vs.serialize(vs.build_sketch(oracle, vs.greedy_classic(), vs.clause_marginal()))
+        sketch = vs.deserialize(text)
+        assert "_table" not in vars(sketch)
+        vs.evaluate(sketch, 0x3)
+        assert "_table" in vars(sketch)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sketch.singletons = [0.0] * 8
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sketch.groups[0].scale = 2.0
 
     def test_evaluation_needs_no_queries(self):
         led = vs.QueryLedger()
@@ -196,6 +305,20 @@ class TestSerialization:
             assert vs.evaluate(twin, mask) == pytest.approx(
                 vs.evaluate(sketch, mask), rel=1e-11
             )
+
+    def test_loaded_spellings_save_in_canonical_form(self):
+        """A file need not be canonical to load: an indented copy with
+        uppercase hex loads, and serialize writes it back canonically."""
+        oracle = vs.generate_instance("coverage", 8, 3).build(vs.QueryLedger())
+        text = vs.serialize(vs.build_sketch(oracle, vs.greedy_classic(), vs.clause_marginal()))
+        payload = json.loads(text)
+        for g in payload["groups"]:
+            g["items"] = g["items"].upper()
+            for f in g["families"]:
+                f["members"] = [m.upper() for m in f["members"]]
+        spelled = json.dumps(payload, indent=2)
+        assert spelled.lower() != spelled  # some hex field has a letter digit
+        assert vs.serialize(vs.deserialize(spelled)) == text
 
     def test_build_queries_survive(self):
         sketch, text = self.roundtrip()
