@@ -4,7 +4,8 @@
 For every corpus instance: validates the advertised valuation class,
 builds the pipeline's sketch, checks the structural invariants, and
 compares the estimate against the truth on all 2^n bundles. Prints one
-line per fixture and a summary; exits 1 if anything is violated.
+line per fixture and a summary that ends with the value and demand
+queries the builds spent; exits 1 if anything is violated.
 
     python3 scripts/verify_corpus.py
     python3 scripts/verify_corpus.py --limit 20 --quiet
@@ -36,7 +37,7 @@ def check_entry(pipeline_name: str, spec) -> tuple:
     if not report.within_bound:
         notes.append(f"coverage: under-ratio {report.max_under} at {report.argmax_under:x} "
                      f"> {report.bound}")
-    return ok, report, notes
+    return ok, report, notes, oracle.ledger.totals()
 
 
 def main(argv=None) -> int:
@@ -51,9 +52,12 @@ def main(argv=None) -> int:
 
     failures = 0
     worst = 1.0
+    value_queries = demand_queries = 0
     for pipeline_name, spec in corpus:
-        ok, report, notes = check_entry(pipeline_name, spec)
+        ok, report, notes, (value_q, demand_q) = check_entry(pipeline_name, spec)
         worst = max(worst, report.max_under)
+        value_queries += value_q
+        demand_queries += demand_q
         if not ok:
             failures += 1
         if not ok or not args.quiet:
@@ -66,7 +70,8 @@ def main(argv=None) -> int:
             for note in notes:
                 print(f"     {note}")
 
-    print(f"checked {len(corpus)} fixtures: {failures} failures, worst ratio {worst:.3f}")
+    print(f"checked {len(corpus)} fixtures: {failures} failures, worst ratio {worst:.3f}, "
+          f"queries {value_queries} value, {demand_queries} demand")
     return 0 if failures == 0 else 1
 
 

@@ -28,6 +28,9 @@ from .valuations import (
     RELATIVE_TOL,
 )
 
+SCHEMA_VERSION = 1
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
     family: str
@@ -49,7 +52,7 @@ class InstanceSpec:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "schema_version": 1,
+                "schema_version": SCHEMA_VERSION,
                 "family": self.family,
                 "n": self.n,
                 "params": self.params,
@@ -66,6 +69,9 @@ class InstanceSpec:
             raise SerializationError(f"instance file is not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise SerializationError("instance file must hold a JSON object")
+        version = obj.get("schema_version")
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise SerializationError(f"unsupported instance schema version {version!r}")
         family, n, seed = obj.get("family"), obj.get("n"), obj.get("seed")
         params = obj.get("params", {})
         if family not in FAMILIES:

@@ -15,8 +15,11 @@ items their supporting clause certifies as individually valuable.
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, islice
+from operator import or_
 
 import numpy as np
 
@@ -160,10 +163,17 @@ def build_group_sketch(
     keeps the items whose clause weight clears r / (4 alpha beta), which
     is what makes the member count per item charge against r. Cells
     reuse identical maximizer and clause calls made earlier in the group,
-    and a step maximizer resumes each pool's trajectory for every k.
+    a step maximizer resumes each pool's trajectory for every k, and the
+    group's view, seeded with the singleton values, asks each question once.
     """
     view = OracleView(oracle, items, scale)
     sing = {j: singletons[j] / scale for j in bitsets.iter_items(items)}
+    view.answers.update((1 << j, value) for j, value in sing.items())  # what the view would answer
+    # items by falling singleton value, so each cell's heavy items are a
+    # prefix; bisect finds its end among the negated values, which rise
+    order = sorted(sing, key=sing.__getitem__, reverse=True)
+    rising = [-sing[j] for j in order]
+    prefix = list(accumulate((1 << j for j in order), or_, initial=0))
     sqrt_n = math.sqrt(grid.n)
     beta_cert = 1.0
     families = []
@@ -174,15 +184,13 @@ def build_group_sketch(
     clause_of = {}  # (bundle, value) -> xos.clause result
     for k in grid.k_grid:
         for r in grid.r_grid:
-            heavy = 0
-            for j, value in sing.items():
-                if meets(value, k * r / sqrt_n):
-                    heavy |= 1 << j
-            pool = items & ~heavy
+            # the items `meets(value, k * r / sqrt_n)` counts as heavy, by the same float
+            count = bisect_right(rising, -(k * r / sqrt_n * (1.0 - RELATIVE_TOL)))
+            pool = items & ~prefix[count]
             members = []
             while pool:
                 if (pool, k) not in best_of:
-                    top = max(sing[j] for j in bitsets.iter_items(pool))
+                    top = next(sing[j] for j in islice(order, count, None) if (pool >> j) & 1)
                     best_of[pool, k] = card.run(view, pool, k, max_singleton=top,
                                                 trajectories=trajectories)
                 bundle, value = best_of[pool, k]

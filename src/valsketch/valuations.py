@@ -210,6 +210,13 @@ class OracleView(ValuationOracle):
     Items outside the mask add nothing and are never demanded; values are
     divided by the scale and prices multiplied by it. Shares the parent's
     ledger, so a query through the view is counted once.
+
+    The view asks each question once. `answers` maps a question to its
+    checked answer: a value question by `bundle & mask`, a uniform-price
+    demand question by `(q, included, n)`. A repeat passes the argument
+    checks and is answered from the table, uncounted; a list of prices
+    is always asked. A caller may seed `answers` with values it holds,
+    in the view's scale.
     """
 
     def __init__(self, parent: ValuationOracle, mask: int, scale: float = 1.0):
@@ -220,6 +227,25 @@ class OracleView(ValuationOracle):
         self.mask = mask
         self.scale = float(scale)
         self._reach = parent._reach & mask
+        self.answers = {}
+
+    def value(self, bundle: int) -> float:
+        bitsets.check_bundle(bundle, self.n)
+        key = bundle & self.mask
+        answer = self.answers.get(key)
+        if answer is None:
+            answer = self.answers[key] = super().value(bundle)
+        return answer
+
+    def demand(self, prices) -> int:
+        if not isinstance(prices, UniformPrices):
+            return super().demand(prices)
+        # only checked questions are stored, so a key match needs no check
+        key = (prices.q, prices.included, prices.n)
+        answer = self.answers.get(key)
+        if answer is None:
+            answer = self.answers[key] = super().demand(prices)
+        return answer
 
     def _value(self, bundle: int) -> float:
         return self.parent._value(bundle & self.mask) / self.scale

@@ -345,7 +345,9 @@ def test_criterion_10_golden_trace():
         cells == expected
         and full_estimate == 2.0
         and sketch.singletons == [1.0, 1.0, 1.0, 1.0]
-        and queries == (12, 0)
+        # 4 singletons; the group view holds them, so at (2, 2) 0b0011 and
+        # 0b1100 cost 1 each, and at (4, 1) 0b0111 and 0xF cost 2
+        and queries == (8, 0)
     )
     assert _line(10, "golden-trace", ok,
                  f"families {len(cells)}, full estimate {full_estimate}, queries {queries}")

@@ -33,9 +33,10 @@ def test_instance_json_rejects_garbage():
     with pytest.raises(SerializationError):
         vs.InstanceSpec.from_json("not json")
     with pytest.raises(SerializationError):
-        vs.InstanceSpec.from_json(json.dumps({"family": "additive"}))
+        vs.InstanceSpec.from_json(json.dumps({"schema_version": 1, "family": "additive"}))
     with pytest.raises(SerializationError):
-        vs.InstanceSpec.from_json(json.dumps({"family": "nope", "n": 3, "seed": 0}))
+        vs.InstanceSpec.from_json(
+            json.dumps({"schema_version": 1, "family": "nope", "n": 3, "seed": 0}))
 
 
 def test_unknown_family_and_params_rejected():

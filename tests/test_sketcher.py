@@ -175,9 +175,11 @@ class TestGoldenTrace:
 
     def test_queries(self):
         oracle, _ = self.trace()
-        # 4 singletons, then marginal clauses: 2 + 2 at (2, 2), 4 at (4, 1);
-        # (4, 2) reuses (4, 1), and the brute-force maximizer is uncounted
-        assert oracle.ledger.totals() == (12, 0)
+        # 4 singletons, then marginal clauses, whose singleton prefixes the
+        # group view already holds: at (2, 2), 0b0011 and 0b1100 cost 1
+        # each; at (4, 1), 0b0011 is known, so 0b0111 and 0xF cost 2; (4, 2)
+        # reuses (4, 1), and the brute-force maximizer is uncounted
+        assert oracle.ledger.totals() == (8, 0)
 
 
 class TestEvaluate:
@@ -550,6 +552,45 @@ class TestBuildContract:
         assert {key[0] for key in keys} == expected
         assert len(set(keys)) == len(keys)
 
+    @pytest.mark.parametrize("name", ["matroid", "submodular", "subadditive"])
+    def test_group_view_asks_each_question_once(self, name):
+        """The root oracle hears each question of a group view once, no view
+        asks again for a singleton of the first scan, and the ledger counts
+        exactly the questions the root answered."""
+        oracle = vs.bench_instance(name, 64).build(vs.QueryLedger())
+        asked = []  # (view, question); view None during the singleton scan
+        current = [None]
+        value, demand_uniform = oracle._value, oracle._demand_uniform
+        oracle._value = lambda bundle: asked.append((current[0], bundle)) or value(bundle)
+        oracle._demand_uniform = lambda q, included: (
+            asked.append((current[0], (q, included))) or demand_uniform(q, included))
+
+        class Noting:
+            """The spec, noting the view each maximizer or clause call gets."""
+
+            def __init__(self, spec):
+                self.spec = spec
+
+            def __getattr__(self, attr):
+                return getattr(self.spec, attr)
+
+            def run(self, view, *args, **kwargs):
+                current[0] = view
+                return self.spec.run(view, *args, **kwargs)
+
+            def clause(self, view, *args):
+                current[0] = view
+                return self.spec.clause(view, *args)
+
+        pipeline = vs.get_pipeline(name)
+        vs.build_sketch(oracle, Noting(pipeline.card), Noting(pipeline.xos))
+        scan = {question for view, question in asked if view is None}
+        in_views = [(id(view), question) for view, question in asked if view is not None]
+        assert len(scan) == 64 and in_views
+        assert len(set(in_views)) == len(in_views)
+        assert not scan & {question for _, question in in_views}
+        assert sum(oracle.ledger.totals()) == len(asked)
+
     @pytest.mark.parametrize("bundle", [0b0001, 0b0011])  # a singleton; a view's query
     @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
     def test_build_refuses_bad_oracle_output(self, bad, bundle):
@@ -591,24 +632,42 @@ class TestBuildContract:
         assert vs.evaluate(sketch, 0b0001) == 100.0
 
 
+def _payload_digest(*sketches):
+    """sha256 of the serialized sketches without build_queries, one per line:
+    what was built, whatever it cost in queries."""
+    texts = [vs.serialize(dataclasses.replace(s, build_queries=None)) for s in sketches]
+    return hashlib.sha256("\n".join(texts).encode()).hexdigest()
+
+
+#: additive weights at n = 16 (sqrt n = 4, scale 1 in both groups), so the
+#: heavy threshold t = k r / sqrt(n) of many cells is a power of two. Items
+#: tie, sit on t, on t (1 - RELATIVE_TOL), the very float `meets` compares
+#: with, RELATIVE_TOL / 2 below t (heavy) and 2 RELATIVE_TOL below it (not)
+_TOL = vs.RELATIVE_TOL
+BOUNDARY_WEIGHTS = [1.0, 1.0, 2.0, 2.0, 2.0 * (1 - _TOL / 2), 2.0 * (1 - _TOL),
+                    4.0, 4.0 * (1 - _TOL), 4.0 * (1 - 2 * _TOL), 8.0, 8.0 * (1 - _TOL / 2),
+                    3.0, 16.0 * (1 - _TOL), 16.0 * (1 - _TOL / 2), 1.0, 32.0]
+
+
 class TestPinnedOutput:
-    """Sketch bytes and query totals of the bench instances. matroid-64
-    and submodular-64 were re-recorded when the step maximizers began to
-    resume one trajectory per pool across k: fewer value queries, so
-    build_queries moved, while groups, families and members did not. A
-    change that moves them must say why and re-record them here."""
+    """What the builds make, and what they cost. The digests cover the
+    payload without build_queries, so they move only when a sketch does;
+    a change that moves one must say why and re-record it here. The
+    totals are re-recorded whenever the builds ask fewer questions:
+    last when each group view began to answer a repeated question from
+    its own table, seeded with the singleton values already read."""
 
     @pytest.mark.parametrize(
         "name, n, digest, totals",
         [
             ("matroid", 64,
-             "478d8e546c3c36def2cc6768ef4b58d8ef578ff2b130277b94110aca505d9e00", (887, 0)),
+             "e8d042fe5ce1fdfb59f2400cae8701cb99692e0da1f8ffc8db9b82158f820baa", (375, 0)),
             ("submodular", 64,
-             "1c3a8d17dfdfde8f085ad58d67a18a8bfd4531ce88a123f150daeab157a0adc3", (1440, 0)),
+             "7d1e5e27bbf57ee0bf42ce165c01afd10f44c029f3fb91579dde02cb792406ae", (691, 0)),
             ("subadditive", 64,
-             "a594044b8674863f93739f4f563505b756bb80d210f6d4bea454f48e4478679e", (154, 929)),
+             "7e5010c56de28058b84dfa732351305280fe68623f6427205ac8a9599a7845fb", (79, 341)),
             ("brute", 8,
-             "92f64822b2ba04fa32700b62efac7a48b33f2976ac559e207fa0e823cafdf637", (14, 0)),
+             "ba74877beeaf82d7ee58b2db810637a1d3088d744ec6e4000a063f0757c2e66f", (11, 0)),
         ],
         # fixed ids, so re-recording a digest keeps the test names
         ids=["matroid-64", "submodular-64", "subadditive-64", "brute-8"],
@@ -616,6 +675,25 @@ class TestPinnedOutput:
     def test_bench_instance_bytes_and_totals(self, name, n, digest, totals):
         pipeline = vs.get_pipeline(name)
         oracle = vs.bench_instance(name, n).build(vs.QueryLedger())
-        text = vs.serialize(vs.build_sketch(oracle, pipeline.card, pipeline.xos))
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        sketch = vs.build_sketch(oracle, pipeline.card, pipeline.xos)
+        assert _payload_digest(sketch) == digest
         assert oracle.ledger.totals() == totals
+
+    def test_corpus_payloads(self, corpus):
+        assert len(corpus) == 201
+        digest = _payload_digest(*(entry.sketch for entry in corpus))
+        assert digest == "82ebaa2b9f2d358ae62f1aa3a40bb1fa0474ba077b458649a83d84e9ca1f171c"
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("submodular", "00c7fdf8e21cfcab45f196f62a4b42fa59ffb251000a839ac83c75dddadc1352"),
+            ("subadditive", "9faaeebf5c38333b33608acc3cbaf53258221e9ee9ed63c367fed32d221660dd"),
+        ],
+    )
+    def test_heavy_threshold_boundaries(self, name, digest):
+        pipeline = vs.get_pipeline(name)
+        oracle = vs.AdditiveValuation(BOUNDARY_WEIGHTS)
+        sketch = build_and_check(oracle, pipeline.card, pipeline.xos)
+        assert [g.scale for g in sketch.groups] == [1.0, 1.0]
+        assert _payload_digest(sketch) == digest

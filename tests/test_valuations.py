@@ -170,6 +170,52 @@ class TestWrappers:
         assert view.value(0b111) == 2.5
         assert led.value_queries == 1
 
+    def test_view_counts_a_repeated_question_once(self):
+        led = vs.QueryLedger()
+        view = vs.AdditiveValuation([1, 2, 4], led).restrict(0b011)
+        # 0b111 and 0b011 are one question to a view of items 0 and 1
+        assert [view.value(b) for b in (0b011, 0b011, 0b111)] == [3.0, 3.0, 3.0]
+        prices = vs.UniformPrices(1.5, 0b011, 3)
+        assert view.demand(prices) == view.demand(vs.UniformPrices(1.5, 0b011, 3)) == 0b010
+        assert led.totals() == (1, 1)
+
+    @pytest.mark.parametrize("bundle", [0b1011, -1])  # -1 & mask is the asked 0b011
+    def test_view_hit_still_refuses_a_bad_bundle(self, bundle):
+        v = vs.AdditiveValuation([1, 2, 4])
+        view = v.restrict(0b011)
+        view.value(0b011)
+        with pytest.raises(vs.MalformedBundleError):
+            view.value(bundle)
+        assert v.ledger.totals() == (1, 0)
+
+    def test_view_does_not_store_a_refused_answer(self):
+        class Broken(vs.AdditiveValuation):
+            def _value(self, bundle):
+                return math.nan if bundle == 0b011 else super()._value(bundle)
+
+        led = vs.QueryLedger()
+        view = Broken([1, 2, 4], led).restrict(0b011)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="Broken valued bundle 7 at nan"):
+                view.value(0b111)
+        assert led.value_queries == 2
+        assert view.answers == {}
+
+    def test_view_refuses_wrong_n_prices_after_answering(self):
+        view = vs.AdditiveValuation([1, 2, 4]).restrict(0b011)
+        assert view.demand(vs.UniformPrices(1.5, 0b011, 3)) == 0b010
+        with pytest.raises(ValueError, match="length does not match"):
+            view.demand(vs.UniformPrices(1.5, 0b011, 4))
+        assert view.ledger.totals() == (0, 1)
+
+    def test_stacked_views_count_a_repeat_once(self):
+        led = vs.QueryLedger()
+        inner = OracleView(vs.AdditiveValuation([1, 2, 4], led), 0b111, 2.0).restrict(0b101)
+        assert inner.value(0b111) == inner.value(0b101) == 2.5
+        prices = vs.UniformPrices(0.75, 0b111, 3)  # 1.5 in the root's units
+        assert inner.demand(prices) == inner.demand(prices) == 0b100
+        assert led.totals() == (1, 1)
+
 
 class TestClassValidation:
     def test_submodular_families_pass(self):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -271,3 +272,4 @@ def test_verify_corpus_script_smoke():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "checked 8 fixtures: 0 failures" in proc.stdout
+    assert re.search(r", queries \d+ value, \d+ demand\n\Z", proc.stdout), proc.stdout
