@@ -11,8 +11,11 @@ from .errors import MalformedBundleError
 
 
 def from_items(items) -> int:
+    """The bundle of the given item ids; a negative id or a bool is refused."""
     mask = 0
     for j in items:
+        if j < 0 or j is True or j is False:
+            raise MalformedBundleError(f"item {j!r} is not a nonnegative integer id")
         mask |= 1 << j
     return mask
 
@@ -80,18 +83,23 @@ def submasks(mask: int):
         sub = (sub - mask) & mask
 
 
-def lower_half(mask: int) -> int:
-    """The smaller-id half of a nonempty bitset, rounded up: the shortest
-    prefix holding that many bits, found by bisecting on its length."""
-    take = (mask.bit_count() + 1) // 2
+def prefix(mask: int, count: int) -> int:
+    """The `count` smallest-id items of mask, or all of them if it has fewer:
+    the shortest low-bit prefix holding that many, found by bisecting on its
+    length."""
     lo, hi = 0, mask.bit_length()
     while lo < hi:
         mid = (lo + hi) // 2
-        if (mask & ((1 << mid) - 1)).bit_count() >= take:
+        if (mask & ((1 << mid) - 1)).bit_count() >= count:
             hi = mid
         else:
             lo = mid + 1
     return mask & ((1 << lo) - 1)
+
+
+def lower_half(mask: int) -> int:
+    """The smaller-id half of a nonempty bitset, rounded up."""
+    return prefix(mask, (mask.bit_count() + 1) // 2)
 
 
 def chunks(mask: int, k: int) -> list[int]:
@@ -99,15 +107,7 @@ def chunks(mask: int, k: int) -> list[int]:
     if k < 1:
         raise ValueError("block size must be at least 1")
     out = []
-    block = 0
-    count = 0
-    for j in iter_items(mask):
-        block |= 1 << j
-        count += 1
-        if count == k:
-            out.append(block)
-            block = 0
-            count = 0
-    if block:
-        out.append(block)
+    while mask:
+        out.append(prefix(mask, k))
+        mask ^= out[-1]
     return out

@@ -15,10 +15,10 @@ items their supporting clause certifies as individually valuable.
 
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import or_
 
 import numpy as np
@@ -190,7 +190,10 @@ def build_group_sketch(
             members = []
             while pool:
                 if (pool, k) not in best_of:
-                    top = next(sing[j] for j in islice(order, count, None) if (pool >> j) & 1)
+                    # pool's best item is order[i - 1], for the first prefix[i]
+                    # that meets pool; pool & prefix[i] only grows with i
+                    i = bisect_left(prefix, 1, count + 1, key=pool.__and__)
+                    top = sing[order[i - 1]]
                     best_of[pool, k] = card.run(view, pool, k, max_singleton=top,
                                                 trajectories=trajectories)
                 bundle, value = best_of[pool, k]
@@ -200,10 +203,9 @@ def build_group_sketch(
                     clause_of[bundle, value] = xos.clause(view, bundle, value)
                 clause, beta_call = clause_of[bundle, value]
                 beta_cert = max(beta_cert, beta_call)
-                kept = 0
-                for j in bitsets.iter_items(bundle):
-                    if meets(clause.weight(j), r / (4 * card.alpha * beta_call)):
-                        kept |= 1 << j
+                # an item outside the clause's support weighs 0, which meets t only at t = 0
+                t = r / (4 * card.alpha * beta_call)
+                kept = bundle if meets(0.0, t) else bundle & clause.meeting(t)
                 if not kept:
                     break
                 members.append(kept)

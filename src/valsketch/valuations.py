@@ -14,7 +14,8 @@ Conventions used throughout the package:
 """
 
 import math
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import getitem, or_
 
 import numpy as np
 
@@ -60,6 +61,12 @@ class AdditiveClause:
 
     def weight(self, item: int) -> float:
         return self.weights.get(item, 0.0)
+
+    def meeting(self, threshold: float) -> int:
+        """The support items j with meets(weight(j), threshold)."""
+        if self._uniform_weight is not None:
+            return self.support if meets(self._uniform_weight, threshold) else 0
+        return bitsets.from_items(j for j, w in self.weights.items() if meets(w, threshold))
 
     def value(self, bundle: int) -> float:
         inter = bundle & self.support
@@ -300,8 +307,9 @@ class AdditiveValuation(ValuationOracle):
 class CoverageValuation(ValuationOracle):
     """Weighted coverage: item j covers a fixed set of universe elements.
 
-    Monotone and submodular. Demand falls back to exhaustive enumeration,
-    so it is only available up to 22 items.
+    Monotone and submodular. A value reads the union of covers byte by
+    byte from a memo filled on first use. Demand falls back to exhaustive
+    enumeration, so it is only available up to 22 items.
     """
 
     def __init__(self, element_weights, covers, ledger: QueryLedger | None = None):
@@ -322,16 +330,36 @@ class CoverageValuation(ValuationOracle):
         self.covers = tuple(masks)
         self._unit = all(w == 1.0 for w in ews)
 
+    @cached_property
+    def _unions(self):
+        """One _CoverUnions per byte of a bundle; table i serves items 8i to 8i + 7."""
+        return [_CoverUnions(self.covers[i:i + 8]) for i in range(0, self.n, 8)]
+
     def _value(self, bundle: int) -> float:
-        union = 0
-        for j in bitsets.iter_items(bundle):
-            union |= self.covers[j]
+        unions = self._unions
+        union = reduce(or_, map(getitem, unions, bundle.to_bytes(len(unions), "little")), 0)
         if self._unit:
             return float(union.bit_count())
         total = 0.0
         for e in bitsets.iter_items(union):
             total += self.element_weights[e]
         return total
+
+
+class _CoverUnions(dict):
+    """Byte value b -> the union of covers[bit] over the bits set in b. An
+    entry is made on first use, from the entry with b's lowest bit cleared."""
+
+    __slots__ = ("covers",)
+
+    def __init__(self, covers):
+        super().__init__({0: 0})
+        self.covers = covers
+
+    def __missing__(self, b: int) -> int:
+        low = b & -b
+        union = self[b] = self[b ^ low] | self.covers[low.bit_length() - 1]
+        return union
 
 
 class UniformMatroidRank(ValuationOracle):

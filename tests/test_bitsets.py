@@ -1,17 +1,28 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from valsketch import bitsets
 from valsketch.errors import MalformedBundleError
 
 masks = st.integers(min_value=0, max_value=(1 << 20) - 1)
+# dense and sparse bitsets over 2048 items, the xos-demand benchmark's n
+wide_masks = st.one_of(
+    st.integers(min_value=0, max_value=(1 << 2048) - 1),
+    st.sets(st.integers(min_value=0, max_value=2047)).map(bitsets.from_items),
+)
 
 
 def test_from_items_round_trip():
     assert bitsets.from_items([0, 3, 5]) == 0b101001
     assert bitsets.items(0b101001) == [0, 3, 5]
     assert bitsets.items(0) == []
+
+
+@pytest.mark.parametrize("items", [[0, -1], [-5], [True], [2, False]])
+def test_from_items_refuses_negative_and_bool(items):
+    with pytest.raises(MalformedBundleError, match=f"item {items[-1]!r} "):
+        bitsets.from_items(items)
 
 
 def test_hex_round_trip_examples():
@@ -81,22 +92,44 @@ def test_lower_half_splits_by_id(mask):
         assert max(bitsets.items(left)) < min(bitsets.items(right))
 
 
-def _lower_half_by_peeling(mask):
-    """Reference: peel the lowest set bit until half the bits are taken."""
+def _prefix_by_peeling(mask, count):
+    """Reference: peel the lowest set bit until count bits are taken."""
     out = 0
-    for _ in range((mask.bit_count() + 1) // 2):
+    for _ in range(min(count, mask.bit_count())):
         low = mask & -mask
         out |= low
         mask ^= low
     return out
 
 
-@given(st.one_of(
-    st.integers(min_value=0, max_value=(1 << 2048) - 1),
-    st.sets(st.integers(min_value=0, max_value=2047)).map(bitsets.from_items),
-))
+@given(wide_masks)
 def test_lower_half_matches_peeling(mask):
-    assert bitsets.lower_half(mask) == _lower_half_by_peeling(mask)
+    assert bitsets.lower_half(mask) == _prefix_by_peeling(mask, (mask.bit_count() + 1) // 2)
+
+
+@given(wide_masks, st.integers(min_value=0, max_value=2100))
+@example(0, 0)
+@example(0, 3)
+@example(0b1011, 0)
+@example(0b1011, 3)
+@example(0b1011, 4)
+@example((1 << 2047) | 1, 2)
+def test_prefix_matches_peeling(mask, count):
+    assert bitsets.prefix(mask, count) == _prefix_by_peeling(mask, count)
+
+
+def _chunks_by_walking(mask, k):
+    """Reference: walk the items in ascending order, closing a block at k."""
+    out, block, count = [], 0, 0
+    for j in bitsets.iter_items(mask):
+        block |= 1 << j
+        count += 1
+        if count == k:
+            out.append(block)
+            block, count = 0, 0
+    if block:
+        out.append(block)
+    return out
 
 
 @given(masks, st.integers(min_value=1, max_value=8))
@@ -109,6 +142,14 @@ def test_chunks_partition_in_order(mask, k):
         union |= block
     assert union == mask
     assert all(b.bit_count() == k for b in blocks[:-1])
+
+
+@given(wide_masks, st.integers(min_value=1, max_value=300))
+@example(0, 1)
+@example(0b1011, 3)
+@example(0b1011, 100)
+def test_chunks_matches_item_walk(mask, k):
+    assert bitsets.chunks(mask, k) == _chunks_by_walking(mask, k)
 
 
 def test_chunks_rejects_bad_block_size():

@@ -150,10 +150,19 @@ class TestPipelineChain:
             {"schema_version": True, "family": "additive", "n": 2, "seed": 0,
              "params": {"weights": [1, 2]}},
             {"family": "additive", "n": 2, "seed": 0, "params": {"weights": [1, 2]}},
+            {"schema_version": 1, "family": "coverage", "n": 2, "seed": 0,
+             "params": {"universe": 2, "covers": [[0, -1], [1]]}},
+            {"schema_version": 1, "family": "partition-matroid", "n": 2, "seed": 0,
+             "params": {"blocks": [[0, -1], [1]], "caps": [1, 1]}},
+            {"schema_version": 1, "family": "xos-explicit", "n": 2, "seed": 0,
+             "params": {"clauses": [{"0": 1, "1": 1}, {"-1": 2}]}},
+            {"schema_version": 1, "family": "coverage", "n": 3, "seed": 0,
+             "params": {"universe": 2, "covers": [[0], [1], [True]]}},
         ],
         ids=["no-params", "cap-str", "params-list", "clause-list", "top-level-int",
              "n-differs", "n-float", "n-str", "n-bool", "n-zero", "seed-float",
-             "seed-bool", "no-seed", "schema-99", "schema-bool", "no-schema"],
+             "seed-bool", "no-seed", "schema-99", "schema-bool", "no-schema",
+             "cover-negative", "block-negative", "clause-key-negative", "cover-bool"],
     )
     def test_sketch_rejects_malformed_instance(self, capsys, tmp_path, body):
         inst = tmp_path / "inst.json"

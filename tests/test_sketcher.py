@@ -25,6 +25,21 @@ from conftest import build_and_check
 
 seeds = st.integers(min_value=0, max_value=2_000)
 
+#: the build workloads of perfbench/workloads.py at instance seed 0, as
+#: (pipeline, family, n, params): matroid-value, coverage-greedy, xos-demand
+PERFBENCH_RECIPES = [
+    ("matroid", "partition-matroid", 512, {"block_size": 4, "cap": 1}),
+    ("submodular", "coverage", 512, {"universe": 1024, "max_cover": 6}),
+    ("subadditive", "xos-explicit", 2048, {"clauses": 24, "support": 256, "uniform": True}),
+]
+
+
+def _build_recipe(name, family, n, params):
+    """(oracle, sketch) for one perfbench recipe at instance seed 0."""
+    pipeline = vs.get_pipeline(name)
+    oracle = vs.generate_instance(family, n, 0, **params).build(vs.QueryLedger())
+    return oracle, vs.build_sketch(oracle, pipeline.card, pipeline.xos)
+
 
 def _loop_estimate(sketch, bundle):
     """Reference estimate: the per-member loop `evaluate` ran before the
@@ -226,18 +241,9 @@ class TestEvaluate:
         sketch = vs.build_sketch(oracle, pipeline.card, pipeline.xos)
         assert_matches_loop(sketch, _sampled_bundles(sketch, 600, random.Random(n)))
 
-    @pytest.mark.parametrize(
-        "name, family, n, params",
-        [
-            ("matroid", "partition-matroid", 512, {"block_size": 4, "cap": 1}),
-            ("submodular", "coverage", 512, {"universe": 1024, "max_cover": 6}),
-            ("subadditive", "xos-explicit", 2048, {"clauses": 24, "support": 256, "uniform": True}),
-        ],
-    )
+    @pytest.mark.parametrize("name, family, n, params", PERFBENCH_RECIPES)
     def test_perfbench_recipes_match_loop(self, name, family, n, params):
-        pipeline = vs.get_pipeline(name)
-        oracle = vs.generate_instance(family, n, 0, **params).build(vs.QueryLedger())
-        sketch = vs.deserialize(vs.serialize(vs.build_sketch(oracle, pipeline.card, pipeline.xos)))
+        sketch = vs.deserialize(vs.serialize(_build_recipe(name, family, n, params)[1]))
         assert_matches_loop(sketch, _sampled_bundles(sketch, 600, random.Random(0)))
 
     @pytest.mark.parametrize("weights", [[0.0, 0.0, 0.0], [5.0], [0.0]])
@@ -676,6 +682,21 @@ class TestPinnedOutput:
         pipeline = vs.get_pipeline(name)
         oracle = vs.bench_instance(name, n).build(vs.QueryLedger())
         sketch = vs.build_sketch(oracle, pipeline.card, pipeline.xos)
+        assert _payload_digest(sketch) == digest
+        assert oracle.ledger.totals() == totals
+
+    @pytest.mark.parametrize(
+        "recipe, digest, totals",
+        zip(PERFBENCH_RECIPES, [
+            "0155fb58238f532c30e80590ac904fb3a858f6cd8fe6ba2a378ae1acd24998a4",
+            "88c04b574cc1054dd333e917631edb48e6b52e3b72ef613a562c1f265b26c460",
+            "958bd86a4cbbcebd7df004cfa6a82efd4d7fc9f7917d92056fd43cf1049b8de1",
+        ], [(8409, 0), (8864, 0), (2343, 4271)]),
+        ids=["matroid-value", "coverage-greedy", "xos-demand"],
+    )
+    def test_benchmark_recipe_bytes_and_totals(self, recipe, digest, totals):
+        # a change that moves a benchmark sketch or count fails here first
+        oracle, sketch = _build_recipe(*recipe)
         assert _payload_digest(sketch) == digest
         assert oracle.ledger.totals() == totals
 

@@ -1,10 +1,12 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import valsketch as vs
-from valsketch.valuations import AdditiveClause, OracleView, meets
+from valsketch import bitsets
+from valsketch.valuations import RELATIVE_TOL, AdditiveClause, OracleView, meets
 
 
 def test_meets_tolerance_boundary():
@@ -12,6 +14,12 @@ def test_meets_tolerance_boundary():
     assert meets(1.0 - 5e-10, 1.0)
     assert not meets(1.0 - 5e-9, 1.0)
     assert meets(0.0, 0.0)
+
+
+def _around(w):
+    """Thresholds t whose slackened t (1 - RELATIVE_TOL) sits at w and an ulp either side."""
+    t = w / (1 - RELATIVE_TOL)
+    return [t, math.nextafter(t, math.inf), math.nextafter(t, 0.0)]
 
 
 class TestAdditiveClause:
@@ -41,6 +49,23 @@ class TestAdditiveClause:
         assert AdditiveClause({0: 1, 1: 2}) == AdditiveClause({1: 2.0, 0: 1.0})
         assert AdditiveClause({0: 1}) != AdditiveClause({0: 2})
 
+    @pytest.mark.parametrize("clause", [
+        AdditiveClause.uniform(2.0, 0b101101),
+        AdditiveClause({0: 2.0, 2: 1.0, 3: 2.0 * (1 - RELATIVE_TOL), 5: 4.0, 6: 0.0}),
+        AdditiveClause({}),
+    ], ids=["uniform", "mixed", "empty"])
+    @pytest.mark.parametrize("t", [
+        0.0, 1.0, 5.0, *_around(2.0), *_around(4.0), *_around(2.0 * (1 - RELATIVE_TOL)),
+    ])
+    def test_meeting_is_the_items_whose_weight_meets(self, clause, t):
+        for bundle in (0, 0b1111111, 0b1010101, clause.support):
+            walked = bitsets.from_items(
+                j for j in bitsets.iter_items(bundle) if meets(clause.weight(j), t))
+            if not meets(0.0, t):
+                assert bundle & clause.meeting(t) == walked
+            else:  # at t = 0 every item meets, weighed in the support or not
+                assert walked == bundle and clause.meeting(t) == clause.support
+
 
 class TestFamilies:
     def test_additive(self):
@@ -59,6 +84,28 @@ class TestFamilies:
         assert v._value(0b011) == 3.0
         assert v._value(0b100) == 0.5
         assert v._value(0b111) == 3.5
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 513])
+    @pytest.mark.parametrize("unit", [True, False], ids=["unit", "weighted"])
+    def test_coverage_value_is_the_item_walk_union(self, n, unit):
+        rng = random.Random(n)
+        universe = 3 * n
+        weights = [1.0 if unit else rng.choice([0.5, 1.0, 2.0, 3.25]) for _ in range(universe)]
+        covers = [rng.sample(range(universe), rng.randint(0, 4)) for _ in range(n)]
+        v = vs.CoverageValuation(weights, covers)
+        bundles = [0, bitsets.full_mask(n), 1 << (n - 1)]
+        bundles += [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(40)]
+        for bundle in bundles:
+            union = 0
+            for j in bitsets.iter_items(bundle):
+                union |= bitsets.from_items(covers[j])
+            assert v._value(bundle) == sum(weights[e] for e in bitsets.iter_items(union))
+
+    def test_coverage_memo_fills_on_use(self):
+        v = vs.CoverageValuation([1.0] * 4, [[0, 1], [1, 2], [3]] * 4)
+        assert "_unions" not in vars(v)  # constructing fills no table
+        assert v._value(0b1000_0000_0011) == 4.0
+        assert [dict(t) for t in v._unions] == [{0: 0, 0b11: 0b111, 0b10: 0b110}, {0: 0, 0b1000: 0b1000}]
 
     def test_coverage_rejects_out_of_universe(self):
         with pytest.raises(ValueError):
