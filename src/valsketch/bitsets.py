@@ -20,6 +20,14 @@ def from_items(items) -> int:
     return mask
 
 
+def check_ids(ids, bound: int, what: str) -> None:
+    """Refuse an id of `bound` or more before `from_items` shifts by it:
+    1 << j is an int of j / 8 bytes, so an id read from a file is bounded first."""
+    for j in ids:
+        if j >= bound:
+            raise MalformedBundleError(f"{what} {j!r} is outside 0..{bound - 1}")
+
+
 def items(mask: int) -> list[int]:
     return list(iter_items(mask))
 

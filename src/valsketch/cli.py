@@ -91,11 +91,7 @@ def cmd_gen(args) -> int:
 
 def _build(instance_path: str, pipeline_name: str):
     spec = load_instance(instance_path)
-    pipeline = get_pipeline(pipeline_name)
-    ledger = QueryLedger()
-    oracle = spec.build(ledger)
-    pipeline.check_compatible(oracle)
-    return spec, pipeline, oracle
+    return spec, get_pipeline(pipeline_name), spec.build(QueryLedger())
 
 
 def cmd_sketch(args) -> int:
@@ -118,16 +114,18 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     spec, pipeline, oracle = _build(args.instance, args.pipeline)
+    # built before the class check, so a pipeline the oracle cannot serve is
+    # refused as such, even at an n too large to check
+    if args.sketch:
+        sketch = load_sketch(args.sketch)
+    else:
+        sketch = build_sketch(oracle, pipeline.card, pipeline.xos)
     ok = True
 
     passed, witness = validate_class(oracle, pipeline.property)
     print(f"class {pipeline.property}: {'ok' if passed else f'violated at {witness}'}")
     ok &= passed
 
-    if args.sketch:
-        sketch = load_sketch(args.sketch)
-    else:
-        sketch = build_sketch(oracle, pipeline.card, pipeline.xos)
     violations = family_invariant_check(sketch)
     for line in violations:
         print(f"invariant: {line}")
@@ -150,7 +148,6 @@ def cmd_bench(args) -> int:
         spec = bench_instance(args.pipeline, n, args.seed)
         pipeline = get_pipeline(args.pipeline)
         oracle = spec.build(QueryLedger())
-        pipeline.check_compatible(oracle)
         start = time.perf_counter()
         build_sketch(oracle, pipeline.card, pipeline.xos)
         wall_ms = (time.perf_counter() - start) * 1000.0

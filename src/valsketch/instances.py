@@ -230,8 +230,10 @@ def _repair_table(raw: np.ndarray, n: int) -> np.ndarray:
 
 
 def _build_xos_explicit(n, p, ledger):
-    clauses = [AdditiveClause({int(j): w for j, w in c.items()}) for c in p["clauses"]]
-    return XOSExplicitValuation(clauses, ledger, n=n)
+    clauses = [{int(j): w for j, w in c.items()} for c in p["clauses"]]
+    for c in clauses:
+        bitsets.check_ids(c, n, "clause item")
+    return XOSExplicitValuation(map(AdditiveClause, clauses), ledger, n=n)
 
 
 # family -> (parameter generator, oracle builder from (n, params, ledger))

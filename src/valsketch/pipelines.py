@@ -7,9 +7,7 @@ from dataclasses import dataclass
 from . import cardinality, clauses
 from .cardinality import CardOracleSpec
 from .clauses import XosOracleSpec
-from .errors import CapabilityError
 from .instances import InstanceSpec, generate_instance
-from .valuations import ValuationOracle
 
 
 @dataclass(frozen=True)
@@ -18,13 +16,6 @@ class PipelineSpec:
     card: CardOracleSpec
     xos: XosOracleSpec
     property: str
-
-    def check_compatible(self, oracle: ValuationOracle) -> None:
-        """Refuse, before any query, an oracle lacking a capability the pair needs."""
-        if (self.card.needs_demand or self.xos.needs_demand) and not oracle.has_demand:
-            raise CapabilityError(
-                f"pipeline {self.name!r} needs demand queries, which this valuation lacks"
-            )
 
 
 PIPELINES = {

@@ -7,8 +7,9 @@ small list of weighted member bundles, such that the query-free estimate
     max over stored members m of |m & S| * r / (4 alpha beta) * scale
 
 never exceeds v(S) and stays within a polylogarithmic-in-structure factor
-of it. Construction runs the whole grid of size budgets k and value
-levels r over each well-bounded part of the ground set, peeling
+of it. Construction ranks the items once by singleton value, cuts the
+ranking into well-bounded groups, each a slice of it, and runs the whole
+grid of size budgets k and value levels r over each group, peeling
 near-optimal bundles found by a cardinality maximizer and keeping the
 items their supporting clause certifies as individually valuable.
 """
@@ -16,17 +17,17 @@ items their supporting clause certifies as individually valuable.
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from operator import or_
+from operator import neg, or_
 
 import numpy as np
 
 from . import bitsets
 from .cardinality import CardOracleSpec
 from .clauses import XosOracleSpec
-from .errors import ScaleError, SerializationError
+from .errors import CapabilityError, ScaleError, SerializationError
 from .valuations import RELATIVE_TOL, OracleView, ValuationOracle, meets
 
 SCHEMA_VERSION = 1
@@ -93,7 +94,6 @@ class Sketch:
     singletons: list
     groups: list
     build_queries: dict | None = None
-    schema_version: int = field(default=SCHEMA_VERSION)
 
     @cached_property
     def _table(self):
@@ -116,46 +116,36 @@ def well_bounded_partition(singletons, n: int):
     Items are ranked by singleton value (ties by id). Each group starts at
     a leader and runs down while the spread stays within n^2; the next
     leader is the first item at least max(n/2, 2) below the current one.
-    Zero-valued items never enter a group. Leaders drop geometrically, so
-    no item appears in more than ceil(log(n^2)/log(max(n/2, 2))) + 1
-    groups. Returns (leader, item mask) pairs, strongest leader first.
+    Both ends are found by bisecting the ranking. Zero-valued items never
+    enter a group. Leaders drop geometrically, so no item appears in more
+    than ceil(log(n^2)/log(max(n/2, 2))) + 1 groups. Returns each group as
+    a slice of the ranking, its items leader first, strongest leader first.
     """
-    order = sorted((j for j in range(n) if singletons[j] > 0), key=lambda j: (-singletons[j], j))
-    if not order:
-        return []
+    ranking = sorted((j for j in range(n) if singletons[j] > 0), key=lambda j: (-singletons[j], j))
     spread = n * n
     step = max(n / 2, 2.0)
     groups = []
-    lead_pos = 0
-    while lead_pos is not None:
-        leader = order[lead_pos]
-        v_lead = singletons[leader]
-        mask = 0
-        for j in order[lead_pos:]:
-            if v_lead > spread * singletons[j] * (1.0 + RELATIVE_TOL):
-                break
-            mask |= 1 << j
-        groups.append((leader, mask))
-        nxt = None
-        for pos in range(lead_pos + 1, len(order)):
-            if meets(v_lead / singletons[order[pos]], step):
-                nxt = pos
-                break
-        lead_pos = nxt
+    lead = 0
+    while lead < len(ranking):
+        v_lead = singletons[ranking[lead]]
+        end = bisect_left(ranking, True, lead, key=lambda j: (
+            v_lead > spread * singletons[j] * (1.0 + RELATIVE_TOL)))
+        groups.append(ranking[lead:end])
+        lead = bisect_left(ranking, True, lead + 1,
+                           key=lambda j: meets(v_lead / singletons[j], step))
     return groups
 
 
 def build_group_sketch(
     oracle: ValuationOracle,
-    leader: int,
-    items: int,
-    scale: float,
+    ranked: list,
     singletons,
     card: CardOracleSpec,
     xos: XosOracleSpec,
     grid: GridParams,
 ) -> SketchGroup:
-    """Sweep the (k, r) grid over one group.
+    """Sweep the (k, r) grid over one group, given as its items by falling
+    singleton value: the leader first, the item that sets the scale last.
 
     Heavy items (singleton already at the k r / sqrt(n) level) are set
     aside per cell since their own singleton value covers them. From the
@@ -166,14 +156,14 @@ def build_group_sketch(
     a step maximizer resumes each pool's trajectory for every k, and the
     group's view, seeded with the singleton values, asks each question once.
     """
+    scale = singletons[ranked[-1]]
+    # sing[i] is the scaled value of ranked[i] and prefix[i] the set of
+    # ranked[:i], so each cell's heavy items are a prefix
+    sing = [singletons[j] / scale for j in ranked]
+    prefix = list(accumulate((1 << j for j in ranked), or_, initial=0))
+    items = prefix[-1]
     view = OracleView(oracle, items, scale)
-    sing = {j: singletons[j] / scale for j in bitsets.iter_items(items)}
-    view.answers.update((1 << j, value) for j, value in sing.items())  # what the view would answer
-    # items by falling singleton value, so each cell's heavy items are a
-    # prefix; bisect finds its end among the negated values, which rise
-    order = sorted(sing, key=sing.__getitem__, reverse=True)
-    rising = [-sing[j] for j in order]
-    prefix = list(accumulate((1 << j for j in order), or_, initial=0))
+    view.answers.update(zip([1 << j for j in ranked], sing))  # what the view would answer
     sqrt_n = math.sqrt(grid.n)
     beta_cert = 1.0
     families = []
@@ -185,16 +175,15 @@ def build_group_sketch(
     for k in grid.k_grid:
         for r in grid.r_grid:
             # the items `meets(value, k * r / sqrt_n)` counts as heavy, by the same float
-            count = bisect_right(rising, -(k * r / sqrt_n * (1.0 - RELATIVE_TOL)))
+            count = bisect_right(sing, -(k * r / sqrt_n * (1.0 - RELATIVE_TOL)), key=neg)
             pool = items & ~prefix[count]
             members = []
             while pool:
                 if (pool, k) not in best_of:
-                    # pool's best item is order[i - 1], for the first prefix[i]
+                    # pool's best item is ranked[i - 1], for the first prefix[i]
                     # that meets pool; pool & prefix[i] only grows with i
                     i = bisect_left(prefix, 1, count + 1, key=pool.__and__)
-                    top = sing[order[i - 1]]
-                    best_of[pool, k] = card.run(view, pool, k, max_singleton=top,
+                    best_of[pool, k] = card.run(view, pool, k, max_singleton=sing[i - 1],
                                                 trajectories=trajectories)
                 bundle, value = best_of[pool, k]
                 if not bundle or not meets(value, k * r / (2 * card.alpha)):
@@ -212,20 +201,23 @@ def build_group_sketch(
                 pool &= ~kept
             if members:
                 families.append(SketchFamily(k, float(r), members))
-    return SketchGroup(leader, items, scale, card.alpha, beta_cert, families)
+    return SketchGroup(ranked[0], items, scale, card.alpha, beta_cert, families)
 
 
 def build_sketch(oracle: ValuationOracle, card: CardOracleSpec, xos: XosOracleSpec) -> Sketch:
-    """Full pipeline: singleton scan, partition, per-group grid sweep."""
+    """Full pipeline: singleton scan, partition, per-group grid sweep.
+
+    Refuses, with CapabilityError and before any query, an oracle without
+    demand queries when the maximizer or the clause oracle needs them.
+    """
+    if (card.needs_demand or xos.needs_demand) and not oracle.has_demand:
+        raise CapabilityError("the maximizer or clause oracle needs demand queries, "
+                              f"which {type(oracle).__name__} does not answer")
     n = oracle.n
     grid = GridParams.for_ground_set(n)
     singletons = [oracle.value(1 << j) for j in range(n)]
-    groups = []
-    for leader, items in well_bounded_partition(singletons, n):
-        scale = min(singletons[j] for j in bitsets.iter_items(items))
-        groups.append(
-            build_group_sketch(oracle, leader, items, scale, singletons, card, xos, grid)
-        )
+    groups = [build_group_sketch(oracle, ranked, singletons, card, xos, grid)
+              for ranked in well_bounded_partition(singletons, n)]
     return Sketch(n, singletons, groups, build_queries=oracle.ledger.snapshot())
 
 
@@ -331,7 +323,7 @@ def serialize(sketch: Sketch) -> str:
         for g in sketch.groups
     ]
     payload = {
-        "schema_version": sketch.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "kind": "valuation-sketch",
         "n": sketch.n,
         "singletons": [_canon(v) for v in sketch.singletons],

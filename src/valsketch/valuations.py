@@ -321,10 +321,8 @@ class CoverageValuation(ValuationOracle):
         masks = []
         m = len(ews)
         for cov in covers:
-            cm = bitsets.from_items(cov)
-            if cm >> m:
-                raise ValueError("cover references an element outside the universe")
-            masks.append(cm)
+            bitsets.check_ids(cov, m, "cover element")
+            masks.append(bitsets.from_items(cov))
         super().__init__(n, ledger, has_demand=(n <= 22))
         self.element_weights = ews
         self.covers = tuple(masks)
@@ -379,6 +377,9 @@ class PartitionMatroidRank(ValuationOracle):
     def __init__(self, blocks, caps, ledger: QueryLedger | None = None):
         if len(blocks) != len(caps) or not blocks:
             raise ValueError("need one cap per nonempty block list")
+        listed = sum(map(len, blocks))  # covering 0..n-1 exactly takes n = listed
+        for b in blocks:
+            bitsets.check_ids(b, listed, "block item")
         masks = [bitsets.from_items(b) for b in blocks]
         union = 0
         for bm in masks:

@@ -4,12 +4,15 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import valsketch as vs
 from valsketch.cli import main
 from valsketch.instances import FAMILIES
+
+HUGE_ID = 10 ** 8
 
 
 def run(capsys, *argv):
@@ -170,6 +173,31 @@ class TestPipelineChain:
         code, _, err = run(capsys, "sketch", "--instance", str(inst), "--pipeline", "brute",
                            "--out", str(tmp_path / "s.json"))
         assert code == 2 and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "family, params, what",
+        [
+            ("coverage", {"universe": 2, "covers": [[0], [HUGE_ID]]}, "cover element"),
+            ("partition-matroid", {"blocks": [[0], [HUGE_ID]], "caps": [1, 1]}, "block item"),
+            ("xos-explicit", {"clauses": [{"0": 1}, {str(HUGE_ID): 2}]}, "clause item"),
+        ],
+        ids=["cover", "block", "clause-key"],
+    )
+    def test_sketch_refuses_huge_item_id_before_shifting(self, capsys, tmp_path,
+                                                         family, params, what):
+        # 1 << HUGE_ID alone is a 12.5 MB int; the id is refused before it is built
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"schema_version": 1, "family": family, "n": 2,
+                                    "seed": 0, "params": params}))
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "sketch", "--instance", str(inst),
+                               "--pipeline", "brute", "--out", str(tmp_path / "s.json"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and f"error: {what} {HUGE_ID} is outside 0..1" in err
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_gen_output_loads_and_builds(self, capsys, tmp_path, family):

@@ -117,11 +117,15 @@ class TestGrid:
 class TestPartition:
     def test_frozen_partition(self):
         groups = well_bounded_partition([8.0, 4.0, 1.0, 0.0], 4)
-        assert groups == [(0, 0b0111), (1, 0b0110), (2, 0b0100)]
+        assert groups == [[0, 1, 2], [1, 2], [2]]
 
     def test_big_gap_splits_groups(self):
         groups = well_bounded_partition([100.0, 1.0, 1.0, 1.0], 4)
-        assert groups == [(0, 0b0001), (1, 0b1110)]
+        assert groups == [[0], [1, 2, 3]]
+
+    def test_groups_are_ranked_leader_first(self):
+        groups = well_bounded_partition([1.0, 4.0, 0.0, 4.0, 2.0], 5)
+        assert groups == [[1, 3, 4, 0], [0]]
 
     def test_zero_items_never_join(self):
         assert well_bounded_partition([0.0, 0.0], 2) == []
@@ -137,25 +141,25 @@ class TestPartition:
             for j in range(n)
         ]
         groups = well_bounded_partition(values, n)
-        covered = 0
+        ranking = sorted((j for j in range(n) if values[j] > 0), key=lambda j: (-values[j], j))
+        covered = set()
         leaders = []
-        for leader, mask in groups:
-            assert (mask >> leader) & 1
-            vals = [values[j] for j in bitsets.items(mask)]
+        for ranked in groups:
+            # each group is a contiguous slice of the global ranking, leader first
+            start = ranking.index(ranked[0])
+            assert ranked == ranking[start:start + len(ranked)]
+            vals = [values[j] for j in ranked]
             assert min(vals) > 0
-            # leader is the strongest member
-            assert values[leader] == max(vals)
             assert max(vals) <= n * n * min(vals) * (1 + 1e-8)
-            covered |= mask
-            leaders.append(values[leader])
-        for j in range(n):
-            assert ((covered >> j) & 1) == (values[j] > 0)
+            covered.update(ranked)
+            leaders.append(vals[0])
+        assert covered == set(ranking)
         # leaders weaken geometrically, so membership counts stay small
         assert leaders == sorted(leaders, reverse=True)
         step = max(n / 2, 2.0)
         limit = math.ceil(math.log(n * n * (1 + 1e-9), step)) + 1
         for j in range(n):
-            count = sum(1 for _, mask in groups if (mask >> j) & 1)
+            count = sum(1 for ranked in groups if j in ranked)
             assert count <= limit
 
 
@@ -515,10 +519,12 @@ class TestBuildContract:
             runs.append(vs.serialize(vs.build_sketch(oracle, pipeline.card, pipeline.xos)))
         assert runs[0] == runs[1]
 
-    def test_demand_pipeline_refuses_value_only_oracle(self):
+    def test_build_refuses_value_only_oracle_before_any_query(self):
         oracle = vs.UniformMatroidRank(30, 4)
-        with pytest.raises(vs.CapabilityError):
-            vs.get_pipeline("subadditive").check_compatible(oracle)
+        pipeline = vs.get_pipeline("subadditive")
+        with pytest.raises(vs.CapabilityError, match="UniformMatroidRank"):
+            vs.build_sketch(oracle, pipeline.card, pipeline.xos)
+        assert oracle.ledger.totals() == (0, 0)
 
     @pytest.mark.parametrize("name", ["matroid", "submodular", "subadditive"])
     def test_group_sweep_repeats_no_call(self, name):
@@ -697,6 +703,35 @@ class TestPinnedOutput:
     def test_benchmark_recipe_bytes_and_totals(self, recipe, digest, totals):
         # a change that moves a benchmark sketch or count fails here first
         oracle, sketch = _build_recipe(*recipe)
+        assert _payload_digest(sketch) == digest
+        assert oracle.ledger.totals() == totals
+
+    @pytest.mark.parametrize(
+        "name, base, n, groups, digest, totals",
+        [
+            ("submodular", 4, 8, 8,
+             "f5981b91dd402c815221a4a894ef1661e41f62e6e921e9d9c011670b46df2572", (37, 0)),
+            ("submodular", 4, 12, 6,
+             "c6f9c3b66bc365243e443878d16466d57b62ed45ab4cd1396312eb2637c69310", (38, 0)),
+            ("submodular", 4, 16, 8,
+             "62183671cf08a97845fc7af806b7895b2c0bc644db7713a3e6398777d3947388", (64, 0)),
+            ("subadditive", 3, 8, 4,
+             "b4c81840f7fd0cba24eaa5b77a8fd008fee5fe31f61e1bce6b8398f732fe35cd", (27, 325)),
+            ("subadditive", 3, 12, 6,
+             "708c2e7a1a2bef8c727c736dbf46af8668a2bab7d81aff3af0fc1fb043a7ea82", (55, 687)),
+            ("subadditive", 3, 16, 8,
+             "f2462dda538b6d55f7f1e3a0ecbe8ca25dd5fd850fdb43d67ce3876e5ddb364a", (95, 761)),
+        ],
+        ids=["submodular-4j-8", "submodular-4j-12", "submodular-4j-16",
+             "subadditive-3j-8", "subadditive-3j-12", "subadditive-3j-16"],
+    )
+    def test_overlapping_groups_bytes_and_totals(self, name, base, n, groups, digest, totals):
+        # additive weights base**j spread past n^2, so the partition cuts
+        # several groups and each item sits in up to four of them
+        pipeline = vs.get_pipeline(name)
+        oracle = vs.AdditiveValuation([float(base ** j) for j in range(n)], vs.QueryLedger())
+        sketch = build_and_check(oracle, pipeline.card, pipeline.xos)
+        assert len(sketch.groups) == groups
         assert _payload_digest(sketch) == digest
         assert oracle.ledger.totals() == totals
 
