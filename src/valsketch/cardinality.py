@@ -199,8 +199,10 @@ def card_demand_price_grid(oracle: ValuationOracle, ground: int, k: int, *, max_
     pool (pass max_singleton, in the oracle's scale, to avoid re-buying the
     singleton scan). Oversized responses are split into ascending-id blocks
     of k items and the blocks are valued instead; by subadditivity one of
-    them carries its proportional share. ceil(log2(8 k^2)) + 1 demand
-    queries, value queries only for distinct candidate blocks.
+    them carries its proportional share. The sweep stops after the first
+    response that fits in k items, the empty one included. At most
+    ceil(log2(8 k^2)) + 1 demand queries, value queries only for distinct
+    candidate blocks.
     """
     if not ground or k < 1:
         return 0, 0.0
@@ -213,7 +215,8 @@ def card_demand_price_grid(oracle: ValuationOracle, ground: int, k: int, *, max_
     for t in range(math.ceil(math.log2(8 * k * k)) + 1):
         q = max_singleton / (4 * k) * (1 << t)
         resp = oracle.demand(UniformPrices(q, ground, oracle.n))
-        blocks = [resp] if resp.bit_count() <= k else bitsets.chunks(resp, k)
+        fits = resp.bit_count() <= k
+        blocks = [resp] if fits else bitsets.chunks(resp, k)
         for block in blocks:
             if not block:
                 continue
@@ -223,6 +226,11 @@ def card_demand_price_grid(oracle: ValuationOracle, ground: int, k: int, *, max_
                 cache[block] = val
             if val > best_value:
                 best_bundle, best_value = block, val
+        if fits:
+            # law of demand: optimal answers R at q and R' at q' > q give
+            # |R'| <= |R| and v(R') <= v(R) - q (|R| - |R'|) <= v(R), so
+            # every later response fits too and none beats v(R)
+            break
     return best_bundle, best_value
 
 

@@ -74,7 +74,8 @@ def xos_clause_demand_uniform(oracle: ValuationOracle, bundle: int, value_of_bun
     seen. Prices sweep v(S)/2 down past v(S)/(4|S|), which keeps beta
     logarithmic in |S| for subadditive inputs. If every response is small
     the final one is still worth 3/4 v(S) by its profit, so one refinement
-    pass over that response recovers a sharper clause. At most
+    pass over that response recovers a sharper clause. Each sweep stops
+    once the response is the whole bundle it prices. At most
     2 (ceil(log2 4|S|) + 1) demand queries; the only value query is v(S)
     when it is not passed in.
     """
@@ -94,7 +95,8 @@ def xos_clause_demand_uniform(oracle: ValuationOracle, bundle: int, value_of_bun
 
 
 def _best_uniform_response(oracle: ValuationOracle, bundle: int, basis: float):
-    """One grid sweep; returns the response maximizing price * size."""
+    """One grid sweep at falling prices; returns the response maximizing
+    price * size, the number of grid levels and the last response."""
     size = bundle.bit_count()
     levels = math.ceil(math.log2(4 * size)) + 1
     best_q, best_resp, best_score = 0.0, 0, 0.0
@@ -105,6 +107,10 @@ def _best_uniform_response(oracle: ValuationOracle, bundle: int, basis: float):
         score = q * resp.bit_count()
         if score > best_score:
             best_q, best_resp, best_score = q, resp, score
+        if resp == bundle:
+            # law of demand: an optimal answer at a lower price is no
+            # smaller, so it is the whole bundle again and scores less
+            break
     return best_q, best_resp, best_score, levels, resp
 
 

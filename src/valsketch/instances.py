@@ -107,16 +107,26 @@ def generate_instance(family: str, n: int, seed: int = 0, **params) -> InstanceS
 # -- per-family parameter generators ----------------------------------
 
 
+def _int_param(family, name, value, low, high=None):
+    """value, if it is an int (a bool is not) in low..high; else a
+    ValueError that names the parameter."""
+    if type(value) is not int or value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{family} parameter {name} must be an int {bound}, got {value!r}")
+    return value
+
+
 def _gen_additive(n, rng, params):
-    lo = params.pop("low", 1)
-    hi = params.pop("high", 16)
+    lo = _int_param("additive", "low", params.pop("low", 1), 0)
+    hi = _int_param("additive", "high", params.pop("high", 16), lo)
     _reject_extras("additive", params)
     return {"weights": [rng.randint(lo, hi) for _ in range(n)]}
 
 
 def _gen_coverage(n, rng, params):
-    universe = params.pop("universe", 2 * n)
-    max_cover = params.pop("max_cover", min(6, universe))
+    universe = _int_param("coverage", "universe", params.pop("universe", 2 * n), 1)
+    max_cover = _int_param("coverage", "max_cover", params.pop("max_cover", min(6, universe)),
+                           1, universe)
     _reject_extras("coverage", params)
     covers = []
     for _ in range(n):
@@ -130,12 +140,12 @@ def _gen_uniform_matroid(n, rng, params):
     _reject_extras("uniform-matroid", params)
     if cap is None:
         cap = rng.randint(1, max(1, n // 2))
-    return {"cap": cap}
+    return {"cap": _int_param("uniform-matroid", "cap", cap, 0)}
 
 
 def _gen_partition_matroid(n, rng, params):
-    block_size = params.pop("block_size", 4)
-    cap = params.pop("cap", 1)
+    block_size = _int_param("partition-matroid", "block_size", params.pop("block_size", 4), 1)
+    cap = _int_param("partition-matroid", "cap", params.pop("cap", 1), 0)
     _reject_extras("partition-matroid", params)
     items = list(range(n))
     rng.shuffle(items)
@@ -149,6 +159,7 @@ def _gen_graphic_matroid(n, rng, params):
     if vertices is None:
         # few enough vertices that random edges create real cycles
         vertices = max(3, int(round(n ** 0.5)) + 2)
+    vertices = _int_param("graphic-matroid", "vertices", vertices, 2)
     edges = []
     for _ in range(n):
         u = rng.randrange(vertices)
@@ -160,10 +171,12 @@ def _gen_graphic_matroid(n, rng, params):
 
 
 def _gen_xos_explicit(n, rng, params):
-    clauses = params.pop("clauses", max(3, n // 2))
-    support = params.pop("support", max(2, n // 2))
+    clauses = _int_param("xos-explicit", "clauses", params.pop("clauses", max(3, n // 2)), 1)
+    support = _int_param("xos-explicit", "support", params.pop("support", max(2, n // 2)), 1)
     uniform = params.pop("uniform", False)
     _reject_extras("xos-explicit", params)
+    if type(uniform) is not bool:
+        raise ValueError(f"xos-explicit parameter uniform must be true or false, got {uniform!r}")
     out = []
     for _ in range(clauses):
         size = rng.randint(1, min(support, n))
@@ -179,7 +192,7 @@ def _gen_xos_explicit(n, rng, params):
 def _gen_subadditive_table(n, rng, params):
     if n > 12:
         raise ScaleError("subadditive tables are generated only up to n = 12")
-    high = params.pop("high", 8)
+    high = _int_param("subadditive-table", "high", params.pop("high", 8), 1)
     _reject_extras("subadditive-table", params)
     raw = [0] + [rng.randint(1, high) for _ in range((1 << n) - 1)]
     table = _repair_table(np.asarray(raw, dtype=np.float64), n)

@@ -145,16 +145,38 @@ def test_demand_grid_frozen_trace():
     bundle, value = card_demand_price_grid(oracle, 0b11111, 2)
     # item 4 alone beats any pair under the max of the two clauses
     assert (bundle, value) == (0b10000, 3.0)
-    assert led.demand_queries == math.ceil(math.log2(8 * 4)) + 1
+    # the first price is M / 4k = 3/8: {4} earns 3 - 3/8 = 2.625 against
+    # (1 - 3/8) 4 = 2.5 for items 0-3, and it fits k = 2, so the sweep stops
+    assert led.demand_queries == 1
+
+
+def grid_prices_to_first_fit(oracle, ground, k):
+    """How many grid prices the sweep asks: up to and including the first
+    whose answer, read off the uncounted hook, fits in k items."""
+    top = max(oracle._value(1 << j) for j in bitsets.iter_items(ground))
+    levels = math.ceil(math.log2(8 * k * k)) + 1
+    for t in range(levels):
+        if oracle._demand_uniform(top / (4 * k) * (1 << t), ground).bit_count() <= k:
+            return t + 1
+    return levels
 
 
 def test_demand_grid_demand_budget():
     led = vs.QueryLedger()
-    oracle = vs.generate_instance("subadditive-table", 10, 7).build(led)
-    for k in (1, 2, 5):
-        before = led.demand_queries
-        card_demand_price_grid(oracle, bitsets.full_mask(10), k)
-        assert led.demand_queries - before == math.ceil(math.log2(8 * k * k)) + 1
+    ground = bitsets.full_mask(10)
+    cases = [
+        (vs.generate_instance("subadditive-table", 10, 7).build(led), [1, 1, 1]),
+        # ten items worth 1: every price below 1 demands all ten, so the
+        # first answer that fits is the empty one, at the first price past 1
+        (vs.AdditiveValuation([1.0] * 10, led), [3, 4, 6]),
+    ]
+    for oracle, counts in cases:
+        for k, count in zip((1, 2, 5), counts):
+            before = led.demand_queries
+            card_demand_price_grid(oracle, ground, k)
+            spent = led.demand_queries - before
+            assert spent == grid_prices_to_first_fit(oracle, ground, k) == count
+            assert spent <= math.ceil(math.log2(8 * k * k)) + 1
 
 
 def test_demand_grid_accepts_precomputed_singleton():

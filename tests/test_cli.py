@@ -52,6 +52,23 @@ class TestGen:
                            "--out", str(tmp_path / "x.json"), "--param", "bogus=1")
         assert code == 2 and "bogus" in err
 
+    @pytest.mark.parametrize("family, param", [
+        ("xos-explicit", "clauses=1.5"),
+        ("coverage", 'universe="a"'),
+        ("xos-explicit", "clauses=0"),  # an instance that sketch would refuse
+        ("xos-explicit", "support=0"),
+        ("coverage", "universe=0"),
+        ("partition-matroid", "block_size=0"),
+        ("xos-explicit", "clauses=true"),
+    ])
+    def test_bad_int_param_is_named(self, capsys, tmp_path, family, param):
+        out = tmp_path / "x.json"
+        code, _, err = run(capsys, "gen", "--family", family, "--n", "5",
+                           "--out", str(out), "--param", param)
+        name = param.partition("=")[0]
+        assert code == 2 and f"error: {family} parameter {name} must be an int" in err
+        assert not out.exists()
+
 
 class TestPipelineChain:
     def test_gen_sketch_eval_verify(self, capsys, tmp_path):
@@ -275,7 +292,7 @@ class TestBench:
 
     @pytest.mark.parametrize(
         "pipeline, counts",
-        [("matroid", "2792,0"), ("submodular", "3862,0"), ("subadditive", "313,1170")],
+        [("matroid", "2792,0"), ("submodular", "3862,0"), ("subadditive", "308,357")],
         ids=["matroid", "submodular", "subadditive"],  # fixed, so re-recording keeps the names
     )
     def test_query_counts_at_n_256(self, capsys, pipeline, counts):

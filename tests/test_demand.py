@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import valsketch as vs
-from valsketch.valuations import EXCLUDED, UniformPrices
+from valsketch.valuations import EXCLUDED, OracleView, UniformPrices
 
 
 def reference_demand(oracle, prices):
@@ -145,3 +145,48 @@ def test_demand_answer_must_be_priced_int_bundle(answer):
         v.restrict(0b011).demand([0.5, 0.5, 0.5])
     with pytest.raises(ValueError, match="Wayward answered a demand query"):
         v.restrict(0b011).restrict(0b111).demand(UniformPrices(0.5, 0b111, 3))
+
+
+def law_of_demand_oracles(n, seed):
+    """Every shipped demand oracle on n items: additive, explicit XOS with
+    uniform and with mixed clause weights, the subadditive table, and the
+    exhaustive fallback on coverage and on a partition matroid."""
+    yield vs.generate_instance("additive", n, seed).build()
+    yield vs.generate_instance("xos-explicit", n, seed, uniform=True).build()
+    yield vs.generate_instance("xos-explicit", n, seed).build()
+    yield vs.generate_instance("subadditive-table", n, seed).build()
+    yield vs.generate_instance("coverage", n, seed).build()
+    yield vs.generate_instance("partition-matroid", n, seed, block_size=3, cap=2).build()
+
+
+dyadic_prices = st.builds(lambda a, e: a / (1 << e),
+                          st.integers(min_value=0, max_value=48),
+                          st.integers(min_value=0, max_value=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=500),
+    included=st.integers(min_value=0, max_value=255),
+    mask=st.integers(min_value=0, max_value=255),
+    scale=st.sampled_from([0.5, 1.0, 3.0, 8.0]),
+    q=dyadic_prices,
+    rise=dyadic_prices.filter(lambda x: x > 0),
+)
+def test_law_of_demand(n, seed, included, mask, scale, q, rise):
+    """At a higher uniform price an optimal answer is no larger and no
+    more valuable, and an answer holding every priced item at q still
+    does at q/2. The early stops of both demand sweeps rest on these."""
+    full = vs.bitsets.full_mask(n)
+    included &= full
+    for oracle in law_of_demand_oracles(n, seed):
+        for asked in (oracle, OracleView(oracle, mask & full, scale)):
+            low = asked.demand(UniformPrices(q, included, n))
+            high = asked.demand(UniformPrices(q + rise, included, n))
+            name = type(oracle).__name__
+            assert high.bit_count() <= low.bit_count(), name
+            assert asked._value(high) <= asked._value(low), name
+            for price, answer in ((q, low), (q + rise, high)):
+                if answer == included:
+                    assert asked.demand(UniformPrices(price / 2, included, n)) == included, name

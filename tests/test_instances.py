@@ -90,3 +90,21 @@ def test_repair_table_output_is_always_valid(n, data):
         assert ok, (prop, witness)
     # singletons have no proper splits, so they survive untouched
     assert all(fixed[1 << j] == raw[1 << j] for j in range(n))
+
+
+@pytest.mark.parametrize("family, params, name", [
+    ("additive", {"low": -1}, "low"),
+    ("additive", {"low": 5, "high": 4}, "high"),
+    ("coverage", {"universe": 4, "max_cover": 5}, "max_cover"),
+    ("coverage", {"max_cover": 0}, "max_cover"),
+    ("uniform-matroid", {"cap": -1}, "cap"),
+    ("uniform-matroid", {"cap": 2.0}, "cap"),
+    ("partition-matroid", {"cap": True}, "cap"),
+    ("graphic-matroid", {"vertices": 1}, "vertices"),
+    ("xos-explicit", {"support": "3"}, "support"),
+    ("xos-explicit", {"uniform": 1}, "uniform"),
+    ("subadditive-table", {"high": 0}, "high"),
+])
+def test_generator_params_checked(family, params, name):
+    with pytest.raises(ValueError, match=f"{family} parameter {name} must be"):
+        vs.generate_instance(family, 6, **params)
