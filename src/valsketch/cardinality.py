@@ -18,7 +18,9 @@ steps(oracle, ground) that yields (bundle, value) after every item it
 adds; its spec's maximize takes step k, or the last step if the run
 ends sooner. Handed a step table, the spec's run keeps one trajectory
 per pool and serves every budget from it, pulling only steps not yet
-taken.
+taken. Matroid augmenting gallops to each item it adds and drops for good
+the items a probe showed spanned, so a step pays for the items it skips,
+not for the size of the pool.
 """
 
 import heapq
@@ -91,7 +93,7 @@ def greedy_threshold(epsilon: float = 0.1) -> CardOracleSpec:
 
 
 def matroid_augment() -> CardOracleSpec:
-    """Exact on matroid rank functions via bisection for augmenting items."""
+    """Exact on matroid rank functions, galloping to each augmenting item."""
     return CardOracleSpec.stepwise(matroid_augment_steps, 1.0)
 
 
@@ -169,26 +171,42 @@ def greedy_threshold_steps(oracle: ValuationOracle, ground: int, epsilon: float)
 def matroid_augment_steps(oracle: ValuationOracle, ground: int):
     """Exact maximizer for matroid rank functions.
 
-    While the pool still raises the rank, bisect for a single augmenting
-    item: if adding the lower half changes nothing, the witness must sit in
-    the upper half (spanned sets stay spanned), so that branch costs no
-    query. Each item found costs at most ceil(log2 n) + 1 queries and
-    raises the value by exactly 1. On non-rank inputs each step still
-    adds one item, but the bundles carry no guarantee.
+    Each step gallops through the pool for an augmenting item: it tests
+    the 1, 2, 4, ... smallest-id items still in the pool, stops at the
+    first such chunk that raises the rank and bisects inside it, going
+    left whenever the left half raises the rank. A probe that raises
+    nothing proves its items lie in span(bundle); spans only grow, so
+    they leave the pool for good, failed chunks and failed left halves
+    alike. The item found is the smallest-id one outside the span, the
+    one bisecting the whole pool would find, and it raises the value by
+    exactly 1. The run ends when a chunk holding the whole pool fails.
+
+    A step that skips s spanned items costs at most 2 floor(log2(s+1)) + 1
+    value queries, the final check over the last r items at most
+    floor(log2(r+1)) + 1. A step that skips nearly the whole pool can cost
+    up to about twice the 1 + ceil(log2 |pool|) of bisecting the pool. On
+    non-rank inputs each step still adds exactly one item, but the
+    bundles carry no guarantee.
     """
     bundle, total = 0, 0.0
-    remaining = ground
-    while remaining and oracle.value(bundle | remaining) > total:
-        cand = remaining
+    remaining, width = ground, 1
+    while remaining:
+        cand = bitsets.prefix(remaining, width)
+        if oracle.value(bundle | cand) <= total:
+            remaining ^= cand
+            width *= 2
+            continue
         while cand.bit_count() > 1:
             left = bitsets.lower_half(cand)
             if oracle.value(bundle | left) > total:
                 cand = left
             else:
+                remaining ^= left
                 cand ^= left
         bundle |= cand
         total += 1.0
-        remaining &= ~cand
+        remaining ^= cand
+        width = 1
         yield bundle, total
 
 

@@ -7,8 +7,10 @@ test fixtures stays exact.
 """
 
 import json
+import operator
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -242,6 +244,17 @@ def _repair_table(raw: np.ndarray, n: int) -> np.ndarray:
     return table
 
 
+def _build_coverage(n, p, ledger):
+    """Unit weights up to the largest cover element: elements outside
+    every cover never count, so a huge `universe` allocates nothing."""
+    covers, universe = p["covers"], operator.index(p["universe"])
+    used = max(chain.from_iterable(covers), default=-1) + 1
+    if used > universe:
+        for c in covers:
+            bitsets.check_ids(c, universe, "cover element")
+    return CoverageValuation([1.0] * used, covers, ledger)
+
+
 def _build_xos_explicit(n, p, ledger):
     clauses = [{int(j): w for j, w in c.items()} for c in p["clauses"]]
     for c in clauses:
@@ -252,10 +265,7 @@ def _build_xos_explicit(n, p, ledger):
 # family -> (parameter generator, oracle builder from (n, params, ledger))
 _FAMILY_TABLE = {
     "additive": (_gen_additive, lambda n, p, led: AdditiveValuation(p["weights"], led)),
-    "coverage": (
-        _gen_coverage,
-        lambda n, p, led: CoverageValuation([1.0] * p["universe"], p["covers"], led),
-    ),
+    "coverage": (_gen_coverage, _build_coverage),
     "uniform-matroid": (
         _gen_uniform_matroid,
         lambda n, p, led: UniformMatroidRank(n, p["cap"], led),

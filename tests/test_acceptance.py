@@ -96,7 +96,7 @@ def _opt_by_size(truth: np.ndarray, n: int, k: int) -> float:
 def test_criterion_04_card_oracles_vs_brute(corpus):
     """Maximization oracles meet their ratios against enumeration.
 
-    The greedy pair is certified for submodular inputs and the bisection
+    The greedy pair is certified for submodular inputs and the galloping
     augmenter for matroid ranks, so each runs on the fixture blocks of
     its class; the price-grid search carries its factor 8 on everything
     subadditive, which covers the whole corpus.
@@ -282,6 +282,12 @@ def test_criterion_08_query_scaling(bench_counts):
         f"submodular x{submodular:.2f}<={submodular_cap:.2f} "
         f"subadditive {value_q}v<={value_cap:.0f} {demand_q}d<={demand_cap:.0f}"
     )
+
+
+def test_matroid_count_at_n_1024(bench_counts):
+    # exact ledger totals of the bench instance at seed 0, like the n = 256
+    # pins of tests/test_cli.py; a change that moves them must say why
+    assert bench_counts["matroid", 1024] == (6097, 0)
 
 
 def _drop_wall(csv_text: str) -> list:

@@ -124,8 +124,9 @@ def test_matroid_augment_frozen_trace():
     oracle = vs.PartitionMatroidRank([[0, 1], [2, 3]], [1, 1], led)
     bundle, value = card_matroid_augment(oracle, 0b1111, 2)
     assert (bundle, value) == (0b0101, 2.0)
-    # per round: one pool check plus one probe per halving
-    assert led.value_queries == 6
+    # {0} raises the rank; then {1} is spanned and leaves the pool, the
+    # next chunk {2, 3} raises it and its left half {2} does too
+    assert led.value_queries == 4
 
 
 def test_matroid_augment_query_budget():
@@ -272,9 +273,9 @@ def test_trajectory_pulls_only_steps_not_yet_taken():
     oracle = vs.PartitionMatroidRank([[0, 1], [2, 3]], [1, 1], led)
     spec, table = vs.matroid_augment(), {}
     assert spec.run(oracle, 0b1111, 1, trajectories=table) == (0b0001, 1.0)
-    assert led.value_queries == 3  # pool check and two halvings
+    assert led.value_queries == 1  # the first chunk {0} raises the rank
     assert spec.run(oracle, 0b1111, 1, trajectories=table) == (0b0001, 1.0)
-    assert led.value_queries == 3
+    assert led.value_queries == 1
     assert spec.run(oracle, 0b1111, 2, trajectories=table) == (0b0101, 2.0)
-    # the fresh budget-2 call of test_matroid_augment_frozen_trace spends 6
-    assert led.value_queries == 6
+    # the fresh budget-2 call of test_matroid_augment_frozen_trace spends 4
+    assert led.value_queries == 4
