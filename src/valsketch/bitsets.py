@@ -94,7 +94,9 @@ def submasks(mask: int):
 def prefix(mask: int, count: int) -> int:
     """The `count` smallest-id items of mask, or all of them if it has fewer:
     the shortest low-bit prefix holding that many, found by bisecting on its
-    length."""
+    length. One item is the lowest set bit, read off directly."""
+    if count == 1:
+        return mask & -mask
     lo, hi = 0, mask.bit_length()
     while lo < hi:
         mid = (lo + hi) // 2

@@ -20,7 +20,8 @@ ends sooner. Handed a step table, the spec's run keeps one trajectory
 per pool and serves every budget from it, pulling only steps not yet
 taken. Matroid augmenting gallops to each item it adds and drops for good
 the items a probe showed spanned, so a step pays for the items it skips,
-not for the size of the pool.
+not for the size of the pool. Threshold greedy steps over the levels no
+item can clear without scanning them.
 """
 
 import heapq
@@ -141,6 +142,12 @@ def greedy_threshold_steps(oracle: ValuationOracle, ground: int, epsilon: float)
 
     Cached marginals serve as upper bounds (they only shrink on submodular
     inputs), so items far below the threshold are skipped without a query.
+    Each pass also records top, the largest bound left outside the bundle,
+    and the levels w > top that follow are skipped unscanned: no item has a
+    bound of w there, so a scan would ask nothing and take nothing. The
+    skipped levels are still stepped through one multiplication at a time,
+    so every scanned w is the float a level-by-level run scans, and the
+    run asks the same questions in the same order.
     """
     items = list(bitsets.iter_items(ground))
     if not items:
@@ -153,19 +160,22 @@ def greedy_threshold_steps(oracle: ValuationOracle, ground: int, epsilon: float)
     w = w_max
     floor = (epsilon / len(items)) * w_max
     while w >= floor:
+        top = -math.inf
         for j in items:
-            if (bundle >> j) & 1 or upper[j] < w:
+            if (bundle >> j) & 1:
                 continue
-            if bundle:
-                gain = oracle.value(bundle | (1 << j)) - total
-                upper[j] = gain
-            else:
-                gain = upper[j]
+            gain = upper[j]
+            if gain >= w and bundle:
+                gain = upper[j] = oracle.value(bundle | (1 << j)) - total
             if gain >= w:
                 bundle |= 1 << j
                 total += gain
                 yield bundle, total
+            elif gain > top:
+                top = gain
         w *= 1.0 - epsilon
+        while w > top and w >= floor:
+            w *= 1.0 - epsilon
 
 
 def matroid_augment_steps(oracle: ValuationOracle, ground: int):

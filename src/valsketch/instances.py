@@ -172,8 +172,15 @@ def _gen_graphic_matroid(n, rng, params):
     return {"vertices": vertices, "edges": edges}
 
 
+# a generated clause costs about 270 B at n = 4 and more with its support,
+# so the cap keeps a small instance near a few MB
+MAX_XOS_CLAUSES = 10_000
+
+
 def _gen_xos_explicit(n, rng, params):
-    clauses = _int_param("xos-explicit", "clauses", params.pop("clauses", max(3, n // 2)), 1)
+    clauses = _int_param("xos-explicit", "clauses",
+                         params.pop("clauses", min(max(3, n // 2), MAX_XOS_CLAUSES)),
+                         1, MAX_XOS_CLAUSES)
     support = _int_param("xos-explicit", "support", params.pop("support", max(2, n // 2)), 1)
     uniform = params.pop("uniform", False)
     _reject_extras("xos-explicit", params)

@@ -14,7 +14,9 @@ Conventions used throughout the package:
 """
 
 import math
+import struct
 from functools import cached_property, reduce
+from itertools import compress
 from operator import getitem, or_
 
 import numpy as np
@@ -307,8 +309,12 @@ class AdditiveValuation(ValuationOracle):
 class CoverageValuation(ValuationOracle):
     """Weighted coverage: item j covers a fixed set of universe elements.
 
-    Monotone and submodular. A value reads the union of covers byte by
-    byte from a memo filled on first use. Demand falls back to exhaustive
+    Monotone and submodular. A value reads the bundle as 64-bit words. Each
+    word index keeps a small cache of the last word values asked there and
+    their unions (at most _WordUnions.BOUND entries, so memory does not grow
+    with the queries); a greedy scan asking B | j for a fixed B finds every
+    word but j's there. A miss ORs the per-byte union memos of the word's
+    nonzero bytes, filled on first use. Demand falls back to exhaustive
     enumeration, so it is only available up to 22 items.
     """
 
@@ -327,15 +333,24 @@ class CoverageValuation(ValuationOracle):
         self.element_weights = ews
         self.covers = tuple(masks)
         self._unit = all(w == 1.0 for w in ews)
+        words = (n + 63) // 64
+        self._read_words = struct.Struct(f"<{words}Q").unpack
+        self._word_bytes = 8 * words
 
     @cached_property
     def _unions(self):
         """One _CoverUnions per byte of a bundle; table i serves items 8i to 8i + 7."""
         return [_CoverUnions(self.covers[i:i + 8]) for i in range(0, self.n, 8)]
 
-    def _value(self, bundle: int) -> float:
+    @cached_property
+    def _words(self):
+        """One _WordUnions per 64-bit word of a bundle, over its bytes' tables."""
         unions = self._unions
-        union = reduce(or_, map(getitem, unions, bundle.to_bytes(len(unions), "little")), 0)
+        return [_WordUnions(unions[i:i + 8]) for i in range(0, len(unions), 8)]
+
+    def _value(self, bundle: int) -> float:
+        words = self._read_words(bundle.to_bytes(self._word_bytes, "little"))
+        union = reduce(or_, map(getitem, self._words, words), 0)
         if self._unit:
             return float(union.bit_count())
         total = 0.0
@@ -346,7 +361,9 @@ class CoverageValuation(ValuationOracle):
 
 class _CoverUnions(dict):
     """Byte value b -> the union of covers[bit] over the bits set in b. An
-    entry is made on first use, from the entry with b's lowest bit cleared."""
+    entry is made on first use: b's lowest bits are cleared until an entry
+    is found, and their covers are ORed onto it. Only the asked b is
+    stored, so the table holds no value no query asked."""
 
     __slots__ = ("covers",)
 
@@ -355,8 +372,33 @@ class _CoverUnions(dict):
         self.covers = covers
 
     def __missing__(self, b: int) -> int:
-        low = b & -b
-        union = self[b] = self[b ^ low] | self.covers[low.bit_length() - 1]
+        rest, union = b, 0
+        while rest not in self:
+            low = rest & -rest
+            union |= self.covers[low.bit_length() - 1]
+            rest ^= low
+        union = self[b] = self[rest] | union
+        return union
+
+
+class _WordUnions(dict):
+    """64-bit word value -> the union of the covers of the items set in it,
+    for the last few words asked. A miss ORs the byte tables of the word's
+    nonzero bytes; a full cache is emptied first, so it never holds more
+    than BOUND entries."""
+
+    __slots__ = ("tables",)
+    BOUND = 3
+
+    def __init__(self, tables):
+        super().__init__()
+        self.tables = tables
+
+    def __missing__(self, word: int) -> int:
+        if len(self) >= self.BOUND:
+            self.clear()
+        raw = word.to_bytes(8, "little")
+        union = self[word] = reduce(or_, map(getitem, compress(self.tables, raw), filter(None, raw)), 0)
         return union
 
 

@@ -118,6 +118,14 @@ def test_prefix_matches_peeling(mask, count):
     assert bitsets.prefix(mask, count) == _prefix_by_peeling(mask, count)
 
 
+@given(wide_masks)
+@example(0)
+@example(1 << 2047)
+def test_prefix_of_one_is_the_lowest_item(mask):
+    assert bitsets.prefix(mask, 1) == _prefix_by_peeling(mask, 1)
+    assert bitsets.chunks(mask, 1) == _chunks_by_walking(mask, 1)
+
+
 def _chunks_by_walking(mask, k):
     """Reference: walk the items in ascending order, closing a block at k."""
     out, block, count = [], 0, 0

@@ -69,6 +69,19 @@ class TestGen:
         assert code == 2 and f"error: {family} parameter {name} must be an int" in err
         assert not out.exists()
 
+    def test_huge_clause_count_is_refused_before_generating(self, capsys, tmp_path):
+        # about 270 B per generated clause: 10^8 clauses would ask for about 27 GB
+        out = tmp_path / "x.json"
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "gen", "--family", "xos-explicit", "--n", "4",
+                               "--out", str(out), "--param", "clauses=100000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and "error: xos-explicit parameter clauses must be an int in 1..10000" in err
+        assert peak < 1_000_000 and not out.exists()
+
 
 class TestPipelineChain:
     def test_gen_sketch_eval_verify(self, capsys, tmp_path):

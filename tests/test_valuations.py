@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import valsketch as vs
 from valsketch import bitsets
-from valsketch.valuations import RELATIVE_TOL, AdditiveClause, OracleView, meets
+from valsketch.valuations import RELATIVE_TOL, AdditiveClause, OracleView, _WordUnions, meets
 
 
 def test_meets_tolerance_boundary():
@@ -85,7 +85,7 @@ class TestFamilies:
         assert v._value(0b100) == 0.5
         assert v._value(0b111) == 3.5
 
-    @pytest.mark.parametrize("n", [1, 7, 8, 9, 513])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 127, 129, 513])
     @pytest.mark.parametrize("unit", [True, False], ids=["unit", "weighted"])
     def test_coverage_value_is_the_item_walk_union(self, n, unit):
         rng = random.Random(n)
@@ -95,6 +95,11 @@ class TestFamilies:
         v = vs.CoverageValuation(weights, covers)
         bundles = [0, bitsets.full_mask(n), 1 << (n - 1)]
         bundles += [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(40)]
+        # B | j for a few items j under one base B, as a greedy pass asks,
+        # then under the next base: B's words hit the word caches, j's word
+        # misses, and switching bases misses in every word that changed
+        for base in bundles[3:9] + bundles[3:5]:
+            bundles += [base | (1 << j) for j in rng.sample(range(n), min(n, 12))]
         for bundle in bundles:
             union = 0
             for j in bitsets.iter_items(bundle):
@@ -105,7 +110,27 @@ class TestFamilies:
         v = vs.CoverageValuation([1.0] * 4, [[0, 1], [1, 2], [3]] * 4)
         assert "_unions" not in vars(v)  # constructing fills no table
         assert v._value(0b1000_0000_0011) == 4.0
-        assert [dict(t) for t in v._unions] == [{0: 0, 0b11: 0b111, 0b10: 0b110}, {0: 0, 0b1000: 0b1000}]
+        # only the asked byte values are stored, not 0b10 on the way to 0b11
+        assert [dict(t) for t in v._unions] == [{0: 0, 0b11: 0b111}, {0: 0, 0b1000: 0b1000}]
+        assert v._value(0b110) == 3.0
+        assert v._value(0b111) == 4.0  # the stored 0b110 plus item 0's cover
+        assert dict(v._unions[0]) == {0: 0, 0b11: 0b111, 0b110: 0b1110, 0b111: 0b1111}
+
+    def test_coverage_word_cache_keeps_the_base_word(self):
+        v = vs.CoverageValuation([1.0] * 3, [[j % 3] for j in range(130)])
+        base = (1 << 129) | 0b101
+        v._value(base)
+        for j in range(64, 70):  # the scan changes word 1 only
+            v._value(base | (1 << j))
+        assert [dict(w) for w in (v._words[0], v._words[2])] == [{0b101: 0b101}, {0b10: 0b1}]
+        assert len(v._words[1]) <= _WordUnions.BOUND
+
+    def test_coverage_word_caches_stay_bounded_through_a_build(self):
+        pipeline = vs.get_pipeline("submodular")
+        oracle = vs.generate_instance("coverage", 512, 0, universe=1024, max_cover=6).build()
+        vs.build_sketch(oracle, pipeline.card, pipeline.xos)
+        assert len(oracle._words) == 8
+        assert all(1 <= len(w) <= _WordUnions.BOUND for w in oracle._words)
 
     def test_coverage_rejects_out_of_universe(self):
         with pytest.raises(ValueError):
