@@ -11,11 +11,10 @@ from .cardinality import (
     CardOracleSpec,
     brute_force,
     demand_price_grid,
-    greedy_classic,
     greedy_threshold,
     matroid_augment,
 )
-from .clauses import XosOracleSpec, clause_brute_uniform, clause_demand_uniform, clause_marginal
+from .clauses import XosOracleSpec, clause_demand_uniform, clause_marginal
 from .errors import CapabilityError, MalformedBundleError, ScaleError, SerializationError
 from .instances import InstanceSpec, generate_instance, load_instance, save_instance, validate_class
 from .ledger import QueryLedger
@@ -49,16 +48,6 @@ from .valuations import (
     ValuationOracle,
     XOSExplicitValuation,
 )
-from .verify import (
-    RatioReport,
-    brute_reference_table,
-    check_core_claim,
-    demand_pipeline_budgets,
-    exhaustive_ratio_report,
-    family_invariant_check,
-    max_value_bundles,
-    query_budget_check,
-    r_projection,
-)
+from .verify import RatioReport, brute_reference_table, exhaustive_ratio_report, family_invariant_check
 
 __version__ = "0.1.0"

@@ -28,10 +28,6 @@ def check_ids(ids, bound: int, what: str) -> None:
             raise MalformedBundleError(f"{what} {j!r} is outside 0..{bound - 1}")
 
 
-def items(mask: int) -> list[int]:
-    return list(iter_items(mask))
-
-
 def iter_items(mask: int):
     """Yield set bit positions in ascending order."""
     while mask:
@@ -51,10 +47,6 @@ def to_words(masks, n: int) -> np.ndarray:
     width = (n + 63) // 64
     raw = b"".join([m.to_bytes(8 * width, "little") for m in masks])
     return np.frombuffer(raw, dtype="<u8").reshape(-1, width)
-
-
-def size(mask: int) -> int:
-    return mask.bit_count()
 
 
 def full_mask(n: int) -> int:

@@ -3,17 +3,17 @@ return a bundle T, |T| <= k, whose value is within a known factor alpha
 of the best size-k bundle.
 
 Every routine returns (bundle, value) with the value in the oracle's own
-scale and never exceeds the size budget. brute_opt_k is the uncounted
-reference.
+scale and never exceeds the size budget. brute_opt_k, the maximizer of
+the `brute` pipeline, enumerates and its queries are not counted.
 
 A CardOracleSpec holds the maximizer itself, called as
 maximize(oracle, ground, k, max_singleton=M), and its certified alpha. M
 is the best singleton value in the pool, a hint the maximizer may
 ignore; the factories below bind everything else.
 
-Lazy greedy, threshold greedy and matroid augmenting add one item at a
-time, and with budget k they stop after the first k steps of their run
-with a larger budget. Each is written once, as a step generator
+Threshold greedy and matroid augmenting add one item at a time, and
+with budget k they stop after the first k steps of their run with a
+larger budget. Each is written once, as a step generator
 steps(oracle, ground) that yields (bundle, value) after every item it
 adds; its spec's maximize takes step k, or the last step if the run
 ends sooner. Handed a step table, the spec's run keeps one trajectory
@@ -24,7 +24,6 @@ not for the size of the pool. Threshold greedy steps over the levels no
 item can clear without scanning them.
 """
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -34,8 +33,6 @@ from typing import Callable
 from . import bitsets
 from .errors import ScaleError
 from .valuations import UniformPrices, ValuationOracle
-
-ALPHA_GREEDY = math.e / (math.e - 1.0)
 
 
 @dataclass(frozen=True)
@@ -78,11 +75,6 @@ def take_step(trajectory, k: int, taken: list | None = None):
     return taken[min(k, len(taken)) - 1]
 
 
-def greedy_classic() -> CardOracleSpec:
-    """Lazy greedy; e/(e-1)-approximate on monotone submodular inputs."""
-    return CardOracleSpec.stepwise(greedy_classic_steps, ALPHA_GREEDY)
-
-
 def greedy_threshold(epsilon: float = 0.1) -> CardOracleSpec:
     """Descending-threshold greedy, 1/(1 - 1/e - eps) approximate on
     monotone submodular inputs with O((n/eps) log(n/eps)) value queries."""
@@ -108,33 +100,6 @@ def brute_force() -> CardOracleSpec:
     return CardOracleSpec(
         lambda oracle, ground, k, max_singleton=None: brute_opt_k(oracle, ground, k), 1.0
     )
-
-
-def greedy_classic_steps(oracle: ValuationOracle, ground: int):
-    """Greedy with lazy marginal re-evaluation.
-
-    Entries carry the round their gain was computed at; a popped entry is
-    accepted only when fresh, which is valid whenever marginals shrink as
-    the solution grows. The first k steps take at most n*k value
-    queries. The running value is accumulated from accepted marginals, so
-    it is exact on integer-valued inputs and tight to float rounding
-    otherwise.
-    """
-    heap = [(-oracle.value(1 << j), j, 0) for j in bitsets.iter_items(ground)]
-    heapq.heapify(heap)
-    bundle, total, rounds = 0, 0.0, 0
-    while heap:
-        neg_gain, j, at = heapq.heappop(heap)
-        if at == rounds:
-            if -neg_gain <= 0:
-                return
-            bundle |= 1 << j
-            total += -neg_gain
-            rounds += 1
-            yield bundle, total
-        else:
-            gain = oracle.value(bundle | (1 << j)) - total
-            heapq.heappush(heap, (-gain, j, rounds))
 
 
 def greedy_threshold_steps(oracle: ValuationOracle, ground: int, epsilon: float):

@@ -8,9 +8,10 @@ Given a bundle S, produce an additive clause a with
 together with the certified beta for this call. Clause weights double as
 per-item value shares, which is what the sketch stores.
 
-An XosOracleSpec holds the extraction routine itself, called as
-extract(oracle, S, v_S) with v_S the value of S in the oracle's scale
-when the caller already knows it, else None.
+An XosOracleSpec holds the extraction routine itself as its clause
+field, called as clause(oracle, S, v_S) with v_S the value of S in the
+oracle's scale when the caller already knows it, else None; a routine
+that has no use for v_S ignores it.
 """
 
 import math
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import bitsets
-from .errors import ScaleError
 from .valuations import AdditiveClause, UniformPrices, ValuationOracle
 
 
@@ -26,16 +26,13 @@ from .valuations import AdditiveClause, UniformPrices, ValuationOracle
 class XosOracleSpec:
     """A clause oracle returning (clause, certified beta)."""
 
-    extract: Callable
+    clause: Callable
     needs_demand: bool = False
-
-    def clause(self, oracle: ValuationOracle, bundle: int, value_of_bundle=None):
-        return self.extract(oracle, bundle, value_of_bundle)
 
 
 def clause_marginal() -> XosOracleSpec:
     """Prefix marginals; a valid clause with beta = 1 on submodular inputs."""
-    return XosOracleSpec(lambda oracle, bundle, _: xos_clause_marginal(oracle, bundle))
+    return XosOracleSpec(xos_clause_marginal)
 
 
 def clause_demand_uniform() -> XosOracleSpec:
@@ -43,17 +40,13 @@ def clause_demand_uniform() -> XosOracleSpec:
     return XosOracleSpec(xos_clause_demand_uniform, needs_demand=True)
 
 
-def clause_brute_uniform() -> XosOracleSpec:
-    """Best possible uniform-weight clause, by enumeration (reference)."""
-    return XosOracleSpec(brute_best_uniform_clause)
-
-
-def xos_clause_marginal(oracle: ValuationOracle, bundle: int):
+def xos_clause_marginal(oracle: ValuationOracle, bundle: int, value_of_bundle=None):
     """Weights are marginals along the ascending-id order.
 
     The weights telescope to v(S) exactly, and on submodular inputs every
     sub-bundle's weight sum is dominated by its value, so beta = 1.
-    Costs |S| value queries. Negative float dust is clamped to zero.
+    Costs |S| value queries, v(S) among them, so value_of_bundle is
+    ignored. Negative float dust is clamped to zero.
     """
     weights = {}
     prefix, prev = 0, 0.0
@@ -112,38 +105,3 @@ def _best_uniform_response(oracle: ValuationOracle, bundle: int, basis: float):
             # smaller, so it is the whole bundle again and scores less
             break
     return best_q, best_resp, best_score, levels, resp
-
-
-def brute_best_uniform_clause(oracle: ValuationOracle, bundle: int, value_of_bundle=None):
-    """The optimal uniform clause, found by exhausting all supports.
-
-    The stiffest admissible price on support R is the minimum density
-    min over nonempty T inside R of v(T)/|T|; a subset-DP computes it for
-    every R at once. Maximizes price * |R|, ties to the numerically
-    smallest support. Reference oracle: queries are not counted.
-    """
-    items = list(bitsets.iter_items(bundle))
-    s = len(items)
-    if s > 16:
-        raise ScaleError("exhaustive clause search is limited to 16 items")
-    v_s = oracle._value(bundle) if value_of_bundle is None else value_of_bundle
-    if s == 0 or v_s <= 0:
-        return AdditiveClause.uniform(0.0, bundle), 1.0
-    expand = [0] * (1 << s)
-    for p in range(1, 1 << s):
-        low = p & -p
-        expand[p] = expand[p ^ low] | (1 << items[low.bit_length() - 1])
-    mindens = [math.inf] * (1 << s)
-    best_total, best_dense = 0.0, 0
-    for p in range(1, 1 << s):
-        c = p.bit_count()
-        dens = oracle._value(expand[p]) / c
-        for j in range(s):
-            if (p >> j) & 1 and mindens[p ^ (1 << j)] < dens:
-                dens = mindens[p ^ (1 << j)]
-        mindens[p] = dens
-        if dens * c > best_total:
-            best_total, best_dense = dens * c, p
-    support = expand[best_dense]
-    price = mindens[best_dense]
-    return AdditiveClause.uniform(price, support), max(1.0, v_s / best_total)

@@ -28,9 +28,15 @@ from .valuations import (
     ValuationOracle,
     XOSExplicitValuation,
     RELATIVE_TOL,
+    subadditive_witness,
 )
 
 SCHEMA_VERSION = 1
+
+# the largest n an instance may have: a coverage oracle costs about 208 B per
+# item, so an n read from the command line or a file is bounded before
+# anything is drawn or built
+MAX_ITEMS = 65_536
 
 
 @dataclass(frozen=True)
@@ -79,9 +85,11 @@ class InstanceSpec:
         if family not in FAMILIES:
             raise SerializationError(f"unknown family {family!r}")
         # a bool is not an int here
-        if type(n) is not int or n < 1 or type(seed) is not int or type(params) is not dict:
-            raise SerializationError("instance needs int n >= 1, int seed, object params; got "
-                                     f"n={n!r}, seed={seed!r}, params {type(params).__name__}")
+        if (type(n) is not int or not 1 <= n <= MAX_ITEMS or type(seed) is not int
+                or type(params) is not dict):
+            raise SerializationError(f"instance needs int n in 1..{MAX_ITEMS}, int seed, object "
+                                     f"params; got n={n!r}, seed={seed!r}, "
+                                     f"params {type(params).__name__}")
         return cls(family, n, params, seed)
 
 
@@ -99,8 +107,8 @@ def load_instance(path: str) -> InstanceSpec:
 def generate_instance(family: str, n: int, seed: int = 0, **params) -> InstanceSpec:
     """Fill in family-specific parameters deterministically from the seed."""
     make, _ = _family(family)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= MAX_ITEMS:
+        raise ValueError(f"n must lie in 1..{MAX_ITEMS}, got {n}")
     rng = random.Random((seed, family, n).__repr__())
     filled = make(n, rng, dict(params))
     return InstanceSpec(family, n, filled, seed)
@@ -337,13 +345,8 @@ def validate_class(oracle: ValuationOracle, prop: str):
         return True, None
 
     if prop == "subadditive":
-        for s in range(1, full + 1):
-            a = (s - 1) & s
-            while a:
-                if a < (s ^ a) and tab[a] + tab[s ^ a] < tab[s] * tol:
-                    return False, (a, s ^ a, s)
-                a = (a - 1) & s
-        return True, None
+        witness = subadditive_witness(tab, n)
+        return witness is None, witness
 
     if prop == "submodular":
         # local characterization: marginals of j shrink as the base grows

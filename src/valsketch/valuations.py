@@ -565,7 +565,7 @@ class SubadditiveTableValuation(ValuationOracle):
     """Explicit 2^n table indexed by bundle mask. Limited to n <= 22.
 
     The constructor always checks normalization and monotonicity. The
-    subadditive inequality over all disjoint splits costs 3^n table reads,
+    subadditive inequality over all disjoint splits costs 3^n / 2 table reads,
     so it is verified here only up to n = 12; larger tables are expected to
     come from the repairing generator and can be re-checked explicitly via
     validate_class.
@@ -590,8 +590,10 @@ class SubadditiveTableValuation(ValuationOracle):
             without = np.flatnonzero((masks >> j) & 1 == 0)
             if np.any(arr[without | (1 << j)] < arr[without]):
                 raise ValueError("table is not monotone")
-        if n <= self.FULL_CHECK_LIMIT:
-            _check_table_subadditive(arr, n)
+        witness = subadditive_witness(arr.tolist(), n) if n <= self.FULL_CHECK_LIMIT else None
+        if witness is not None:
+            a, b, s = witness
+            raise ValueError(f"table is not subadditive: v({a:#x}) + v({b:#x}) < v({s:#x})")
         super().__init__(n, ledger, has_demand=True)
         self.table = arr
         self._masks = masks
@@ -627,16 +629,20 @@ class SubadditiveTableValuation(ValuationOracle):
         return self._pick_best(profit)
 
 
-def _check_table_subadditive(arr: np.ndarray, n: int) -> None:
+def subadditive_witness(table, n: int):
+    """The first split (a, s ^ a, s) with v(a) + v(s ^ a) < v(s) beyond
+    RELATIVE_TOL, bundles s ascending and each s's submasks a descending;
+    None if the table is subadditive. Only a < s ^ a is read, since the
+    inequality is symmetric in the two halves."""
+    tol = 1.0 - RELATIVE_TOL
     for s in range(1, 1 << n):
-        v = arr[s]
+        floor = table[s] * tol
         a = (s - 1) & s
         while a:
-            if arr[a] + arr[s ^ a] < v * (1.0 - RELATIVE_TOL):
-                raise ValueError(
-                    f"table is not subadditive: v({a:#x}) + v({s ^ a:#x}) < v({s:#x})"
-                )
+            if a < (s ^ a) and table[a] + table[s ^ a] < floor:
+                return a, s ^ a, s
             a = (a - 1) & s
+    return None
 
 
 def popcount_table(n: int) -> np.ndarray:

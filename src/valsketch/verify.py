@@ -1,5 +1,5 @@
-"""Desk-scale verification: exhaustive ratio reports, structural
-invariants, clause core checks, and query budget checks.
+"""Desk-scale verification, as `valsketch verify` runs it: the true
+value table, exhaustive ratio reports and structural invariants.
 
 Everything here may read valuations through the uncounted _value hook;
 verification cost is deliberately kept out of the query ledger.
@@ -12,77 +12,11 @@ import numpy as np
 
 from . import bitsets
 from .errors import ScaleError
-from .ledger import QueryLedger
 from .sketch import Sketch, certified_bound, evaluate_all, sketch_errors
-from .valuations import RELATIVE_TOL, AdditiveClause, ValuationOracle, popcount_table
+from .valuations import RELATIVE_TOL, ValuationOracle
 
 #: slack allowed on "never overestimates": one filter tolerance of dust
 SOUND_TOL = 4.0 * RELATIVE_TOL
-
-
-@dataclass
-class ProjectionDecomposition:
-    """Clause items bucketed by the power-of-two floor of their weight.
-
-    Bucket t holds items with weight in [2^t, 2^(t+1)); weights below 1
-    land in the underflow bucket (key None) and never form a core.
-    Masses are sums of the weights as given, not of the bucket floors.
-    """
-
-    buckets: dict
-    mass: dict
-
-    def core(self):
-        """(level, item mask) of the heaviest real bucket, ties to lower level."""
-        best = None
-        for t, m in self.mass.items():
-            if t is None:
-                continue
-            if best is None or m > self.mass[best] or (m == self.mass[best] and t < best):
-                best = t
-        if best is None:
-            return None, 0
-        return best, self.buckets[best]
-
-
-def r_projection(clause: AdditiveClause) -> ProjectionDecomposition:
-    buckets, mass = {}, {}
-    for j, w in clause.weights.items():
-        if w <= 0:
-            continue
-        t = math.frexp(w)[1] - 1
-        key = t if t >= 0 else None
-        buckets[key] = buckets.get(key, 0) | (1 << j)
-        mass[key] = mass.get(key, 0.0) + w
-    return ProjectionDecomposition(buckets, mass)
-
-
-def check_core_claim(oracle: ValuationOracle, clause: AdditiveClause, beta_call: float):
-    """The heaviest weight bucket alone must carry its share of v(support).
-
-    Weights are first rescaled so the smallest positive one equals 1,
-    which pins every item into a real bucket; the levels then mirror the
-    value levels r of the construction. The chain checked is
-
-        v(core) >= a(core) >= v(support) / (max(beta, 1) * 2 log2(2n))
-
-    with a(core) the core's weight mass as given. Returns (ok, info).
-    """
-    positive = [w for w in clause.weights.values() if w > 0]
-    info = {"support": clause.support, "core": 0, "level": None}
-    if not positive:
-        return True, info
-    unit = min(positive)
-    scaled = AdditiveClause({j: w / unit for j, w in clause.weights.items() if w > 0})
-    level, core = r_projection(scaled).core()
-    mass = clause.value(core)
-    v_support = oracle._value(clause.support)
-    v_core = oracle._value(core)
-    need = v_support / (max(beta_call, 1.0) * 2.0 * math.log2(2 * oracle.n))
-    slack = 1.0 - RELATIVE_TOL
-    ok = v_core >= mass * slack and mass >= need * slack
-    info.update(core=core, level=level, value=v_core, mass=mass, required=need)
-    return ok, info
 
 
 @dataclass
@@ -187,36 +121,8 @@ def family_invariant_check(sketch: Sketch) -> list:
     return bad
 
 
-def demand_pipeline_budgets(n: int, c: int = 64):
-    """(value, demand) query ceilings for the demand-query pipeline."""
-    log_term = math.log2(2 * n)
-    return c * n * log_term, c * math.sqrt(n) * log_term ** 3
-
-
-def query_budget_check(ledger_or_snapshot, value_budget: float, demand_budget: float):
-    """Compare realized query totals against ceilings; (ok, info)."""
-    snap = ledger_or_snapshot
-    if isinstance(snap, QueryLedger):
-        snap = snap.snapshot()
-    value_q, demand_q = snap["value_queries"], snap["demand_queries"]
-    ok = value_q <= value_budget and demand_q <= demand_budget
-    return ok, {
-        "value_queries": value_q,
-        "value_budget": value_budget,
-        "demand_queries": demand_q,
-        "demand_budget": demand_budget,
-    }
-
-
 def brute_reference_table(oracle: ValuationOracle) -> np.ndarray:
     """All 2^n true values via the uncounted hook (n <= 20)."""
     if oracle.n > 20:
         raise ScaleError("reference tables need n <= 20")
     return np.array([oracle._value(s) for s in range(1 << oracle.n)])
-
-
-def max_value_bundles(oracle: ValuationOracle, k: int) -> float:
-    """True optimum over bundles of at most k items, by enumeration."""
-    table = brute_reference_table(oracle)
-    pc = popcount_table(oracle.n)
-    return float(table[pc <= k].max())

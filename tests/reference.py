@@ -1,0 +1,121 @@
+"""Reference routines the tests check the system against.
+
+None of these runs in a pipeline, the CLI or the benchmark: the optimal
+uniform clause by enumeration (criterion 05), the weight-bucket core
+check (criterion 06) and the demand pipeline's query ceilings
+(criterion 08). Valuations are read through the uncounted _value hook,
+so checking costs no counted queries.
+"""
+
+import math
+from dataclasses import dataclass
+
+from valsketch import bitsets
+from valsketch.errors import ScaleError
+from valsketch.valuations import RELATIVE_TOL, AdditiveClause, ValuationOracle
+
+
+def brute_best_uniform_clause(oracle: ValuationOracle, bundle: int, value_of_bundle=None):
+    """The optimal uniform clause, found by exhausting all supports.
+
+    The stiffest admissible price on support R is the minimum density
+    min over nonempty T inside R of v(T)/|T|; a subset-DP computes it for
+    every R at once. Maximizes price * |R|, ties to the numerically
+    smallest support. Reference oracle: queries are not counted.
+    """
+    items = list(bitsets.iter_items(bundle))
+    s = len(items)
+    if s > 16:
+        raise ScaleError("exhaustive clause search is limited to 16 items")
+    v_s = oracle._value(bundle) if value_of_bundle is None else value_of_bundle
+    if s == 0 or v_s <= 0:
+        return AdditiveClause.uniform(0.0, bundle), 1.0
+    expand = [0] * (1 << s)
+    for p in range(1, 1 << s):
+        low = p & -p
+        expand[p] = expand[p ^ low] | (1 << items[low.bit_length() - 1])
+    mindens = [math.inf] * (1 << s)
+    best_total, best_dense = 0.0, 0
+    for p in range(1, 1 << s):
+        c = p.bit_count()
+        dens = oracle._value(expand[p]) / c
+        for j in range(s):
+            if (p >> j) & 1 and mindens[p ^ (1 << j)] < dens:
+                dens = mindens[p ^ (1 << j)]
+        mindens[p] = dens
+        if dens * c > best_total:
+            best_total, best_dense = dens * c, p
+    support = expand[best_dense]
+    price = mindens[best_dense]
+    return AdditiveClause.uniform(price, support), max(1.0, v_s / best_total)
+
+
+@dataclass
+class ProjectionDecomposition:
+    """Clause items bucketed by the power-of-two floor of their weight.
+
+    Bucket t holds items with weight in [2^t, 2^(t+1)); weights below 1
+    land in the underflow bucket (key None) and never form a core.
+    Masses are sums of the weights as given, not of the bucket floors.
+    """
+
+    buckets: dict
+    mass: dict
+
+    def core(self):
+        """(level, item mask) of the heaviest real bucket, ties to lower level."""
+        best = None
+        for t, m in self.mass.items():
+            if t is None:
+                continue
+            if best is None or m > self.mass[best] or (m == self.mass[best] and t < best):
+                best = t
+        if best is None:
+            return None, 0
+        return best, self.buckets[best]
+
+
+def r_projection(clause: AdditiveClause) -> ProjectionDecomposition:
+    buckets, mass = {}, {}
+    for j, w in clause.weights.items():
+        if w <= 0:
+            continue
+        t = math.frexp(w)[1] - 1
+        key = t if t >= 0 else None
+        buckets[key] = buckets.get(key, 0) | (1 << j)
+        mass[key] = mass.get(key, 0.0) + w
+    return ProjectionDecomposition(buckets, mass)
+
+
+def check_core_claim(oracle: ValuationOracle, clause: AdditiveClause, beta_call: float):
+    """The heaviest weight bucket alone must carry its share of v(support).
+
+    Weights are first rescaled so the smallest positive one equals 1,
+    which pins every item into a real bucket; the levels then mirror the
+    value levels r of the construction. The chain checked is
+
+        v(core) >= a(core) >= v(support) / (max(beta, 1) * 2 log2(2n))
+
+    with a(core) the core's weight mass as given. Returns (ok, info).
+    """
+    positive = [w for w in clause.weights.values() if w > 0]
+    info = {"support": clause.support, "core": 0, "level": None}
+    if not positive:
+        return True, info
+    unit = min(positive)
+    scaled = AdditiveClause({j: w / unit for j, w in clause.weights.items() if w > 0})
+    level, core = r_projection(scaled).core()
+    mass = clause.value(core)
+    v_support = oracle._value(clause.support)
+    v_core = oracle._value(core)
+    need = v_support / (max(beta_call, 1.0) * 2.0 * math.log2(2 * oracle.n))
+    slack = 1.0 - RELATIVE_TOL
+    ok = v_core >= mass * slack and mass >= need * slack
+    info.update(core=core, level=level, value=v_core, mass=mass, required=need)
+    return ok, info
+
+
+def demand_pipeline_budgets(n: int, c: int = 64):
+    """(value, demand) query ceilings for the demand-query pipeline."""
+    log_term = math.log2(2 * n)
+    return c * n * log_term, c * math.sqrt(n) * log_term ** 3

@@ -12,10 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import valsketch as vs
 from valsketch import bitsets
-from valsketch.cardinality import ALPHA_GREEDY, brute_opt_k, card_demand_price_grid
+from valsketch.cardinality import brute_opt_k, card_demand_price_grid
 
 # the step maximizers with budget k, each from a fresh trajectory
-card_greedy_classic = vs.greedy_classic().maximize
 card_matroid_augment = vs.matroid_augment().maximize
 
 
@@ -34,17 +33,6 @@ ks = st.integers(min_value=1, max_value=5)
 def opt_k(oracle, ground, k):
     _, best = brute_opt_k(oracle, ground, k)
     return best
-
-
-@settings(max_examples=60, deadline=None)
-@given(family=st.sampled_from(SUBMODULAR), seed=seeds, k=ks)
-def test_greedy_classic_ratio(family, seed, k):
-    oracle = vs.generate_instance(family, 8, seed).build()
-    ground = bitsets.full_mask(8)
-    bundle, value = card_greedy_classic(oracle, ground, k)
-    assert bundle.bit_count() <= k
-    assert value == oracle._value(bundle)
-    assert value >= (1 - 1 / math.e) * opt_k(oracle, ground, k) * (1 - 1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -86,26 +74,10 @@ def test_demand_grid_ratio(family, seed, k):
 @given(seed=seeds, k=ks, pool=st.integers(min_value=1, max_value=255))
 def test_maximizers_respect_the_pool(seed, k, pool):
     oracle = vs.generate_instance("coverage", 8, seed).build()
-    for runner in (card_greedy_classic, card_greedy_threshold, card_matroid_augment):
+    for runner in (card_greedy_threshold, card_matroid_augment):
         args = (oracle, pool, k, 0.2) if runner is card_greedy_threshold else (oracle, pool, k)
         bundle, _ = runner(*args)
         assert bundle & ~pool == 0
-
-
-def test_greedy_classic_on_additive_takes_top_items():
-    oracle = vs.AdditiveValuation([5, 1, 9, 7, 3])
-    bundle, value = card_greedy_classic(oracle, 0b11111, 3)
-    assert bundle == 0b01101  # items 2, 3, 0
-    assert value == 21.0
-
-
-def test_greedy_classic_query_budget():
-    led = vs.QueryLedger()
-    oracle = vs.generate_instance("coverage", 12, 5).build(led)
-    for k in (1, 3, 6, 12):
-        before = led.value_queries
-        card_greedy_classic(oracle, bitsets.full_mask(12), k)
-        assert led.value_queries - before <= 12 * k
 
 
 def test_greedy_threshold_query_budget():
@@ -219,7 +191,6 @@ def test_brute_is_uncounted():
 
 
 def test_spec_factories_expose_alphas():
-    assert vs.greedy_classic().alpha == ALPHA_GREEDY
     assert vs.matroid_augment().alpha == 1.0
     assert vs.demand_price_grid().alpha == 8.0
     assert vs.brute_force().alpha == 1.0
@@ -231,14 +202,13 @@ def test_spec_factories_expose_alphas():
 
 def test_empty_pool_and_zero_values():
     oracle = vs.AdditiveValuation([0.0, 0.0, 0.0])
-    for spec in (vs.greedy_classic(), vs.greedy_threshold(0.1), vs.matroid_augment(),
-                 vs.demand_price_grid(), vs.brute_force()):
+    for spec in (vs.greedy_threshold(0.1), vs.matroid_augment(), vs.demand_price_grid(),
+                 vs.brute_force()):
         assert spec.run(oracle, 0, 3) == (0, 0.0)
         assert spec.run(oracle, 0b111, 2) == (0, 0.0)
 
 
 STEP_SPECS = {
-    "greedy-classic": vs.greedy_classic,
     "greedy-threshold": lambda: vs.greedy_threshold(0.1),
     "matroid-augment": vs.matroid_augment,
 }

@@ -13,11 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 import valsketch as vs
 from valsketch import bitsets
-from valsketch.clauses import (
-    brute_best_uniform_clause,
-    xos_clause_demand_uniform,
-    xos_clause_marginal,
-)
+from valsketch.clauses import xos_clause_demand_uniform, xos_clause_marginal
+
+from reference import brute_best_uniform_clause
 
 seeds = st.integers(min_value=0, max_value=2_000)
 bundles8 = st.integers(min_value=1, max_value=255)
@@ -52,6 +50,20 @@ def test_marginal_clause_query_count():
     bundle = 0b10110101
     xos_clause_marginal(oracle, bundle)
     assert led.value_queries == bundle.bit_count()
+
+
+def test_marginal_clause_ignores_given_value():
+    """The spec's clause field is the routine; a passed v(S) changes nothing."""
+    assert vs.clause_marginal().clause is xos_clause_marginal
+    bundle = 0b10110101
+    runs = []
+    for given in (None, 123.0):
+        led = vs.QueryLedger()
+        oracle = vs.generate_instance("coverage", 8, 3).build(led)
+        clause, beta = vs.clause_marginal().clause(oracle, bundle, given)
+        runs.append((clause.weights, beta, led.value_queries))
+    assert runs[0] == runs[1]
+    assert runs[0][2] == bundle.bit_count()
 
 
 def test_marginal_clause_frozen():
@@ -106,7 +118,7 @@ def test_demand_uniform_zero_bundle_value():
 
 def reference_best_uniform(oracle, bundle):
     """Independent optimum: try every support through itertools."""
-    items = bitsets.items(bundle)
+    items = list(bitsets.iter_items(bundle))
     best = 0.0
     for size in range(1, len(items) + 1):
         for combo in itertools.combinations(items, size):

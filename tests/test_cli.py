@@ -1,6 +1,7 @@
 """End-to-end command line coverage: gen, sketch, eval, verify, bench."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -80,6 +81,19 @@ class TestGen:
         finally:
             tracemalloc.stop()
         assert code == 2 and "error: xos-explicit parameter clauses must be an int in 1..10000" in err
+        assert peak < 1_000_000 and not out.exists()
+
+    def test_huge_n_is_refused_before_generating(self, capsys, tmp_path):
+        # about 208 B per coverage item: n = 10^8 would ask for about 20 GB
+        out = tmp_path / "x.json"
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "gen", "--family", "coverage", "--n", "100000000",
+                               "--out", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and "error: n must lie in 1..65536, got 100000000" in err
         assert peak < 1_000_000 and not out.exists()
 
 
@@ -172,6 +186,8 @@ class TestPipelineChain:
              "params": {"weights": [1]}},
             {"schema_version": 1, "family": "additive", "n": 0, "seed": 0,
              "params": {"weights": []}},
+            {"schema_version": 1, "family": "uniform-matroid", "n": 65_537, "seed": 0,
+             "params": {"cap": 1}},  # a few bytes that would build over 65,537 items
             {"schema_version": 1, "family": "additive", "n": 2, "seed": 1.5,
              "params": {"weights": [1, 2]}},
             {"schema_version": 1, "family": "additive", "n": 2, "seed": False,
@@ -193,7 +209,7 @@ class TestPipelineChain:
              "params": {"universe": 2, "covers": [[0], [1], [True]]}},
         ],
         ids=["no-params", "cap-str", "params-list", "clause-list", "top-level-int",
-             "n-differs", "n-float", "n-str", "n-bool", "n-zero", "seed-float",
+             "n-differs", "n-float", "n-str", "n-bool", "n-zero", "n-past-max", "seed-float",
              "seed-bool", "no-seed", "schema-99", "schema-bool", "no-schema",
              "cover-negative", "block-negative", "clause-key-negative", "cover-bool"],
     )
@@ -340,10 +356,12 @@ class TestBench:
 
 
 def test_module_entry_point(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     out = tmp_path / "inst.json"
     proc = subprocess.run(
         [sys.executable, "-m", "valsketch", "gen", "--family", "additive",
          "--n", "4", "--out", str(out)],
-        capture_output=True, text=True,
+        env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0 and out.exists()

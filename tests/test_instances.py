@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import valsketch as vs
 from valsketch.errors import SerializationError
-from valsketch.instances import _repair_table
+from valsketch.instances import MAX_ITEMS, _repair_table
 
 
 def test_generation_is_deterministic():
@@ -37,6 +37,19 @@ def test_instance_json_rejects_garbage():
     with pytest.raises(SerializationError):
         vs.InstanceSpec.from_json(
             json.dumps({"schema_version": 1, "family": "nope", "n": 3, "seed": 0}))
+
+
+def test_n_is_bounded_from_both_sides():
+    def record(n):
+        return json.dumps({"schema_version": 1, "family": "uniform-matroid", "n": n,
+                           "seed": 0, "params": {"cap": 1}})
+
+    assert vs.InstanceSpec.from_json(record(MAX_ITEMS)).n == MAX_ITEMS == 65_536
+    for n in (0, MAX_ITEMS + 1):
+        with pytest.raises(SerializationError, match=f"n={n}"):
+            vs.InstanceSpec.from_json(record(n))
+        with pytest.raises(ValueError, match=f"n must lie in 1..{MAX_ITEMS}, got {n}"):
+            vs.generate_instance("uniform-matroid", n)
 
 
 def test_unknown_family_and_params_rejected():

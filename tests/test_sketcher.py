@@ -73,7 +73,7 @@ def _sampled_bundles(sketch, count, rng):
         else:
             bundle = rng.choice(members)
             if i % 3 == 2:
-                items = bitsets.items(bundle)
+                items = list(bitsets.iter_items(bundle))
                 bundle = bitsets.from_items(items[:rng.randint(1, len(items))])
         out.append(bundle)
     return out + [0, bitsets.full_mask(n)]
@@ -268,7 +268,8 @@ class TestEvaluate:
 
     def test_table_is_built_on_first_evaluate_not_on_load(self):
         oracle = vs.generate_instance("coverage", 8, 2).build(vs.QueryLedger())
-        text = vs.serialize(vs.build_sketch(oracle, vs.greedy_classic(), vs.clause_marginal()))
+        pipeline = vs.get_pipeline("submodular")
+        text = vs.serialize(vs.build_sketch(oracle, pipeline.card, pipeline.xos))
         sketch = vs.deserialize(text)
         assert "_table" not in vars(sketch)
         vs.evaluate(sketch, 0x3)
@@ -281,7 +282,8 @@ class TestEvaluate:
     def test_evaluation_needs_no_queries(self):
         led = vs.QueryLedger()
         oracle = vs.generate_instance("coverage", 8, 2).build(led)
-        sketch = vs.build_sketch(oracle, vs.greedy_classic(), vs.clause_marginal())
+        pipeline = vs.get_pipeline("submodular")
+        sketch = vs.build_sketch(oracle, pipeline.card, pipeline.xos)
         before = led.totals()
         for mask in (0x1, 0x3F, 0xFF):
             vs.evaluate(sketch, mask)
@@ -322,7 +324,8 @@ class TestSerialization:
         """A file need not be canonical to load: an indented copy with
         uppercase hex loads, and serialize writes it back canonically."""
         oracle = vs.generate_instance("coverage", 8, 3).build(vs.QueryLedger())
-        text = vs.serialize(vs.build_sketch(oracle, vs.greedy_classic(), vs.clause_marginal()))
+        pipeline = vs.get_pipeline("submodular")
+        text = vs.serialize(vs.build_sketch(oracle, pipeline.card, pipeline.xos))
         payload = json.loads(text)
         for g in payload["groups"]:
             g["items"] = g["items"].upper()
@@ -558,9 +561,9 @@ class TestBuildContract:
         if card.steps is not None:
             card = counting(card, "steps")
         oracle = vs.bench_instance(name, 64).build(vs.QueryLedger())
-        vs.build_sketch(oracle, CountingCard(card), counting(pipeline.xos, "extract"))
+        vs.build_sketch(oracle, CountingCard(card), counting(pipeline.xos, "clause"))
         keys = [(field, id(view), *args) for field, view, *args in calls]
-        expected = {"run", "extract"} | ({"steps"} if name != "subadditive" else set())
+        expected = {"run", "clause"} | ({"steps"} if name != "subadditive" else set())
         assert {key[0] for key in keys} == expected
         assert len(set(keys)) == len(keys)
 

@@ -1,12 +1,23 @@
+import itertools
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import valsketch as vs
 from valsketch import bitsets
-from valsketch.valuations import RELATIVE_TOL, AdditiveClause, OracleView, _WordUnions, meets
+from valsketch.instances import _repair_table
+from valsketch.valuations import (
+    RELATIVE_TOL,
+    AdditiveClause,
+    OracleView,
+    _WordUnions,
+    meets,
+    subadditive_witness,
+)
 
 
 def test_meets_tolerance_boundary():
@@ -346,3 +357,57 @@ def test_generated_tables_are_subadditive(n, seed):
     for prop in ("monotone", "subadditive"):
         ok, witness = vs.validate_class(oracle, prop)
         assert ok, (prop, witness)
+
+
+class _RawTable(vs.ValuationOracle):
+    """Any table as an oracle, subadditive or not."""
+
+    def __init__(self, table, n):
+        super().__init__(n)
+        self.table = table
+
+    def _value(self, bundle):
+        return self.table[bundle]
+
+
+def _failing_splits(table, n):
+    """Every (a, b, a | b) with 0 < a < b disjoint and v(a) + v(b) below
+    v(a | b) beyond RELATIVE_TOL, from all pairs of nonempty bundles."""
+    tol = 1.0 - RELATIVE_TOL
+    return [(a, b, a | b) for a, b in itertools.combinations(range(1, 1 << n), 2)
+            if not a & b and table[a] + table[b] < table[a | b] * tol]
+
+
+def _monotone_closure(table, n):
+    out = list(table)
+    for s in range(1, 1 << n):
+        out[s] = max([out[s]] + [out[s ^ (1 << j)] for j in range(n) if (s >> j) & 1])
+    return out
+
+
+def test_subadditive_witness_is_the_first_failing_split():
+    """The witness is the failing split of the smallest bundle s, and of
+    its halves the one with the largest a; None when no split fails.
+    validate_class and the table constructor report that same split."""
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = 1 + seed % 6
+        raw = [0.0] + [float(rng.randint(1, 12)) for _ in range((1 << n) - 1)]
+        repaired = [float(x) for x in _repair_table(np.asarray(raw), n)]
+        bumped = list(repaired)
+        bumped[rng.randrange(1, 1 << n)] += rng.randint(1, 12)
+        for table in (raw, repaired, bumped, _monotone_closure(raw, n)):
+            bad = _failing_splits(table, n)
+            witness = subadditive_witness(table, n)
+            assert witness == (min(bad, key=lambda w: (w[2], -w[0])) if bad else None)
+            assert vs.validate_class(_RawTable(table, n), "subadditive") == (not bad, witness)
+        assert subadditive_witness(repaired, n) is None
+        closure = _monotone_closure(raw, n)
+        witness = subadditive_witness(closure, n)
+        if witness is None:
+            vs.SubadditiveTableValuation(closure)
+        else:
+            a, b, s = witness
+            message = f"not subadditive: v({a:#x}) + v({b:#x}) < v({s:#x})"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                vs.SubadditiveTableValuation(closure)

@@ -1,4 +1,4 @@
-"""Verification helpers: projections, core claim, ratio reports, invariants."""
+"""Verification: the reference projections and core claim, ratio reports, invariants."""
 
 import dataclasses
 import math
@@ -12,14 +12,9 @@ import pytest
 import valsketch as vs
 from valsketch import bitsets
 from valsketch.sketch import Sketch, SketchFamily, SketchGroup
-from valsketch.verify import (
-    check_core_claim,
-    demand_pipeline_budgets,
-    family_invariant_check,
-    max_value_bundles,
-    query_budget_check,
-    r_projection,
-)
+from valsketch.verify import family_invariant_check
+
+from reference import check_core_claim, demand_pipeline_budgets, r_projection
 
 
 class TestProjection:
@@ -236,29 +231,27 @@ class TestBudgets:
         assert demand_pipeline_budgets(1024) == (720896.0, 2725888.0)
         assert demand_pipeline_budgets(256) == (147456.0, 746496.0)
 
-    def test_budget_check_accepts_ledger_and_snapshot(self):
-        led = vs.QueryLedger()
-        for _ in range(3):
-            led.count_value()
-        led.count_demand()
-        ok, info = query_budget_check(led, 3, 1)
-        assert ok and info["value_queries"] == 3 and info["demand_queries"] == 1
-        ok, _ = query_budget_check(led.snapshot(), 2.5, 1)
-        assert not ok
-        ok, _ = query_budget_check(led.snapshot(), 3, 0.5)
-        assert not ok
-
 
 class TestBruteHelpers:
-    def test_max_value_bundles(self):
-        oracle = vs.AdditiveValuation([5.0, 1.0, 9.0, 7.0])
-        assert max_value_bundles(oracle, 2) == 16.0
-        assert max_value_bundles(oracle, 1) == 9.0
-        assert max_value_bundles(oracle, 4) == 22.0
-
     def test_reference_table_scale_guard(self):
         with pytest.raises(vs.ScaleError):
             vs.brute_reference_table(vs.AdditiveValuation([1.0] * 21))
+
+
+def test_package_holds_only_what_the_system_runs():
+    """Test-only routines live in tests/reference.py; src/ never reaches for them."""
+    for name in ("greedy_classic", "clause_brute_uniform", "check_core_claim", "r_projection",
+                 "demand_pipeline_budgets", "query_budget_check", "max_value_bundles"):
+        assert not hasattr(vs, name), name
+    for name in ("brute_force", "brute_reference_table", "exhaustive_ratio_report",
+                 "family_invariant_check", "validate_class"):
+        assert callable(getattr(vs, name)), name
+    src = os.path.dirname(os.path.abspath(vs.__file__))
+    pattern = re.compile(r"^\s*(from|import)\s+(reference|tests|conftest)\b", re.M)
+    for fname in sorted(os.listdir(src)):
+        if fname.endswith(".py"):
+            with open(os.path.join(src, fname)) as fh:
+                assert not pattern.search(fh.read()), fname
 
 
 def test_verify_corpus_script_smoke():
