@@ -35,7 +35,6 @@ from .sketch import (
     well_bounded_partition,
 )
 from .valuations import (
-    EXCLUDED,
     RELATIVE_TOL,
     AdditiveClause,
     AdditiveValuation,

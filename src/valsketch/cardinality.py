@@ -207,7 +207,7 @@ def card_demand_price_grid(oracle: ValuationOracle, ground: int, k: int, *, max_
     cache = {}
     for t in range(math.ceil(math.log2(8 * k * k)) + 1):
         q = max_singleton / (4 * k) * (1 << t)
-        resp = oracle.demand(UniformPrices(q, ground, oracle.n))
+        resp = oracle.demand(UniformPrices(q, ground))
         fits = resp.bit_count() <= k
         blocks = [resp] if fits else bitsets.chunks(resp, k)
         for block in blocks:

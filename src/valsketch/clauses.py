@@ -96,7 +96,7 @@ def _best_uniform_response(oracle: ValuationOracle, bundle: int, basis: float):
     resp = 0
     for t in range(levels):
         q = basis / (1 << (t + 1))
-        resp = oracle.demand(UniformPrices(q, bundle, oracle.n))
+        resp = oracle.demand(UniformPrices(q, bundle))
         score = q * resp.bit_count()
         if score > best_score:
             best_q, best_resp, best_score = q, resp, score

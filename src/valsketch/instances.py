@@ -183,6 +183,9 @@ def _gen_graphic_matroid(n, rng, params):
 # a generated clause costs about 270 B at n = 4 and more with its support,
 # so the cap keeps a small instance near a few MB
 MAX_XOS_CLAUSES = 10_000
+# a drawn clause entry costs about 81 B, so the entries a generated
+# instance may draw (clauses times the largest clause) stay near 85 MB
+MAX_XOS_ENTRIES = 1 << 20
 
 
 def _gen_xos_explicit(n, rng, params):
@@ -194,6 +197,9 @@ def _gen_xos_explicit(n, rng, params):
     _reject_extras("xos-explicit", params)
     if type(uniform) is not bool:
         raise ValueError(f"xos-explicit parameter uniform must be true or false, got {uniform!r}")
+    if clauses * min(support, n) > MAX_XOS_ENTRIES:
+        raise ValueError(f"xos-explicit would draw up to {clauses} clauses of {min(support, n)} "
+                         f"items, over {MAX_XOS_ENTRIES} entries; pass smaller clauses or support")
     out = []
     for _ in range(clauses):
         size = rng.randint(1, min(support, n))

@@ -39,6 +39,17 @@ def certified_bound(n: int, alpha: float, beta: float) -> float:
     return 512.0 * alpha * alpha * beta ** 3 * math.sqrt(n) * math.log2(2 * n)
 
 
+def sketch_bound(sketch: "Sketch") -> float:
+    """certified_bound at the worst alpha and the worst beta over the
+    groups; inf where that leaves the float range."""
+    alpha = max((g.alpha for g in sketch.groups), default=1.0)
+    beta = max((g.beta_certified for g in sketch.groups), default=1.0)
+    try:
+        return certified_bound(sketch.n, alpha, beta)
+    except OverflowError:  # beta ** 3 raises where a product would give inf
+        return math.inf
+
+
 @dataclass(frozen=True)
 class GridParams:
     """Size budgets and value levels swept during construction."""
@@ -254,7 +265,8 @@ def sketch_errors(sketch: Sketch) -> list:
 
     The contract: one finite, non-negative singleton per item; each
     group's items inside the ground set, its leader among them, a finite
-    positive scale, and finite alpha and beta of at least 1; each family
+    positive scale, and finite alpha and beta of at least 1, whose worst
+    values over the groups give a finite certified bound; each family
     an int k >= 1, a finite positive r, and pairwise disjoint members of
     at most k items inside the group. A bool is not an int here. Fields
     are read as given, so a value of the wrong type raises TypeError.
@@ -293,6 +305,8 @@ def sketch_errors(sketch: Sketch) -> list:
                 if m & used:
                     errors.append(f"{tag}: overlapping members at {cell}")
                 used |= m
+    if not errors and sketch_bound(sketch) == math.inf:
+        errors.append("the groups' alpha and beta give an infinite certified bound")
     return errors
 
 

@@ -4,9 +4,8 @@ Conventions used throughout the package:
 
   * bundles are int bitsets (see bitsets), values are nonnegative floats,
     v(empty) = 0, and every shipped family is monotone
-  * a price vector is a sequence of per-item prices where None marks an
-    item that must not appear in any demand answer; UniformPrices is a
-    compact equivalent for one price on one bundle
+  * a demand query asks one price q for every item of a bundle and
+    excludes every other item (UniformPrices)
   * demand ties break toward smaller cardinality, then the numerically
     smaller bitset; profit comparisons are exact, so fixtures that need
     reproducible ties should stick to dyadic rationals
@@ -16,7 +15,7 @@ Conventions used throughout the package:
 import math
 import struct
 from functools import cached_property, reduce
-from itertools import compress
+from itertools import accumulate, compress, repeat
 from operator import getitem, or_
 
 import numpy as np
@@ -26,9 +25,6 @@ from .errors import CapabilityError, ScaleError
 from .ledger import QueryLedger
 
 RELATIVE_TOL = 1e-9
-
-#: price marker for an item that may not be demanded at all
-EXCLUDED = None
 
 
 def meets(x: float, threshold: float) -> bool:
@@ -91,19 +87,19 @@ class AdditiveClause:
 class UniformPrices:
     """One price q for every item of `included`, everything else excluded."""
 
-    __slots__ = ("q", "included", "n")
+    __slots__ = ("q", "included")
 
-    def __init__(self, q: float, included: int, n: int):
+    def __init__(self, q: float, included: int):
         self.q = float(q)
         self.included = included
-        self.n = n
 
 
 class ValuationOracle:
     """Black-box valuation with query accounting.
 
-    Subclasses implement _value (and may override _demand and
-    _demand_uniform). The public value()/demand() wrappers count and check
+    Subclasses implement _value and may override _demand_uniform; the
+    inherited one answers by enumeration (_demand), so only up to 22
+    priced items. The public value()/demand() wrappers count and check
     each answer, so internal computations never inflate the ledger.
     """
 
@@ -128,31 +124,18 @@ class ValuationOracle:
             )
         return v
 
-    def demand(self, prices) -> int:
-        """Profit-maximizing bundle under item prices (one demand query)."""
+    def demand(self, prices: UniformPrices) -> int:
+        """Profit-maximizing bundle at one price on prices.included (one demand query)."""
         if not self.has_demand:
             raise CapabilityError(f"{type(self).__name__} does not answer demand queries")
-        if isinstance(prices, UniformPrices):
-            if prices.n != self.n:
-                raise ValueError("price vector length does not match the ground set")
-            bitsets.check_bundle(prices.included, self.n)
-            _check_price(prices.q)
-            priced = prices.included
-            self.ledger.count_demand()
-            answer = self._demand_uniform(prices.q, priced)
-        else:
-            prices = list(prices)
-            if len(prices) != self.n:
-                raise ValueError("price vector length does not match the ground set")
-            priced = 0
-            for j, p in enumerate(prices):
-                if p is not EXCLUDED:
-                    _check_price(p)
-                    priced |= 1 << j
-            self.ledger.count_demand()
-            answer = self._demand(prices)
+        q, included = prices.q, prices.included
+        bitsets.check_bundle(included, self.n)
+        if not 0 <= q < math.inf:
+            raise ValueError(f"prices must be finite and >= 0, got {q!r}")
+        self.ledger.count_demand()
+        answer = self._demand_uniform(q, included)
         # a negative int has bits outside any priced set
-        if type(answer) is not int or answer & ~(priced & self._reach):
+        if type(answer) is not int or answer & ~(included & self._reach):
             raise ValueError(
                 f"{self._answerer()} answered a demand query with {answer!r}; "
                 "answers must be int bundles of priced items"
@@ -166,51 +149,37 @@ class ValuationOracle:
             root = root.parent  # name the oracle that answered, not a view of it
         return type(root).__name__
 
-    def restrict(self, mask: int) -> "OracleView":
-        """View of this valuation on a sub-ground-set, sharing the ledger."""
-        bitsets.check_bundle(mask, self.n)
-        return OracleView(self, mask)
-
     # -- implementation hooks (uncounted) ------------------------------
 
     def _value(self, bundle: int) -> float:
         raise NotImplementedError
 
-    def _demand(self, prices: list) -> int:
-        return _demand_brute(self, prices)
-
     def _demand_uniform(self, q: float, included: int) -> int:
-        return self._demand([q if (included >> j) & 1 else EXCLUDED for j in range(self.n)])
+        return self._demand(q, included)
 
+    def _demand(self, q: float, included: int) -> int:
+        """Exhaustive demand: enumerate the submasks of `included`.
 
-def _check_price(p) -> None:
-    if not isinstance(p, (int, float)) or not math.isfinite(p) or p < 0:
-        raise ValueError(f"prices must be finite and >= 0, got {p!r}")
-
-
-def _demand_brute(oracle: ValuationOracle, prices: list) -> int:
-    """Reference demand: enumerate submasks of the non-excluded items.
-
-    Exact profit comparisons; ties go to smaller cardinality, then smaller
-    bitset. The empty bundle (profit 0) is always a candidate.
-    """
-    feasible = bitsets.from_items(j for j, p in enumerate(prices) if p is not EXCLUDED)
-    if feasible.bit_count() > 22:
-        raise ScaleError("exhaustive demand is limited to 22 priced items")
-    best_profit, best_card, best_mask = 0.0, 0, 0
-    for sub in bitsets.submasks(feasible):
-        if not sub:
-            continue
-        cost = 0.0
-        for j in bitsets.iter_items(sub):
-            cost += prices[j]
-        profit = oracle._value(sub) - cost
-        card = sub.bit_count()
-        if profit > best_profit or (
-            profit == best_profit and (card, sub) < (best_card, best_mask)
-        ):
-            best_profit, best_card, best_mask = profit, card, sub
-    return best_mask
+        Exact profit comparisons; ties go to smaller cardinality, then
+        smaller bitset. The empty bundle (profit 0) is always a candidate.
+        A bundle's price adds q once per item, never q * |S|, which can
+        round differently and move a tie.
+        """
+        size = included.bit_count()
+        if size > 22:
+            raise ScaleError("exhaustive demand is limited to 22 priced items")
+        cost = list(accumulate(repeat(q, size), initial=0.0))  # cost[c] adds q c times
+        best_profit, best_card, best_mask = 0.0, 0, 0
+        for sub in bitsets.submasks(included):
+            if not sub:
+                continue
+            card = sub.bit_count()
+            profit = self._value(sub) - cost[card]
+            if profit > best_profit or (
+                profit == best_profit and (card, sub) < (best_card, best_mask)
+            ):
+                best_profit, best_card, best_mask = profit, card, sub
+        return best_mask
 
 
 class OracleView(ValuationOracle):
@@ -221,11 +190,10 @@ class OracleView(ValuationOracle):
     ledger, so a query through the view is counted once.
 
     The view asks each question once. `answers` maps a question to its
-    checked answer: a value question by `bundle & mask`, a uniform-price
-    demand question by `(q, included, n)`. A repeat passes the argument
-    checks and is answered from the table, uncounted; a list of prices
-    is always asked. A caller may seed `answers` with values it holds,
-    in the view's scale.
+    checked answer: a value question by `bundle & mask`, a demand
+    question by `(q, included)`. A repeat passes the argument checks and
+    is answered from the table, uncounted. A caller may seed `answers`
+    with values it holds, in the view's scale.
     """
 
     def __init__(self, parent: ValuationOracle, mask: int, scale: float = 1.0):
@@ -246,11 +214,9 @@ class OracleView(ValuationOracle):
             answer = self.answers[key] = super().value(bundle)
         return answer
 
-    def demand(self, prices) -> int:
-        if not isinstance(prices, UniformPrices):
-            return super().demand(prices)
+    def demand(self, prices: UniformPrices) -> int:
         # only checked questions are stored, so a key match needs no check
-        key = (prices.q, prices.included, prices.n)
+        key = (prices.q, prices.included)
         answer = self.answers.get(key)
         if answer is None:
             answer = self.answers[key] = super().demand(prices)
@@ -258,13 +224,6 @@ class OracleView(ValuationOracle):
 
     def _value(self, bundle: int) -> float:
         return self.parent._value(bundle & self.mask) / self.scale
-
-    def _demand(self, prices: list) -> int:
-        viewed = [
-            p * self.scale if (self.mask >> j) & 1 and p is not EXCLUDED else EXCLUDED
-            for j, p in enumerate(prices)
-        ]
-        return self.parent._demand(viewed)
 
     def _demand_uniform(self, q: float, included: int) -> int:
         return self.parent._demand_uniform(q * self.scale, included & self.mask)
@@ -290,15 +249,8 @@ class AdditiveValuation(ValuationOracle):
             total += self.weights[j]
         return total
 
-    def _demand(self, prices: list) -> int:
-        # strictly positive profit per item; w == p stays out (cardinality tie)
-        take = 0
-        for j, p in enumerate(prices):
-            if p is not EXCLUDED and self.weights[j] > p:
-                take |= 1 << j
-        return take
-
     def _demand_uniform(self, q: float, included: int) -> int:
+        # strictly positive profit per item; w == q stays out (cardinality tie)
         take = 0
         for j in bitsets.iter_items(included):
             if self.weights[j] > q:
@@ -459,23 +411,26 @@ class GraphicMatroidRank(ValuationOracle):
     """Rank of an edge subset in the graphic matroid of a fixed multigraph.
 
     Items are edges; rank counts edges that join two previously separate
-    components (union-find over the touched vertices).
+    components (union-find over the touched vertices). The endpoints are
+    relabelled 0, 1, ... in order of first use, so a query costs the
+    same however many vertices the graph names.
     """
 
     def __init__(self, vertices: int, edges, ledger: QueryLedger | None = None):
-        if vertices < 1:
-            raise ValueError("need at least one vertex")
-        es = []
+        if type(vertices) is not int or vertices < 1:  # a bool is not an int here
+            raise ValueError(f"vertices must be an int >= 1, got {vertices!r}")
+        ends = []
+        label = {}
         for u, v in edges:
             if not (0 <= u < vertices and 0 <= v < vertices):
                 raise ValueError("edge endpoint outside the vertex range")
-            es.append((int(u), int(v)))
-        super().__init__(len(es), ledger, has_demand=(len(es) <= 22))
-        self.vertices = vertices
-        self.edges = tuple(es)
+            ends.append((label.setdefault(int(u), len(label)), label.setdefault(int(v), len(label))))
+        super().__init__(len(ends), ledger, has_demand=(len(ends) <= 22))
+        self._ends = tuple(ends)
+        self._used = len(label)
 
     def _value(self, bundle: int) -> float:
-        parent = list(range(self.vertices))
+        parent = list(range(self._used))
 
         def find(x):
             while parent[x] != x:
@@ -485,7 +440,7 @@ class GraphicMatroidRank(ValuationOracle):
 
         rank = 0
         for j in bitsets.iter_items(bundle):
-            u, v = self.edges[j]
+            u, v = self._ends[j]
             ru, rv = find(u), find(v)
             if ru != rv:
                 parent[ru] = rv
@@ -526,23 +481,8 @@ class XOSExplicitValuation(ValuationOracle):
                 best = val
         return best
 
-    def _demand(self, prices: list) -> int:
-        best = (0.0, 0, 0)  # profit, cardinality, mask; empty bundle seeds it
-        for c in self.clauses:
-            pos = 0
-            profit = 0.0
-            for j, w in c.weights.items():
-                p = prices[j]
-                if p is not EXCLUDED and w > p:
-                    pos |= 1 << j
-                    profit += w - p
-            cand = (profit, pos.bit_count(), pos)
-            if cand[0] > best[0] or (cand[0] == best[0] and (cand[1], cand[2]) < (best[1], best[2])):
-                best = cand
-        return best[2]
-
     def _demand_uniform(self, q: float, included: int) -> int:
-        best = (0.0, 0, 0)
+        best = (0.0, 0, 0)  # profit, cardinality, mask; empty bundle seeds it
         for c in self.clauses:
             uw = c._uniform_weight
             if uw is not None:
@@ -575,6 +515,8 @@ class SubadditiveTableValuation(ValuationOracle):
 
     def __init__(self, table, ledger: QueryLedger | None = None):
         arr = np.asarray(table, dtype=np.float64)
+        if arr.ndim != 1:
+            raise ValueError("table must be a flat list of values")
         size = arr.shape[0]
         if size < 2 or size & (size - 1):
             raise ValueError("table length must be a power of two, at least 2")
@@ -602,31 +544,13 @@ class SubadditiveTableValuation(ValuationOracle):
     def _value(self, bundle: int) -> float:
         return float(self.table[bundle])
 
-    def _pick_best(self, profit: np.ndarray) -> int:
-        best = profit.max()
-        cands = np.flatnonzero(profit == best)
-        order = np.lexsort((cands, self._pc[cands]))
-        return int(cands[order[0]])
-
-    def _demand(self, prices: list) -> int:
-        psum = np.zeros(len(self.table))
-        excluded = 0
-        for j, p in enumerate(prices):
-            if p is EXCLUDED:
-                excluded |= 1 << j
-            elif p:
-                psum[((self._masks >> j) & 1) == 1] += p
-        profit = self.table - psum
-        if excluded:
-            profit = np.where((self._masks & excluded) == 0, profit, -np.inf)
-        return self._pick_best(profit)
-
     def _demand_uniform(self, q: float, included: int) -> int:
         profit = self.table - q * self._pc
         outside = bitsets.full_mask(self.n) ^ included
         if outside:
             profit = np.where((self._masks & outside) == 0, profit, -np.inf)
-        return self._pick_best(profit)
+        cands = np.flatnonzero(profit == profit.max())
+        return int(cands[np.lexsort((cands, self._pc[cands]))[0]])
 
 
 def subadditive_witness(table, n: int):

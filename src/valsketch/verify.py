@@ -12,7 +12,7 @@ import numpy as np
 
 from . import bitsets
 from .errors import ScaleError
-from .sketch import Sketch, certified_bound, evaluate_all, sketch_errors
+from .sketch import Sketch, evaluate_all, sketch_bound, sketch_errors
 from .valuations import RELATIVE_TOL, ValuationOracle
 
 #: slack allowed on "never overestimates": one filter tolerance of dust
@@ -54,9 +54,7 @@ def exhaustive_ratio_report(oracle: ValuationOracle, sketch: Sketch) -> RatioRep
         raise ScaleError("exhaustive comparison needs n <= 16")
     est = evaluate_all(sketch)
     truth = brute_reference_table(oracle)
-    alpha = max((g.alpha for g in sketch.groups), default=1.0)
-    beta = max((g.beta_certified for g in sketch.groups), default=1.0)
-    bound = certified_bound(n, alpha, beta)
+    bound = sketch_bound(sketch)
     # ratio 1 where a side holds trivially (the empty bundle included);
     # argmax keeps the first worst bundle
     with np.errstate(divide="ignore", invalid="ignore"):

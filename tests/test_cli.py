@@ -83,6 +83,24 @@ class TestGen:
         assert code == 2 and "error: xos-explicit parameter clauses must be an int in 1..10000" in err
         assert peak < 1_000_000 and not out.exists()
 
+    def test_xos_clause_entries_are_bounded_before_generating(self, capsys, tmp_path):
+        # the defaults grow as n^2 / 4 entries: at n = 4,096 that is 2,048 clauses
+        # of up to 2,048 items, about 170 MB drawn
+        out = tmp_path / "x.json"
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "gen", "--family", "xos-explicit", "--n", "4096",
+                               "--out", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and "error: xos-explicit would draw up to 2048 clauses" in err
+        assert peak < 1_000_000 and not out.exists()
+        # the benchmark recipe stays well inside the bound
+        spec = vs.generate_instance("xos-explicit", 2048, 0, clauses=24, support=256,
+                                    uniform=True)
+        assert len(spec.params["clauses"]) == 24
+
     def test_huge_n_is_refused_before_generating(self, capsys, tmp_path):
         # about 208 B per coverage item: n = 10^8 would ask for about 20 GB
         out = tmp_path / "x.json"
@@ -207,11 +225,20 @@ class TestPipelineChain:
              "params": {"clauses": [{"0": 1, "1": 1}, {"-1": 2}]}},
             {"schema_version": 1, "family": "coverage", "n": 3, "seed": 0,
              "params": {"universe": 2, "covers": [[0], [1], [True]]}},
+            {"schema_version": 1, "family": "subadditive-table", "n": 2, "seed": 0,
+             "params": {"table": 1}},
+            {"schema_version": 1, "family": "subadditive-table", "n": 2, "seed": 0,
+             "params": {"table": [[0, 1], [1, 2]]}},
+            {"schema_version": 1, "family": "graphic-matroid", "n": 2, "seed": 0,
+             "params": {"vertices": 1e308, "edges": [[0, 1], [1, 2]]}},
+            {"schema_version": 1, "family": "graphic-matroid", "n": 2, "seed": 0,
+             "params": {"vertices": True, "edges": [[0, 0], [0, 0]]}},
         ],
         ids=["no-params", "cap-str", "params-list", "clause-list", "top-level-int",
              "n-differs", "n-float", "n-str", "n-bool", "n-zero", "n-past-max", "seed-float",
              "seed-bool", "no-seed", "schema-99", "schema-bool", "no-schema",
-             "cover-negative", "block-negative", "clause-key-negative", "cover-bool"],
+             "cover-negative", "block-negative", "clause-key-negative", "cover-bool",
+             "table-scalar", "table-2d", "vertices-float", "vertices-bool"],
     )
     def test_sketch_rejects_malformed_instance(self, capsys, tmp_path, body):
         inst = tmp_path / "inst.json"
@@ -262,6 +289,47 @@ class TestPipelineChain:
             tracemalloc.stop()
         assert code == 0
         assert peak < 1_000_000
+
+    def test_graphic_matroid_with_huge_vertex_count_builds_like_a_small_one(self, capsys,
+                                                                           tmp_path):
+        # one union-find slot per named vertex would be about 36 MB per query
+        # at 10^6 vertices; only the 4 vertices the edges use get one
+        edges = [[0, 1], [1, 2], [2, 3], [0, 3], [0, 2], [1, 3]]
+        texts = []
+        for vertices in (4, 10 ** 6):
+            inst = tmp_path / f"inst-{vertices}.json"
+            inst.write_text(json.dumps({"schema_version": 1, "family": "graphic-matroid",
+                                        "n": 6, "seed": 0,
+                                        "params": {"vertices": vertices, "edges": edges}}))
+            out = tmp_path / f"s-{vertices}.json"
+            tracemalloc.start()
+            try:
+                code, _, _ = run(capsys, "sketch", "--instance", str(inst),
+                                 "--pipeline", "matroid", "--out", str(out))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0 and peak < 1_000_000
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("field, value", [("alpha", 1e308), ("beta", 1e200)])
+    def test_eval_and_verify_refuse_an_infinite_certified_bound(self, capsys, tmp_path,
+                                                                field, value):
+        inst = tmp_path / "inst.json"
+        sk = tmp_path / "sketch.json"
+        run(capsys, "gen", "--family", "additive", "--n", "4", "--out", str(inst))
+        run(capsys, "sketch", "--instance", str(inst), "--pipeline", "brute",
+            "--out", str(sk))
+        payload = json.loads(sk.read_text())
+        payload["groups"][0][field] = value
+        sk.write_text(json.dumps(payload))
+        message = "infinite certified bound"
+        code, _, err = run(capsys, "eval", "--sketch", str(sk), "--bundle", "1")
+        assert code == 2 and message in err
+        code, _, err = run(capsys, "verify", "--instance", str(inst),
+                           "--pipeline", "brute", "--sketch", str(sk))
+        assert code == 2 and message in err
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_gen_output_loads_and_builds(self, capsys, tmp_path, family):

@@ -1,5 +1,5 @@
 from valsketch.ledger import QueryLedger
-from valsketch.valuations import AdditiveValuation, UniformPrices
+from valsketch.valuations import AdditiveValuation, OracleView, UniformPrices
 
 
 def test_snapshot_shape():
@@ -14,10 +14,10 @@ def test_snapshot_shape():
 def test_oracle_counts_through_wrappers_once():
     led = QueryLedger()
     v = AdditiveValuation([1.0, 2.0, 4.0], led)
-    view = v.restrict(0b011)
+    view = OracleView(v, 0b011)
     assert view.value(0b111) == 3.0
     assert led.value_queries == 1
-    view.demand(UniformPrices(1.5, 0b111, 3))
+    view.demand(UniformPrices(1.5, 0b111))
     assert led.totals() == (1, 1)
 
 

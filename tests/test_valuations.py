@@ -173,7 +173,7 @@ class TestFamilies:
 
         v = vs.PartitionMatroidRank(blocks, caps)
         assert v.value(bundle) == capped_sum(bundle)
-        assert v.restrict(mask).value(bundle) == capped_sum(bundle & mask)
+        assert OracleView(v, mask).value(bundle) == capped_sum(bundle & mask)
         assert OracleView(v, mask, scale).value(bundle) == capped_sum(bundle & mask) / scale
 
     def test_partition_matroid_rejects_overlap_and_gaps(self):
@@ -193,6 +193,20 @@ class TestFamilies:
         v = vs.GraphicMatroidRank(4, edges)
         assert v._value(0b111111) == 3.0
         assert v._value(0b000111) == 3.0  # star at vertex 0 is a tree
+
+    @pytest.mark.parametrize("vertices", [1e308, 4.0, True, 0, "4"])
+    def test_graphic_matroid_needs_an_int_vertex_count(self, vertices):
+        with pytest.raises(ValueError, match="vertices must be an int"):
+            vs.GraphicMatroidRank(vertices, [(0, 1)])
+
+    def test_graphic_matroid_rank_ignores_unused_vertices(self):
+        # a 4-cycle with a chord, once on vertices 0..3 and once on far-apart ids
+        small = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]
+        spread = [(10 ** 12 - 1, 5), (5, 7 * 10 ** 9), (7 * 10 ** 9, 3), (10 ** 12 - 1, 3),
+                  (10 ** 12 - 1, 7 * 10 ** 9)]
+        a, b = vs.GraphicMatroidRank(4, small), vs.GraphicMatroidRank(10 ** 12, spread)
+        assert [a._value(s) for s in range(32)] == [b._value(s) for s in range(32)]
+        assert b._value(0b11111) == 3.0
 
     def test_xos_explicit(self):
         v = vs.XOSExplicitValuation(
@@ -227,11 +241,16 @@ class TestTableValidation:
         with pytest.raises(ValueError):
             vs.SubadditiveTableValuation([0, 1, 2])
 
+    @pytest.mark.parametrize("table", [1, [[0, 1], [1, 2]]])
+    def test_rejects_a_table_that_is_not_flat(self, table):
+        with pytest.raises(ValueError, match="flat list"):
+            vs.SubadditiveTableValuation(table)
+
 
 class TestWrappers:
     def test_restricted_masks_value(self):
         v = vs.AdditiveValuation([1, 2, 4])
-        view = v.restrict(0b011)
+        view = OracleView(v, 0b011)
         assert view._value(0b111) == 3.0
         assert view.n == 3
 
@@ -249,23 +268,23 @@ class TestWrappers:
     def test_stacked_wrappers_share_ledger(self):
         led = vs.QueryLedger()
         v = vs.AdditiveValuation([1, 2, 4], led)
-        view = OracleView(v, 0b111, 2.0).restrict(0b101)
+        view = OracleView(OracleView(v, 0b111, 2.0), 0b101)
         assert view.value(0b111) == 2.5
         assert led.value_queries == 1
 
     def test_view_counts_a_repeated_question_once(self):
         led = vs.QueryLedger()
-        view = vs.AdditiveValuation([1, 2, 4], led).restrict(0b011)
+        view = OracleView(vs.AdditiveValuation([1, 2, 4], led), 0b011)
         # 0b111 and 0b011 are one question to a view of items 0 and 1
         assert [view.value(b) for b in (0b011, 0b011, 0b111)] == [3.0, 3.0, 3.0]
-        prices = vs.UniformPrices(1.5, 0b011, 3)
-        assert view.demand(prices) == view.demand(vs.UniformPrices(1.5, 0b011, 3)) == 0b010
+        prices = vs.UniformPrices(1.5, 0b011)
+        assert view.demand(prices) == view.demand(vs.UniformPrices(1.5, 0b011)) == 0b010
         assert led.totals() == (1, 1)
 
     @pytest.mark.parametrize("bundle", [0b1011, -1])  # -1 & mask is the asked 0b011
     def test_view_hit_still_refuses_a_bad_bundle(self, bundle):
         v = vs.AdditiveValuation([1, 2, 4])
-        view = v.restrict(0b011)
+        view = OracleView(v, 0b011)
         view.value(0b011)
         with pytest.raises(vs.MalformedBundleError):
             view.value(bundle)
@@ -277,25 +296,27 @@ class TestWrappers:
                 return math.nan if bundle == 0b011 else super()._value(bundle)
 
         led = vs.QueryLedger()
-        view = Broken([1, 2, 4], led).restrict(0b011)
+        view = OracleView(Broken([1, 2, 4], led), 0b011)
         for _ in range(2):
             with pytest.raises(ValueError, match="Broken valued bundle 7 at nan"):
                 view.value(0b111)
         assert led.value_queries == 2
         assert view.answers == {}
 
-    def test_view_refuses_wrong_n_prices_after_answering(self):
-        view = vs.AdditiveValuation([1, 2, 4]).restrict(0b011)
-        assert view.demand(vs.UniformPrices(1.5, 0b011, 3)) == 0b010
-        with pytest.raises(ValueError, match="length does not match"):
-            view.demand(vs.UniformPrices(1.5, 0b011, 4))
+    def test_view_refuses_a_bad_demand_question_after_answering(self):
+        view = OracleView(vs.AdditiveValuation([1, 2, 4]), 0b011)
+        assert view.demand(vs.UniformPrices(1.5, 0b011)) == 0b010
+        with pytest.raises(vs.MalformedBundleError):
+            view.demand(vs.UniformPrices(1.5, 0b1011))  # item 3 is outside the ground set
+        with pytest.raises(ValueError, match="prices must be finite"):
+            view.demand(vs.UniformPrices(-1.5, 0b011))
         assert view.ledger.totals() == (0, 1)
 
     def test_stacked_views_count_a_repeat_once(self):
         led = vs.QueryLedger()
-        inner = OracleView(vs.AdditiveValuation([1, 2, 4], led), 0b111, 2.0).restrict(0b101)
+        inner = OracleView(OracleView(vs.AdditiveValuation([1, 2, 4], led), 0b111, 2.0), 0b101)
         assert inner.value(0b111) == inner.value(0b101) == 2.5
-        prices = vs.UniformPrices(0.75, 0b111, 3)  # 1.5 in the root's units
+        prices = vs.UniformPrices(0.75, 0b111)  # 1.5 in the root's units
         assert inner.demand(prices) == inner.demand(prices) == 0b100
         assert led.totals() == (1, 1)
 

@@ -185,11 +185,26 @@ class TestFamilyInvariants:
             ({"families": [SketchFamily(2, 1.0, [0b10000])]}, "leaves the group"),
             ({"families": [SketchFamily(1, 1.0, [0b0011])]}, "larger than k"),
             ({"families": [SketchFamily(2, 1.0, [0b0011, 0b0010])]}, "overlapping"),
+            ({"alpha": 1e308}, "infinite certified bound"),
+            ({"beta_certified": 1e200}, "infinite certified bound"),  # beta ** 3 overflows
         ],
     )
     def test_single_group_violations(self, overrides, needle):
         bad = family_invariant_check(one_group_sketch(**overrides))
         assert any(needle in b for b in bad), bad
+
+    def test_certified_bound_takes_the_worst_alpha_and_beta_together(self):
+        # each group alone has a finite bound; verify combines the worst
+        # alpha of one with the worst beta of the other
+        def sketch(*groups):
+            return Sketch(n=4, singletons=[1.0] * 4, groups=list(groups))
+
+        steep = SketchGroup(0, 0b0011, 1.0, 1e150, 1.0, [])
+        loose = SketchGroup(2, 0b1100, 1.0, 1.0, 1e100, [])
+        assert vs.sketch.sketch_errors(sketch(steep)) == []
+        assert vs.sketch.sketch_errors(sketch(loose)) == []
+        assert vs.sketch.sketch_errors(sketch(steep, loose)) == [
+            "the groups' alpha and beta give an infinite certified bound"]
 
     def test_singleton_spread_violation(self):
         bad = family_invariant_check(one_group_sketch(singletons=[100.0, 1.0, 1.0, 1.0]))
@@ -243,6 +258,10 @@ def test_package_holds_only_what_the_system_runs():
     for name in ("greedy_classic", "clause_brute_uniform", "check_core_claim", "r_projection",
                  "demand_pipeline_budgets", "query_budget_check", "max_value_bundles"):
         assert not hasattr(vs, name), name
+    # demand has one form, a uniform price on a bundle; views are made as OracleView
+    assert not hasattr(vs, "EXCLUDED") and not hasattr(vs.valuations, "EXCLUDED")
+    assert not hasattr(vs.valuations, "_demand_brute")
+    assert not hasattr(vs.ValuationOracle, "restrict")
     for name in ("brute_force", "brute_reference_table", "exhaustive_ratio_report",
                  "family_invariant_check", "validate_class"):
         assert callable(getattr(vs, name)), name
