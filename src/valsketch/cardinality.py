@@ -7,21 +7,21 @@ scale and never exceeds the size budget. brute_opt_k, the maximizer of
 the `brute` pipeline, enumerates and its queries are not counted.
 
 A CardOracleSpec holds the maximizer itself, called as
-maximize(oracle, ground, k, max_singleton=M), and its certified alpha. M
-is the best singleton value in the pool, a hint the maximizer may
-ignore; the factories below bind everything else.
+run(oracle, ground, k, max_singleton=M), and its certified alpha. M is
+the best singleton value in the pool, a hint the maximizer may ignore;
+the factories below bind everything else.
 
 Threshold greedy and matroid augmenting add one item at a time, and
 with budget k they stop after the first k steps of their run with a
 larger budget. Each is written once, as a step generator
 steps(oracle, ground) that yields (bundle, value) after every item it
-adds; its spec's maximize takes step k, or the last step if the run
-ends sooner. Handed a step table, the spec's run keeps one trajectory
-per pool and serves every budget from it, pulling only steps not yet
-taken. Matroid augmenting gallops to each item it adds and drops for good
-the items a probe showed spanned, so a step pays for the items it skips,
-not for the size of the pool. Threshold greedy steps over the levels no
-item can clear without scanning them.
+adds; its spec's run replays it to step k, or to the last step if the
+run ends sooner. A build hands run its group's view, which answers the
+questions a replay repeats uncounted. Matroid augmenting gallops to each
+item it adds and drops for good the items a probe showed spanned, so a
+step pays for the items it skips, not for the size of the pool.
+Threshold greedy steps over the levels no item can clear without
+scanning them.
 """
 
 import math
@@ -37,42 +37,22 @@ from .valuations import UniformPrices, ValuationOracle
 
 @dataclass(frozen=True)
 class CardOracleSpec:
-    """A maximizer plus its certified approximation factor, and the step
-    generator it is derived from, if any."""
+    """A maximizer plus its certified approximation factor."""
 
-    maximize: Callable
+    run: Callable
     alpha: float
     needs_demand: bool = False
-    steps: Callable | None = None
 
     @classmethod
     def stepwise(cls, steps: Callable, alpha: float) -> "CardOracleSpec":
-        """A spec whose maximize with budget k is step k of steps."""
-        return cls(lambda oracle, ground, k, max_singleton=None:
-                   take_step(steps(oracle, ground), k), alpha, steps=steps)
-
-    def run(self, oracle: ValuationOracle, ground: int, k: int, *, max_singleton=None,
-            trajectories: dict | None = None):
-        """maximize(oracle, ground, k). A step spec handed `trajectories`,
-        a table the caller keeps for this oracle, resumes the pool's
-        trajectory there instead of starting afresh."""
-        if self.steps is None or trajectories is None:
-            return self.maximize(oracle, ground, k, max_singleton=max_singleton)
-        if ground not in trajectories:
-            trajectories[ground] = (self.steps(oracle, ground), [])
-        trajectory, taken = trajectories[ground]
-        return take_step(trajectory, k, taken)
-
-
-def take_step(trajectory, k: int, taken: list | None = None):
-    """Step k of a trajectory, or its last step if it ends sooner;
-    (0, 0.0) before the first. `taken` holds the steps already pulled
-    from it and receives the new ones."""
-    taken = [] if taken is None else taken
-    taken.extend(islice(trajectory, max(k - len(taken), 0)))
-    if k < 1 or not taken:
-        return 0, 0.0
-    return taken[min(k, len(taken)) - 1]
+        """A spec whose run with budget k is step k of steps, or its last
+        step if it ends sooner; (0, 0.0) for k < 1 or no steps."""
+        def run(oracle, ground, k, *, max_singleton=None):
+            last = 0, 0.0
+            for last in islice(steps(oracle, ground), max(k, 0)):
+                pass
+            return last
+        return cls(run, alpha)
 
 
 def greedy_threshold(epsilon: float = 0.1) -> CardOracleSpec:

@@ -164,8 +164,8 @@ def build_group_sketch(
     keeps the items whose clause weight clears r / (4 alpha beta), which
     is what makes the member count per item charge against r. Cells
     reuse identical maximizer and clause calls made earlier in the group,
-    a step maximizer resumes each pool's trajectory for every k, and the
-    group's view, seeded with the singleton values, asks each question once.
+    and the group's view, seeded with the singleton values, asks each
+    question once: replaying a pool for a larger k pays only for new steps.
     """
     scale = singletons[ranked[-1]]
     # sing[i] is the scaled value of ranked[i] and prefix[i] the set of
@@ -181,7 +181,6 @@ def build_group_sketch(
     # view is fixed here; max_singleton is a function of pool, and the
     # clause oracle may read value, so these keys determine each call
     best_of = {}  # (pool, k) -> card.run result
-    trajectories = {}  # pool -> card.run's step table, shared across k
     clause_of = {}  # (bundle, value) -> xos.clause result
     for k in grid.k_grid:
         for r in grid.r_grid:
@@ -194,8 +193,7 @@ def build_group_sketch(
                     # pool's best item is ranked[i - 1], for the first prefix[i]
                     # that meets pool; pool & prefix[i] only grows with i
                     i = bisect_left(prefix, 1, count + 1, key=pool.__and__)
-                    best_of[pool, k] = card.run(view, pool, k, max_singleton=sing[i - 1],
-                                                trajectories=trajectories)
+                    best_of[pool, k] = card.run(view, pool, k, max_singleton=sing[i - 1])
                 bundle, value = best_of[pool, k]
                 if not bundle or not meets(value, k * r / (2 * card.alpha)):
                     break

@@ -26,6 +26,9 @@ from .ledger import QueryLedger
 
 RELATIVE_TOL = 1e-9
 
+# the most priced items the inherited demand answers by enumeration
+ENUM_LIMIT = 22
+
 
 def meets(x: float, threshold: float) -> bool:
     """x >= threshold, forgiving a relative slack of RELATIVE_TOL."""
@@ -98,17 +101,19 @@ class ValuationOracle:
     """Black-box valuation with query accounting.
 
     Subclasses implement _value and may override _demand_uniform; the
-    inherited one answers by enumeration (_demand), so only up to 22
-    priced items. The public value()/demand() wrappers count and check
-    each answer, so internal computations never inflate the ledger.
+    inherited one answers by enumeration (_demand), so without an override
+    has_demand holds only up to ENUM_LIMIT items. The public value()/demand()
+    wrappers count and check each answer, so internal computations never
+    inflate the ledger.
     """
 
-    def __init__(self, n: int, ledger: QueryLedger | None = None, has_demand: bool = False):
+    def __init__(self, n: int, ledger: QueryLedger | None = None):
         if n < 1:
             raise ValueError("ground set must contain at least one item")
         self.n = n
         self.ledger = ledger if ledger is not None else QueryLedger()
-        self.has_demand = has_demand
+        self.has_demand = (n <= ENUM_LIMIT
+                           or type(self)._demand_uniform is not ValuationOracle._demand_uniform)
         self._reach = bitsets.full_mask(n)  # items a demand answer may hold
 
     # -- public, counted interface ------------------------------------
@@ -166,8 +171,8 @@ class ValuationOracle:
         round differently and move a tie.
         """
         size = included.bit_count()
-        if size > 22:
-            raise ScaleError("exhaustive demand is limited to 22 priced items")
+        if size > ENUM_LIMIT:
+            raise ScaleError(f"exhaustive demand is limited to {ENUM_LIMIT} priced items")
         cost = list(accumulate(repeat(q, size), initial=0.0))  # cost[c] adds q c times
         best_profit, best_card, best_mask = 0.0, 0, 0
         for sub in bitsets.submasks(included):
@@ -199,7 +204,8 @@ class OracleView(ValuationOracle):
     def __init__(self, parent: ValuationOracle, mask: int, scale: float = 1.0):
         if scale <= 0 or not math.isfinite(scale):
             raise ValueError("scale must be positive and finite")
-        super().__init__(parent.n, parent.ledger, parent.has_demand)
+        super().__init__(parent.n, parent.ledger)
+        self.has_demand = parent.has_demand
         self.parent = parent
         self.mask = mask
         self.scale = float(scale)
@@ -240,7 +246,7 @@ class AdditiveValuation(ValuationOracle):
         for w in ws:
             if w < 0 or not math.isfinite(w):
                 raise ValueError("additive weights must be finite and >= 0")
-        super().__init__(len(ws), ledger, has_demand=True)
+        super().__init__(len(ws), ledger)
         self.weights = ws
 
     def _value(self, bundle: int) -> float:
@@ -267,7 +273,7 @@ class CoverageValuation(ValuationOracle):
     with the queries); a greedy scan asking B | j for a fixed B finds every
     word but j's there. A miss ORs the per-byte union memos of the word's
     nonzero bytes, filled on first use. Demand falls back to exhaustive
-    enumeration, so it is only available up to 22 items.
+    enumeration, so it is only available up to ENUM_LIMIT items.
     """
 
     def __init__(self, element_weights, covers, ledger: QueryLedger | None = None):
@@ -281,7 +287,7 @@ class CoverageValuation(ValuationOracle):
         for cov in covers:
             bitsets.check_ids(cov, m, "cover element")
             masks.append(bitsets.from_items(cov))
-        super().__init__(n, ledger, has_demand=(n <= 22))
+        super().__init__(n, ledger)
         self.element_weights = ews
         self.covers = tuple(masks)
         self._unit = all(w == 1.0 for w in ews)
@@ -356,10 +362,10 @@ class _WordUnions(dict):
 
 class UniformMatroidRank(ValuationOracle):
     def __init__(self, n: int, cap: int, ledger: QueryLedger | None = None):
-        if cap < 0:
-            raise ValueError("cap must be >= 0")
-        super().__init__(n, ledger, has_demand=(n <= 22))
-        self.cap = int(cap)
+        if type(cap) is not int or cap < 0:  # a bool is not an int here
+            raise ValueError(f"cap must be an int >= 0, got {cap!r}")
+        super().__init__(n, ledger)
+        self.cap = cap
 
     def _value(self, bundle: int) -> float:
         return float(min(bundle.bit_count(), self.cap))
@@ -384,11 +390,11 @@ class PartitionMatroidRank(ValuationOracle):
         if union != bitsets.full_mask(n):
             raise ValueError("blocks must cover the ground set 0..n-1 exactly")
         for c in caps:
-            if c < 0:
-                raise ValueError("caps must be >= 0")
-        super().__init__(n, ledger, has_demand=(n <= 22))
+            if type(c) is not int or c < 0:  # a bool is not an int here
+                raise ValueError(f"caps must be ints >= 0, got {c!r}")
+        super().__init__(n, ledger)
         self.blocks = tuple(masks)
-        self.caps = tuple(int(c) for c in caps)
+        self.caps = tuple(caps)
 
     @cached_property
     def _block_arrays(self):
@@ -422,10 +428,10 @@ class GraphicMatroidRank(ValuationOracle):
         ends = []
         label = {}
         for u, v in edges:
-            if not (0 <= u < vertices and 0 <= v < vertices):
-                raise ValueError("edge endpoint outside the vertex range")
-            ends.append((label.setdefault(int(u), len(label)), label.setdefault(int(v), len(label))))
-        super().__init__(len(ends), ledger, has_demand=(len(ends) <= 22))
+            if not all(type(x) is int and 0 <= x < vertices for x in (u, v)):
+                raise ValueError(f"edge {[u, v]!r} needs int endpoints in 0..{vertices - 1}")
+            ends.append((label.setdefault(u, len(label)), label.setdefault(v, len(label))))
+        super().__init__(len(ends), ledger)
         self._ends = tuple(ends)
         self._used = len(label)
 
@@ -470,7 +476,7 @@ class XOSExplicitValuation(ValuationOracle):
             n = max(top, 1)
         elif top > n:
             raise ValueError("clause references an item outside the ground set")
-        super().__init__(n, ledger, has_demand=True)
+        super().__init__(n, ledger)
         self.clauses = tuple(cls)
 
     def _value(self, bundle: int) -> float:
@@ -536,7 +542,7 @@ class SubadditiveTableValuation(ValuationOracle):
         if witness is not None:
             a, b, s = witness
             raise ValueError(f"table is not subadditive: v({a:#x}) + v({b:#x}) < v({s:#x})")
-        super().__init__(n, ledger, has_demand=True)
+        super().__init__(n, ledger)
         self.table = arr
         self._masks = masks
         self._pc = popcount_table(n)

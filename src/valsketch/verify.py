@@ -32,13 +32,6 @@ class RatioReport:
     sound: bool
     within_bound: bool
 
-    def summary(self) -> str:
-        flag = "ok" if self.sound and self.within_bound else "VIOLATED"
-        return (
-            f"n={self.n} over={self.max_over:.12f} under={self.max_under:.3f} "
-            f"bound={self.bound:.1f} [{flag}]"
-        )
-
 
 def exhaustive_ratio_report(oracle: ValuationOracle, sketch: Sketch) -> RatioReport:
     """Check the two-sided contract on all 2^n bundles.

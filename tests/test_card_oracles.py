@@ -14,12 +14,12 @@ import valsketch as vs
 from valsketch import bitsets
 from valsketch.cardinality import brute_opt_k, card_demand_price_grid
 
-# the step maximizers with budget k, each from a fresh trajectory
-card_matroid_augment = vs.matroid_augment().maximize
+# the step maximizers with budget k, each replaying its steps from the start
+card_matroid_augment = vs.matroid_augment().run
 
 
 def card_greedy_threshold(oracle, ground, k, epsilon):
-    return vs.greedy_threshold(epsilon).maximize(oracle, ground, k)
+    return vs.greedy_threshold(epsilon).run(oracle, ground, k)
 
 
 SUBMODULAR = ("coverage", "uniform-matroid", "partition-matroid", "graphic-matroid", "additive")
@@ -207,45 +207,3 @@ def test_empty_pool_and_zero_values():
         assert spec.run(oracle, 0, 3) == (0, 0.0)
         assert spec.run(oracle, 0b111, 2) == (0, 0.0)
 
-
-STEP_SPECS = {
-    "greedy-threshold": lambda: vs.greedy_threshold(0.1),
-    "matroid-augment": vs.matroid_augment,
-}
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    spec_name=st.sampled_from(sorted(STEP_SPECS)),
-    family=st.sampled_from(("coverage",) + MATROID),
-    seed=seeds,
-    pool=st.integers(min_value=0, max_value=(1 << 9) - 1),
-    budgets=st.lists(st.integers(min_value=0, max_value=10), min_size=1, max_size=6),
-)
-def test_resumed_trajectory_matches_fresh_calls(spec_name, family, seed, pool, budgets):
-    """Step k of one trajectory per pool is the budget-k answer, bit for
-    bit, whatever order the budgets come in, and it costs no more value
-    queries than the separate calls."""
-    spec = STEP_SPECS[spec_name]()
-    instance = vs.generate_instance(family, 9, seed)
-    fresh = instance.build(vs.QueryLedger())
-    resumed = instance.build(vs.QueryLedger())
-    table = {}
-    for k in budgets:
-        got = spec.run(resumed, pool, k, trajectories=table)
-        assert repr(got) == repr(spec.run(fresh, pool, k))  # repr tells -0.0 from 0.0
-    assert list(table) == [pool]
-    assert resumed.ledger.value_queries <= fresh.ledger.value_queries
-
-
-def test_trajectory_pulls_only_steps_not_yet_taken():
-    led = vs.QueryLedger()
-    oracle = vs.PartitionMatroidRank([[0, 1], [2, 3]], [1, 1], led)
-    spec, table = vs.matroid_augment(), {}
-    assert spec.run(oracle, 0b1111, 1, trajectories=table) == (0b0001, 1.0)
-    assert led.value_queries == 1  # the first chunk {0} raises the rank
-    assert spec.run(oracle, 0b1111, 1, trajectories=table) == (0b0001, 1.0)
-    assert led.value_queries == 1
-    assert spec.run(oracle, 0b1111, 2, trajectories=table) == (0b0101, 2.0)
-    # the fresh budget-2 call of test_matroid_augment_frozen_trace spends 4
-    assert led.value_queries == 4

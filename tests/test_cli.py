@@ -233,12 +233,20 @@ class TestPipelineChain:
              "params": {"vertices": 1e308, "edges": [[0, 1], [1, 2]]}},
             {"schema_version": 1, "family": "graphic-matroid", "n": 2, "seed": 0,
              "params": {"vertices": True, "edges": [[0, 0], [0, 0]]}},
+            # int() would truncate these to edges (0, 1), (1, 2), cap 2 and caps [1, 1]
+            {"schema_version": 1, "family": "graphic-matroid", "n": 2, "seed": 0,
+             "params": {"vertices": 3, "edges": [[0.5, 1], [True, 2.9]]}},
+            {"schema_version": 1, "family": "uniform-matroid", "n": 3, "seed": 0,
+             "params": {"cap": 2.7}},
+            {"schema_version": 1, "family": "partition-matroid", "n": 2, "seed": 0,
+             "params": {"blocks": [[0], [1]], "caps": [1.5, True]}},
         ],
         ids=["no-params", "cap-str", "params-list", "clause-list", "top-level-int",
              "n-differs", "n-float", "n-str", "n-bool", "n-zero", "n-past-max", "seed-float",
              "seed-bool", "no-seed", "schema-99", "schema-bool", "no-schema",
              "cover-negative", "block-negative", "clause-key-negative", "cover-bool",
-             "table-scalar", "table-2d", "vertices-float", "vertices-bool"],
+             "table-scalar", "table-2d", "vertices-float", "vertices-bool",
+             "edge-ends-float-bool", "cap-float", "caps-float-bool"],
     )
     def test_sketch_rejects_malformed_instance(self, capsys, tmp_path, body):
         inst = tmp_path / "inst.json"

@@ -5,6 +5,7 @@ that enumerates subsets through itertools rather than submask arithmetic.
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -146,15 +147,41 @@ def test_demand_answer_must_be_priced_int_bundle(answer):
 
 def test_enumeration_is_the_fallback():
     """A family that overrides only _value answers demand by enumeration,
-    up to 22 priced items."""
+    up to 22 items; on more it answers no demand query."""
     class Plain(vs.ValuationOracle):
         def _value(self, bundle):
             return float(min(bundle.bit_count(), 2))
 
-    v = Plain(3, has_demand=True)
-    assert v.demand(UniformPrices(0.5, 0b111)) == 0b011
-    with pytest.raises(vs.ScaleError, match="22 priced items"):
-        Plain(23, has_demand=True).demand(UniformPrices(0.5, vs.bitsets.full_mask(23)))
+    v = Plain(3)
+    assert v.has_demand and v.demand(UniformPrices(0.5, 0b111)) == 0b011
+    big = Plain(23)
+    assert not big.has_demand
+    with pytest.raises(vs.CapabilityError, match="Plain does not answer demand queries"):
+        big.demand(UniformPrices(0.5, vs.bitsets.full_mask(23)))
+    assert big.ledger.totals() == (0, 0)
+
+
+# the families that answer demand queries at any size; the rest enumerate
+ALWAYS_DEMAND = ("additive", "xos-explicit", "subadditive-table")
+
+
+@pytest.mark.parametrize("n", [22, 23])
+@pytest.mark.parametrize("family", vs.instances.FAMILIES)
+def test_has_demand_is_derived_as_each_family_passed_it(family, n):
+    """has_demand follows from n and from whether the family overrides
+    _demand_uniform: every shipped family answers up to ENUM_LIMIT items,
+    and past it only the ALWAYS_DEMAND ones; a view reports its parent's."""
+    if family != "subadditive-table":
+        oracle = vs.generate_instance(family, n, 0).build()
+    elif n <= 22:
+        oracle = vs.SubadditiveTableValuation(np.zeros(1 << n))  # valid, checked quickly
+    else:
+        with pytest.raises(vs.ScaleError, match="limited to 22 items"):
+            vs.SubadditiveTableValuation(np.broadcast_to(0.0, 1 << n))  # allocates no table
+        return
+    expected = family in ALWAYS_DEMAND or n <= 22
+    assert oracle.n == n and oracle.has_demand is expected
+    assert OracleView(oracle, 0b1, 2.0).has_demand is expected
 
 
 def law_of_demand_oracles(n, seed):

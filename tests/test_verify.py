@@ -109,7 +109,6 @@ class TestRatioReport:
         report = vs.exhaustive_ratio_report(oracle, sketch)
         assert report.sound and report.within_bound
         assert report.max_over <= 1.0
-        assert "ok" in report.summary()
 
     def test_inflated_singletons_break_soundness(self):
         oracle = vs.AdditiveValuation([1.0, 2.0, 4.0])
@@ -117,7 +116,6 @@ class TestRatioReport:
         report = vs.exhaustive_ratio_report(oracle, fake)
         assert not report.sound
         assert report.max_over == 10.0
-        assert "VIOLATED" in report.summary()
 
     def test_vacuous_sketch_misses_coverage(self):
         oracle = vs.AdditiveValuation([1.0, 2.0, 4.0])
@@ -262,6 +260,10 @@ def test_package_holds_only_what_the_system_runs():
     assert not hasattr(vs, "EXCLUDED") and not hasattr(vs.valuations, "EXCLUDED")
     assert not hasattr(vs.valuations, "_demand_brute")
     assert not hasattr(vs.ValuationOracle, "restrict")
+    # a cardinality spec is one callable and its alpha; the group view remembers answers
+    assert not hasattr(vs.cardinality, "take_step")
+    assert [f.name for f in dataclasses.fields(vs.CardOracleSpec)] == ["run", "alpha",
+                                                                       "needs_demand"]
     for name in ("brute_force", "brute_reference_table", "exhaustive_ratio_report",
                  "family_invariant_check", "validate_class"):
         assert callable(getattr(vs, name)), name
