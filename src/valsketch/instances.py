@@ -7,15 +7,15 @@ test fixtures stays exact.
 """
 
 import json
-import operator
 import random
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
 from . import bitsets
-from .errors import ScaleError, SerializationError
+from .errors import MalformedBundleError, ScaleError, SerializationError
 from .ledger import QueryLedger
 from .valuations import (
     AdditiveClause,
@@ -37,6 +37,9 @@ SCHEMA_VERSION = 1
 # item, so an n read from the command line or a file is bounded before
 # anything is drawn or built
 MAX_ITEMS = 65_536
+
+# clause keys joined by commas, each an item id with key == str(int(key)) in ASCII
+_ITEM_IDS = re.compile(r"(?:(?:0|[1-9][0-9]*),)*")
 
 
 @dataclass(frozen=True)
@@ -265,10 +268,17 @@ def _repair_table(raw: np.ndarray, n: int) -> np.ndarray:
     return table
 
 
+def _numbers(values, name):
+    """values, if a list of ints and floats (a bool is neither); else a SerializationError."""
+    if type(values) is not list or not set(map(type, values)) <= {int, float}:
+        raise SerializationError(f"{name} must be a list of JSON numbers")
+    return values
+
+
 def _build_coverage(n, p, ledger):
     """Unit weights up to the largest cover element: elements outside
     every cover never count, so a huge `universe` allocates nothing."""
-    covers, universe = p["covers"], operator.index(p["universe"])
+    covers, universe = p["covers"], _int_param("coverage", "universe", p["universe"], 0)
     used = max(chain.from_iterable(covers), default=-1) + 1
     if used > universe:
         for c in covers:
@@ -277,15 +287,19 @@ def _build_coverage(n, p, ledger):
 
 
 def _build_xos_explicit(n, p, ledger):
-    clauses = [{int(j): w for j, w in c.items()} for c in p["clauses"]]
-    for c in clauses:
-        bitsets.check_ids(c, n, "clause item")
+    clauses = []
+    for c in p["clauses"]:
+        if c and not _ITEM_IDS.fullmatch(",".join(c) + ","):
+            raise MalformedBundleError("clause keys must be item ids in plain decimal")
+        clauses.append(dict(zip(map(int, c), _numbers(list(c.values()), "clause weights"))))
+        bitsets.check_ids(clauses[-1], n, "clause item")
     return XOSExplicitValuation(map(AdditiveClause, clauses), ledger, n=n)
 
 
 # family -> (parameter generator, oracle builder from (n, params, ledger))
 _FAMILY_TABLE = {
-    "additive": (_gen_additive, lambda n, p, led: AdditiveValuation(p["weights"], led)),
+    "additive": (_gen_additive,
+                 lambda n, p, led: AdditiveValuation(_numbers(p["weights"], "weights"), led)),
     "coverage": (_gen_coverage, _build_coverage),
     "uniform-matroid": (
         _gen_uniform_matroid,
@@ -302,7 +316,7 @@ _FAMILY_TABLE = {
     "xos-explicit": (_gen_xos_explicit, _build_xos_explicit),
     "subadditive-table": (
         _gen_subadditive_table,
-        lambda n, p, led: SubadditiveTableValuation(p["table"], led),
+        lambda n, p, led: SubadditiveTableValuation(_numbers(p["table"], "table"), led),
     ),
 }
 

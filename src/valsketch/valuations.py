@@ -58,7 +58,13 @@ class AdditiveClause:
 
     @classmethod
     def uniform(cls, price: float, mask: int) -> "AdditiveClause":
-        return cls({j: price for j in bitsets.iter_items(mask)})
+        w = float(price)
+        if w < 0 or not math.isfinite(w):
+            raise ValueError(f"uniform clause price must be finite and >= 0, got {price!r}")
+        clause = cls.__new__(cls)
+        clause.weights, clause.support = dict.fromkeys(bitsets.iter_items(mask), w), mask
+        clause._uniform_weight = w if mask else None
+        return clause
 
     def weight(self, item: int) -> float:
         return self.weights.get(item, 0.0)
@@ -460,7 +466,8 @@ class XOSExplicitValuation(ValuationOracle):
     Demand is exact at any n: the per-clause threshold rule picks, for each
     clause, the items priced strictly below their weight; the best clause
     candidate (and the empty bundle) realizes the optimum profit, and the
-    minimum-cardinality optimum is always of this shape.
+    minimum-cardinality optimum is always of this shape. Uniform clauses are
+    read heaviest weight first, skipping those that cannot change an answer.
     """
 
     def __init__(self, clauses, ledger: QueryLedger | None = None, n: int | None = None):
@@ -478,33 +485,52 @@ class XOSExplicitValuation(ValuationOracle):
             raise ValueError("clause references an item outside the ground set")
         super().__init__(n, ledger)
         self.clauses = tuple(cls)
+        self._uniform = sorted(((c._uniform_weight, c.support.bit_count(), c.support)
+                                for c in cls if c._uniform_weight is not None), reverse=True)
+        self._mixed = tuple(c for c in cls if c._uniform_weight is None)
 
     def _value(self, bundle: int) -> float:
-        best = 0.0
-        for c in self.clauses:
+        best, items = 0.0, bundle.bit_count()
+        for w, size, support in self._uniform:
+            # float products of factors >= 0 rise with each factor: this clause is
+            # worth at most w * min(items, size), and each later w' <= w at most w * items
+            if w * items <= best:
+                break
+            if w * size > best:
+                val = w * (bundle & support).bit_count()
+                if val > best:
+                    best = val
+        for c in self._mixed:
             val = c.value(bundle)
             if val > best:
                 best = val
         return best
 
     def _demand_uniform(self, q: float, included: int) -> int:
-        best = (0.0, 0, 0)  # profit, cardinality, mask; empty bundle seeds it
-        for c in self.clauses:
-            uw = c._uniform_weight
-            if uw is not None:
-                pos = (c.support & included) if uw > q else 0
-                profit = (uw - q) * pos.bit_count() if pos else 0.0
-            else:
-                pos = 0
-                profit = 0.0
-                for j, w in c.weights.items():
-                    if (included >> j) & 1 and w > q:
-                        pos |= 1 << j
-                        profit += w - q
-            cand = (profit, pos.bit_count(), pos)
-            if cand[0] > best[0] or (cand[0] == best[0] and (cand[1], cand[2]) < (best[1], best[2])):
-                best = cand
-        return best[2]
+        # the answer is the least (-profit, card, mask) over all candidates, in any order
+        best_profit, best_card, best_mask = 0.0, 0, 0
+        for w, size, support in self._uniform:
+            # from the first w <= q on, a clause offers only the empty bundle;
+            # (w - q) * card <= (w - q) * size < best loses, a tie is compared
+            if w <= q:
+                break
+            if (w - q) * size < best_profit:
+                continue
+            pos = support & included
+            card = pos.bit_count()
+            profit = (w - q) * card
+            if profit > best_profit or (profit == best_profit and (card, pos) < (best_card, best_mask)):
+                best_profit, best_card, best_mask = profit, card, pos
+        for c in self._mixed:
+            pos, profit = 0, 0.0
+            for j, w in c.weights.items():
+                if (included >> j) & 1 and w > q:
+                    pos |= 1 << j
+                    profit += w - q
+            card = pos.bit_count()
+            if profit > best_profit or (profit == best_profit and (card, pos) < (best_card, best_mask)):
+                best_profit, best_card, best_mask = profit, card, pos
+        return best_mask
 
 
 class SubadditiveTableValuation(ValuationOracle):

@@ -2,8 +2,8 @@
 
 None of these runs in a pipeline, the CLI or the benchmark: the optimal
 uniform clause by enumeration (criterion 05), the weight-bucket core
-check (criterion 06) and the demand pipeline's query ceilings
-(criterion 08). Valuations are read through the uncounted _value hook,
+check (criterion 06), the demand pipeline's query ceilings
+(criterion 08) and the XOS oracle's loops over every clause. Valuations are read through the uncounted _value hook,
 so checking costs no counted queries.
 """
 
@@ -119,3 +119,36 @@ def demand_pipeline_budgets(n: int, c: int = 64):
     """(value, demand) query ceilings for the demand-query pipeline."""
     log_term = math.log2(2 * n)
     return c * n * log_term, c * math.sqrt(n) * log_term ** 3
+
+
+def xos_value_all_clauses(oracle, bundle: int) -> float:
+    """XOSExplicitValuation._value as it was before it skipped clauses:
+    every clause is read, in the order given."""
+    best = 0.0
+    for c in oracle.clauses:
+        val = c.value(bundle)
+        if val > best:
+            best = val
+    return best
+
+
+def xos_demand_all_clauses(oracle, q: float, included: int) -> int:
+    """XOSExplicitValuation._demand_uniform as it was before it skipped
+    clauses: every clause offers a candidate, in the order given."""
+    best = (0.0, 0, 0)  # profit, cardinality, mask; empty bundle seeds it
+    for c in oracle.clauses:
+        uw = c._uniform_weight
+        if uw is not None:
+            pos = (c.support & included) if uw > q else 0
+            profit = (uw - q) * pos.bit_count() if pos else 0.0
+        else:
+            pos = 0
+            profit = 0.0
+            for j, w in c.weights.items():
+                if (included >> j) & 1 and w > q:
+                    pos |= 1 << j
+                    profit += w - q
+        cand = (profit, pos.bit_count(), pos)
+        if cand[0] > best[0] or (cand[0] == best[0] and (cand[1], cand[2]) < (best[1], best[2])):
+            best = cand
+    return best[2]

@@ -240,13 +240,38 @@ class TestPipelineChain:
              "params": {"cap": 2.7}},
             {"schema_version": 1, "family": "partition-matroid", "n": 2, "seed": 0,
              "params": {"blocks": [[0], [1]], "caps": [1.5, True]}},
+            # float() and numpy would read these strings and bools as numbers
+            {"schema_version": 1, "family": "xos-explicit", "n": 2, "seed": 0,
+             "params": {"clauses": [{"0": 1, "1": "7"}]}},
+            {"schema_version": 1, "family": "xos-explicit", "n": 2, "seed": 0,
+             "params": {"clauses": [{"0": 1, "1": True}]}},
+            # int() would read these keys as items 10 and 1, and merge "01" into "1"
+            {"schema_version": 1, "family": "xos-explicit", "n": 11, "seed": 0,
+             "params": {"clauses": [{"0": 1}, {"1_0": 2}]}},
+            {"schema_version": 1, "family": "xos-explicit", "n": 2, "seed": 0,
+             "params": {"clauses": [{"0": 1}, {" 1": 2}]}},
+            {"schema_version": 1, "family": "xos-explicit", "n": 2, "seed": 0,
+             "params": {"clauses": [{"0": 1}, {"1": 2, "01": 5}]}},
+            {"schema_version": 1, "family": "additive", "n": 3, "seed": 0,
+             "params": {"weights": ["1", 2, 3]}},
+            {"schema_version": 1, "family": "additive", "n": 3, "seed": 0,
+             "params": {"weights": [True, 2, 3]}},
+            {"schema_version": 1, "family": "subadditive-table", "n": 1, "seed": 0,
+             "params": {"table": [0, "1"]}},
+            {"schema_version": 1, "family": "subadditive-table", "n": 1, "seed": 0,
+             "params": {"table": [0, True]}},
+            {"schema_version": 1, "family": "coverage", "n": 2, "seed": 0,
+             "params": {"universe": True, "covers": [[0], [0]]}},
         ],
         ids=["no-params", "cap-str", "params-list", "clause-list", "top-level-int",
              "n-differs", "n-float", "n-str", "n-bool", "n-zero", "n-past-max", "seed-float",
              "seed-bool", "no-seed", "schema-99", "schema-bool", "no-schema",
              "cover-negative", "block-negative", "clause-key-negative", "cover-bool",
              "table-scalar", "table-2d", "vertices-float", "vertices-bool",
-             "edge-ends-float-bool", "cap-float", "caps-float-bool"],
+             "edge-ends-float-bool", "cap-float", "caps-float-bool", "clause-weight-str",
+             "clause-weight-bool", "clause-key-underscore", "clause-key-space",
+             "clause-keys-merge", "weights-str", "weights-bool", "table-str", "table-bool",
+             "universe-bool"],
     )
     def test_sketch_rejects_malformed_instance(self, capsys, tmp_path, body):
         inst = tmp_path / "inst.json"

@@ -29,6 +29,18 @@ def test_instance_json_round_trip(tmp_path):
         assert a._value(mask) == b._value(mask)
 
 
+def test_instance_files_take_plain_keys_numbers_and_empty_clauses():
+    # the number and key rules refuse strings, bools and non-plain keys, not these
+    text = json.dumps({"schema_version": 1, "family": "xos-explicit", "n": 11, "seed": 0,
+                       "params": {"clauses": [{}, {"0": 1, "10": 2.5}, {"9": 0}]}})
+    oracle = vs.InstanceSpec.from_json(text).build()
+    assert oracle._value(1 | 1 << 10) == 3.5 and oracle._value(1 << 9) == 0.0
+    for family, n, params in [("additive", 2, {"weights": [0, 2.5]}),
+                              ("subadditive-table", 1, {"table": [0, 1.5]}),
+                              ("coverage", 1, {"universe": 0, "covers": [[]]})]:
+        assert vs.InstanceSpec(family, n, params, 0).build().n == n
+
+
 def test_instance_json_rejects_garbage():
     with pytest.raises(SerializationError):
         vs.InstanceSpec.from_json("not json")

@@ -50,6 +50,34 @@ class TestAdditiveClause:
         mixed = AdditiveClause({0: 1.0, 1: 2.0})
         assert mixed._uniform_weight is None
 
+    @pytest.mark.parametrize("price", [-1.0, -1e-300, math.nan, math.inf])
+    @pytest.mark.parametrize("mask", [0b1011, 0])
+    def test_uniform_rejects_bad_price(self, price, mask):
+        with pytest.raises(ValueError):
+            AdditiveClause.uniform(price, mask)
+
+    def test_uniform_on_empty_mask_is_the_empty_clause(self):
+        c = AdditiveClause.uniform(2.5, 0)
+        assert c._uniform_weight is None and c.support == 0 and c == AdditiveClause({})
+        assert c.meeting(0.0) == 0 and c.meeting(2.5) == 0 and c.value(0b111) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(mask=st.integers(min_value=0, max_value=(1 << 300) - 1),
+           price=st.one_of(st.sampled_from([0.0, 0.25, 1.0, 3.0]),
+                           st.floats(min_value=0, max_value=1e6)),
+           t=st.floats(min_value=0, max_value=1e6),
+           bundle=st.integers(min_value=0, max_value=(1 << 300) - 1))
+    def test_uniform_matches_the_per_item_constructor(self, mask, price, t, bundle):
+        fast = AdditiveClause.uniform(price, mask)
+        slow = AdditiveClause({j: price for j in bitsets.iter_items(mask)})
+        assert fast == slow and list(fast.weights) == list(slow.weights)
+        assert fast.support == slow.support
+        assert fast._uniform_weight == slow._uniform_weight
+        assert (fast._uniform_weight is None) == (slow._uniform_weight is None)
+        assert fast.value(bundle) == slow.value(bundle)
+        for threshold in (t, price):
+            assert fast.meeting(threshold) == slow.meeting(threshold)
+
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
             AdditiveClause({0: -1.0})
