@@ -16,12 +16,12 @@ with budget k they stop after the first k steps of their run with a
 larger budget. Each is written once, as a step generator
 steps(oracle, ground) that yields (bundle, value) after every item it
 adds; its spec's run replays it to step k, or to the last step if the
-run ends sooner. A build hands run its group's view, which answers the
-questions a replay repeats uncounted. Matroid augmenting gallops to each
-item it adds and drops for good the items a probe showed spanned, so a
-step pays for the items it skips, not for the size of the pool.
-Threshold greedy steps over the levels no item can clear without
-scanning them.
+run ends sooner. A build hands run its group's OracleView, which keeps
+each answer the root oracle gave, so a replay's repeated questions go
+uncounted. Matroid augmenting gallops to each item it adds and drops
+for good the items a probe showed spanned, so a step pays for the items
+it skips, not for the size of the pool. Threshold greedy steps over the
+levels no item can clear without scanning them.
 """
 
 import math
@@ -32,7 +32,7 @@ from typing import Callable
 
 from . import bitsets
 from .errors import ScaleError
-from .valuations import UniformPrices, ValuationOracle
+from .valuations import OracleView, UniformPrices, ValuationOracle
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def brute_force() -> CardOracleSpec:
     )
 
 
-def greedy_threshold_steps(oracle: ValuationOracle, ground: int, epsilon: float):
+def greedy_threshold_steps(oracle: ValuationOracle | OracleView, ground: int, epsilon: float):
     """Take every item whose marginal clears w; lower w geometrically.
 
     Cached marginals serve as upper bounds (they only shrink on submodular
@@ -123,7 +123,7 @@ def greedy_threshold_steps(oracle: ValuationOracle, ground: int, epsilon: float)
             w *= 1.0 - epsilon
 
 
-def matroid_augment_steps(oracle: ValuationOracle, ground: int):
+def matroid_augment_steps(oracle: ValuationOracle | OracleView, ground: int):
     """Exact maximizer for matroid rank functions.
 
     Each step gallops through the pool for an augmenting item: it tests
@@ -165,7 +165,8 @@ def matroid_augment_steps(oracle: ValuationOracle, ground: int):
         yield bundle, total
 
 
-def card_demand_price_grid(oracle: ValuationOracle, ground: int, k: int, *, max_singleton=None):
+def card_demand_price_grid(oracle: ValuationOracle | OracleView, ground: int, k: int, *,
+                           max_singleton=None):
     """Pick the most valuable demand response over a geometric price grid.
 
     Prices run from M/(4k) doubling up to 2kM, M the best singleton in the
@@ -207,7 +208,7 @@ def card_demand_price_grid(oracle: ValuationOracle, ground: int, k: int, *, max_
     return best_bundle, best_value
 
 
-def brute_opt_k(oracle: ValuationOracle, ground: int, k: int):
+def brute_opt_k(oracle: ValuationOracle | OracleView, ground: int, k: int):
     """Exact optimum by enumeration; reference only, queries not counted.
 
     Scans submasks in ascending numeric order with a strict improvement

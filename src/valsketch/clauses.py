@@ -11,7 +11,8 @@ per-item value shares, which is what the sketch stores.
 An XosOracleSpec holds the extraction routine itself as its clause
 field, called as clause(oracle, S, v_S) with v_S the value of S in the
 oracle's scale when the caller already knows it, else None; a routine
-that has no use for v_S ignores it.
+that has no use for v_S ignores it. The oracle is a ValuationOracle or,
+in a build, a group's OracleView of one.
 """
 
 import math
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import bitsets
-from .valuations import AdditiveClause, UniformPrices, ValuationOracle
+from .valuations import AdditiveClause, OracleView, UniformPrices, ValuationOracle
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ def clause_demand_uniform() -> XosOracleSpec:
     return XosOracleSpec(xos_clause_demand_uniform, needs_demand=True)
 
 
-def xos_clause_marginal(oracle: ValuationOracle, bundle: int, value_of_bundle=None):
+def xos_clause_marginal(oracle: ValuationOracle | OracleView, bundle: int, value_of_bundle=None):
     """Weights are marginals along the ascending-id order.
 
     The weights telescope to v(S) exactly, and on submodular inputs every
@@ -58,7 +59,8 @@ def xos_clause_marginal(oracle: ValuationOracle, bundle: int, value_of_bundle=No
     return AdditiveClause(weights), 1.0
 
 
-def xos_clause_demand_uniform(oracle: ValuationOracle, bundle: int, value_of_bundle=None):
+def xos_clause_demand_uniform(oracle: ValuationOracle | OracleView, bundle: int,
+                              value_of_bundle=None):
     """Uniform clause from demand responses at geometric prices.
 
     A response R to uniform price q satisfies v(T) >= q|T| for every T
@@ -87,7 +89,7 @@ def xos_clause_demand_uniform(oracle: ValuationOracle, bundle: int, value_of_bun
     return AdditiveClause.uniform(price, support), max(1.0, v_s / score)
 
 
-def _best_uniform_response(oracle: ValuationOracle, bundle: int, basis: float):
+def _best_uniform_response(oracle: ValuationOracle | OracleView, bundle: int, basis: float):
     """One grid sweep at falling prices; returns the response maximizing
     price * size, the number of grid levels and the last response."""
     size = bundle.bit_count()

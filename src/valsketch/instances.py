@@ -50,9 +50,13 @@ class InstanceSpec:
     seed: int = 0
 
     def build(self, ledger: QueryLedger | None = None) -> ValuationOracle:
-        """The oracle; SerializationError if params are malformed or give another n."""
-        _, build = _family(self.family)
+        """The oracle; SerializationError if params are malformed, hold a key
+        the family does not take, or give another n."""
+        _, keys, build = _family(self.family)
         try:
+            extra = self.params.keys() - keys
+            if extra:
+                raise SerializationError(f"unknown parameters for {self.family}: {sorted(extra)}")
             oracle = build(self.n, self.params, ledger)
         except (KeyError, TypeError, AttributeError) as exc:
             raise SerializationError(f"bad {self.family} parameters: {exc!r}") from exc
@@ -109,7 +113,7 @@ def load_instance(path: str) -> InstanceSpec:
 
 def generate_instance(family: str, n: int, seed: int = 0, **params) -> InstanceSpec:
     """Fill in family-specific parameters deterministically from the seed."""
-    make, _ = _family(family)
+    make, _, _ = _family(family)
     if not 1 <= n <= MAX_ITEMS:
         raise ValueError(f"n must lie in 1..{MAX_ITEMS}, got {n}")
     rng = random.Random((seed, family, n).__repr__())
@@ -296,28 +300,22 @@ def _build_xos_explicit(n, p, ledger):
     return XOSExplicitValuation(map(AdditiveClause, clauses), ledger, n=n)
 
 
-# family -> (parameter generator, oracle builder from (n, params, ledger))
+# family -> (parameter generator, the parameter keys it writes,
+#            oracle builder from (n, params, ledger))
 _FAMILY_TABLE = {
-    "additive": (_gen_additive,
+    "additive": (_gen_additive, {"weights"},
                  lambda n, p, led: AdditiveValuation(_numbers(p["weights"], "weights"), led)),
-    "coverage": (_gen_coverage, _build_coverage),
-    "uniform-matroid": (
-        _gen_uniform_matroid,
-        lambda n, p, led: UniformMatroidRank(n, p["cap"], led),
-    ),
-    "partition-matroid": (
-        _gen_partition_matroid,
-        lambda n, p, led: PartitionMatroidRank(p["blocks"], p["caps"], led),
-    ),
-    "graphic-matroid": (
-        _gen_graphic_matroid,
-        lambda n, p, led: GraphicMatroidRank(p["vertices"], p["edges"], led),
-    ),
-    "xos-explicit": (_gen_xos_explicit, _build_xos_explicit),
+    "coverage": (_gen_coverage, {"universe", "covers"}, _build_coverage),
+    "uniform-matroid": (_gen_uniform_matroid, {"cap"},
+                        lambda n, p, led: UniformMatroidRank(n, p["cap"], led)),
+    "partition-matroid": (_gen_partition_matroid, {"blocks", "caps"},
+                          lambda n, p, led: PartitionMatroidRank(p["blocks"], p["caps"], led)),
+    "graphic-matroid": (_gen_graphic_matroid, {"vertices", "edges"},
+                        lambda n, p, led: GraphicMatroidRank(p["vertices"], p["edges"], led)),
+    "xos-explicit": (_gen_xos_explicit, {"clauses"}, _build_xos_explicit),
     "subadditive-table": (
-        _gen_subadditive_table,
-        lambda n, p, led: SubadditiveTableValuation(_numbers(p["table"], "table"), led),
-    ),
+        _gen_subadditive_table, {"table"},
+        lambda n, p, led: SubadditiveTableValuation(_numbers(p["table"], "table"), led)),
 }
 
 FAMILIES = tuple(_FAMILY_TABLE)

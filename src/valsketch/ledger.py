@@ -1,7 +1,8 @@
 """Query accounting.
 
-One ledger is shared by an oracle and every view of it, so a query is
-counted exactly once, whichever view it is asked through.
+The root oracle owns the ledger. A view of it has none: it sends each
+question it has not seen to the root's counted value() or demand(), so a
+query is counted exactly once, whichever view it is asked through.
 """
 
 

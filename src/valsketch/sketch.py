@@ -266,8 +266,10 @@ def sketch_errors(sketch: Sketch) -> list:
     positive scale, and finite alpha and beta of at least 1, whose worst
     values over the groups give a finite certified bound; each family
     an int k >= 1, a finite positive r, and pairwise disjoint members of
-    at most k items inside the group. A bool is not an int here. Fields
-    are read as given, so a value of the wrong type raises TypeError.
+    at most k items inside the group; build_queries null, or exactly
+    value_queries and demand_queries, each an int >= 0. A bool is not an
+    int here. Fields are read as given, so a value of the wrong type
+    raises TypeError.
     """
     n = sketch.n
     errors = []
@@ -303,6 +305,12 @@ def sketch_errors(sketch: Sketch) -> list:
                 if m & used:
                     errors.append(f"{tag}: overlapping members at {cell}")
                 used |= m
+    counts = sketch.build_queries
+    if counts is not None and not (
+            type(counts) is dict and counts.keys() == {"value_queries", "demand_queries"}
+            and all(type(c) is int and c >= 0 for c in counts.values())):
+        errors.append("build_queries must be null or value_queries and demand_queries, "
+                      "each an int >= 0")
     if not errors and sketch_bound(sketch) == math.inf:
         errors.append("the groups' alpha and beta give an infinite certified bound")
     return errors

@@ -66,11 +66,8 @@ class AdditiveClause:
         clause._uniform_weight = w if mask else None
         return clause
 
-    def weight(self, item: int) -> float:
-        return self.weights.get(item, 0.0)
-
     def meeting(self, threshold: float) -> int:
-        """The support items j with meets(weight(j), threshold)."""
+        """The support items j whose weight meets(w, threshold)."""
         if self._uniform_weight is not None:
             return self.support if meets(self._uniform_weight, threshold) else 0
         return bitsets.from_items(j for j, w in self.weights.items() if meets(w, threshold))
@@ -82,9 +79,6 @@ class AdditiveClause:
         if self._uniform_weight is not None:
             return self._uniform_weight * inter.bit_count()
         return sum(w for j, w in self.weights.items() if (bundle >> j) & 1)
-
-    def total(self) -> float:
-        return self.value(self.support)
 
     def __eq__(self, other):
         return isinstance(other, AdditiveClause) and self.weights == other.weights
@@ -120,7 +114,6 @@ class ValuationOracle:
         self.ledger = ledger if ledger is not None else QueryLedger()
         self.has_demand = (n <= ENUM_LIMIT
                            or type(self)._demand_uniform is not ValuationOracle._demand_uniform)
-        self._reach = bitsets.full_mask(n)  # items a demand answer may hold
 
     # -- public, counted interface ------------------------------------
 
@@ -130,7 +123,7 @@ class ValuationOracle:
         v = self._value(bundle)
         if not 0 <= v < math.inf:
             raise ValueError(
-                f"{self._answerer()} valued bundle {bitsets.to_hex(bundle)} at {v!r}; "
+                f"{type(self).__name__} valued bundle {bitsets.to_hex(bundle)} at {v!r}; "
                 "values must be finite and >= 0"
             )
         return v
@@ -146,19 +139,12 @@ class ValuationOracle:
         self.ledger.count_demand()
         answer = self._demand_uniform(q, included)
         # a negative int has bits outside any priced set
-        if type(answer) is not int or answer & ~(included & self._reach):
+        if type(answer) is not int or answer & ~included:
             raise ValueError(
-                f"{self._answerer()} answered a demand query with {answer!r}; "
+                f"{type(self).__name__} answered a demand query with {answer!r}; "
                 "answers must be int bundles of priced items"
             )
         return answer
-
-    def _answerer(self) -> str:
-        """Class name of the oracle that answers this one's queries."""
-        root = self
-        while isinstance(root, OracleView):
-            root = root.parent  # name the oracle that answered, not a view of it
-        return type(root).__name__
 
     # -- implementation hooks (uncounted) ------------------------------
 
@@ -193,29 +179,28 @@ class ValuationOracle:
         return best_mask
 
 
-class OracleView(ValuationOracle):
+class OracleView:
     """The parent valuation on the items of `mask`, in units of `scale`.
 
     Items outside the mask add nothing and are never demanded; values are
-    divided by the scale and prices multiplied by it. Shares the parent's
-    ledger, so a query through the view is counted once.
+    divided by the scale and prices multiplied by it. The view only
+    remembers and converts: each question it has not seen goes to the
+    parent's counted value() or demand(), so the root oracle counts,
+    checks and names every answer, once.
 
-    The view asks each question once. `answers` maps a question to its
-    checked answer: a value question by `bundle & mask`, a demand
-    question by `(q, included)`. A repeat passes the argument checks and
-    is answered from the table, uncounted. A caller may seed `answers`
-    with values it holds, in the view's scale.
+    `answers` maps a question to its answer: a value question by
+    `bundle & mask`, a demand question by `(q, included)`. A repeat
+    passes the argument checks and is answered from the table, uncounted.
+    A caller may seed `answers` with values it holds, in the view's scale.
     """
 
-    def __init__(self, parent: ValuationOracle, mask: int, scale: float = 1.0):
+    def __init__(self, parent: "ValuationOracle | OracleView", mask: int, scale: float = 1.0):
         if scale <= 0 or not math.isfinite(scale):
             raise ValueError("scale must be positive and finite")
-        super().__init__(parent.n, parent.ledger)
-        self.has_demand = parent.has_demand
         self.parent = parent
+        self.n = parent.n
         self.mask = mask
         self.scale = float(scale)
-        self._reach = parent._reach & mask
         self.answers = {}
 
     def value(self, bundle: int) -> float:
@@ -223,22 +208,25 @@ class OracleView(ValuationOracle):
         key = bundle & self.mask
         answer = self.answers.get(key)
         if answer is None:
-            answer = self.answers[key] = super().value(bundle)
+            answer = self.parent.value(key) / self.scale
+            if answer == math.inf:
+                raise ValueError(f"the value of bundle {bitsets.to_hex(key)} overflows "
+                                 f"in units of scale {self.scale!r}")
+            self.answers[key] = answer
         return answer
 
     def demand(self, prices: UniformPrices) -> int:
-        # only checked questions are stored, so a key match needs no check
-        key = (prices.q, prices.included)
+        q, included = prices.q, prices.included
+        bitsets.check_bundle(included, self.n)
+        key = (q, included)
         answer = self.answers.get(key)
         if answer is None:
-            answer = self.answers[key] = super().demand(prices)
+            answer = self.answers[key] = self.parent.demand(
+                UniformPrices(q * self.scale, included & self.mask))
         return answer
 
     def _value(self, bundle: int) -> float:
         return self.parent._value(bundle & self.mask) / self.scale
-
-    def _demand_uniform(self, q: float, included: int) -> int:
-        return self.parent._demand_uniform(q * self.scale, included & self.mask)
 
 
 # ---------------------------------------------------------------------

@@ -87,7 +87,7 @@ def test_demand_uniform_clause_contract(family, seed, bundle):
     assert clause.support & ~bundle == 0
     assert_supporting(oracle, clause, bundle)
     # the certificate is self-consistent: beta * clause total covers v(S)
-    assert beta * clause.total() >= v_s * (1 - 1e-9)
+    assert beta * clause.value(clause.support) >= v_s * (1 - 1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -113,7 +113,7 @@ def test_demand_uniform_zero_bundle_value():
     oracle = vs.AdditiveValuation([0.0, 0.0])
     clause, beta = xos_clause_demand_uniform(oracle, 0b11)
     assert beta == 1.0
-    assert clause.total() == 0.0
+    assert clause.value(clause.support) == 0.0
 
 
 def reference_best_uniform(oracle, bundle):
@@ -143,7 +143,7 @@ def test_brute_uniform_matches_reference(family, seed, bundle):
     clause, beta = brute_best_uniform_clause(oracle, bundle)
     v_s = oracle._value(bundle)
     want = reference_best_uniform(oracle, bundle)
-    assert clause.total() == pytest.approx(want, rel=1e-12)
+    assert clause.value(clause.support) == pytest.approx(want, rel=1e-12)
     if v_s > 0:
         assert beta == pytest.approx(max(1.0, v_s / want), rel=1e-12)
     assert_supporting(oracle, clause, bundle)
@@ -156,7 +156,7 @@ def test_brute_uniform_unit_demand_is_tight():
     oracle = vs.XOSExplicitValuation(clauses)
     clause, beta = brute_best_uniform_clause(oracle, 0xFF)
     assert beta == 1.0
-    assert clause.total() == 1.0
+    assert clause.value(clause.support) == 1.0
     assert clause.support == 0b1
 
 
@@ -166,7 +166,7 @@ def test_brute_uniform_additive_small_spread():
     clause, beta = brute_best_uniform_clause(oracle, 0b111)
     # {1, 2} at price 1.5 ties the full support at total 3; smaller mask wins
     assert clause.support == 0b110
-    assert clause.total() == 3.0
+    assert clause.value(clause.support) == 3.0
     assert beta == 1.5
 
 

@@ -1,6 +1,7 @@
 """End-to-end command line coverage: gen, sketch, eval, verify, bench."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -262,6 +263,21 @@ class TestPipelineChain:
              "params": {"table": [0, True]}},
             {"schema_version": 1, "family": "coverage", "n": 2, "seed": 0,
              "params": {"universe": True, "covers": [[0], [0]]}},
+            # a key the family does not take is refused, not ignored
+            {"schema_version": 1, "family": "coverage", "n": 2, "seed": 0,
+             "params": {"universe": 2, "covers": [[0], [1]], "weights": [1]}},
+            {"schema_version": 1, "family": "additive", "n": 2, "seed": 0,
+             "params": {"weights": [1, 2], "low": 1}},
+            {"schema_version": 1, "family": "uniform-matroid", "n": 2, "seed": 0,
+             "params": {"cap": 1, "caps": [1]}},
+            {"schema_version": 1, "family": "partition-matroid", "n": 2, "seed": 0,
+             "params": {"blocks": [[0], [1]], "caps": [1, 1], "block_size": 1}},
+            {"schema_version": 1, "family": "graphic-matroid", "n": 1, "seed": 0,
+             "params": {"vertices": 2, "edges": [[0, 1]], "weights": [1]}},
+            {"schema_version": 1, "family": "xos-explicit", "n": 2, "seed": 0,
+             "params": {"clauses": [{"0": 1}], "uniform": True}},
+            {"schema_version": 1, "family": "subadditive-table", "n": 1, "seed": 0,
+             "params": {"table": [0, 1], "high": 8}},
         ],
         ids=["no-params", "cap-str", "params-list", "clause-list", "top-level-int",
              "n-differs", "n-float", "n-str", "n-bool", "n-zero", "n-past-max", "seed-float",
@@ -271,7 +287,8 @@ class TestPipelineChain:
              "edge-ends-float-bool", "cap-float", "caps-float-bool", "clause-weight-str",
              "clause-weight-bool", "clause-key-underscore", "clause-key-space",
              "clause-keys-merge", "weights-str", "weights-bool", "table-str", "table-bool",
-             "universe-bool"],
+             "universe-bool", "coverage-extra", "additive-extra", "uniform-extra",
+             "partition-extra", "graphic-extra", "xos-extra", "table-extra"],
     )
     def test_sketch_rejects_malformed_instance(self, capsys, tmp_path, body):
         inst = tmp_path / "inst.json"
@@ -408,16 +425,17 @@ class TestPipelineChain:
     def test_eval_rejects_corrupt_sketch_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
 
-        def sketch_file(singletons=(1.0, 1.0), scale=1.0, r=1.0):
+        def sketch_file(singletons=(1.0, 1.0), scale=1.0, r=1.0, build_queries=None):
             group = {"leader": 0, "items": "3", "scale": scale, "alpha": 1.0, "beta": 1.0,
                      "families": [{"k": 2, "r": r, "members": ["3"]}]}
             return json.dumps({
                 "schema_version": 1, "kind": "valuation-sketch", "n": 2,
-                "singletons": list(singletons), "groups": [group], "build_queries": None,
+                "singletons": list(singletons), "groups": [group], "build_queries": build_queries,
             })
 
         for text in ('{"kind": "something-else"}', sketch_file(singletons=(None, 1.0)),
-                     sketch_file(r=float("inf")), sketch_file(scale=float("nan"))):
+                     sketch_file(r=float("inf")), sketch_file(scale=float("nan")),
+                     sketch_file(build_queries=math.nan), sketch_file(build_queries="junk")):
             bad.write_text(text)
             code, _, err = run(capsys, "eval", "--sketch", str(bad), "--bundle", "1")
             assert code == 2 and "error:" in err

@@ -113,6 +113,18 @@ def test_demand_capability_gate():
         big.demand(UniformPrices(1.0, vs.bitsets.full_mask(30)))
 
 
+def test_view_demand_is_refused_by_the_root():
+    """A view has no demand capability of its own: the root refuses the
+    question, counting nothing, after the view checked the priced set."""
+    big = vs.UniformMatroidRank(30, 3)
+    view = OracleView(big, 0b111, 2.0)
+    with pytest.raises(vs.MalformedBundleError):
+        view.demand(UniformPrices(1.0, 1 << 30))  # outside the ground set, though masked away
+    with pytest.raises(vs.CapabilityError, match="UniformMatroidRank does not answer demand"):
+        view.demand(UniformPrices(1.0, vs.bitsets.full_mask(30)))
+    assert big.ledger.totals() == (0, 0) and view.answers == {}
+
+
 def test_scaled_demand_rescales_prices():
     led = vs.QueryLedger()
     v = vs.AdditiveValuation([2.0, 6.0], led)
@@ -170,7 +182,7 @@ ALWAYS_DEMAND = ("additive", "xos-explicit", "subadditive-table")
 def test_has_demand_is_derived_as_each_family_passed_it(family, n):
     """has_demand follows from n and from whether the family overrides
     _demand_uniform: every shipped family answers up to ENUM_LIMIT items,
-    and past it only the ALWAYS_DEMAND ones; a view reports its parent's."""
+    and past it only the ALWAYS_DEMAND ones."""
     if family != "subadditive-table":
         oracle = vs.generate_instance(family, n, 0).build()
     elif n <= 22:
@@ -181,7 +193,6 @@ def test_has_demand_is_derived_as_each_family_passed_it(family, n):
         return
     expected = family in ALWAYS_DEMAND or n <= 22
     assert oracle.n == n and oracle.has_demand is expected
-    assert OracleView(oracle, 0b1, 2.0).has_demand is expected
 
 
 def law_of_demand_oracles(n, seed):

@@ -41,6 +41,21 @@ def test_instance_files_take_plain_keys_numbers_and_empty_clauses():
         assert vs.InstanceSpec(family, n, params, 0).build().n == n
 
 
+@pytest.mark.parametrize("family", vs.instances.FAMILIES)
+def test_build_refuses_a_parameter_the_family_does_not_take(family):
+    """An instance builds from exactly the keys its generator writes; an
+    extra one is named, never ignored."""
+    spec = vs.generate_instance(family, 4, 0)
+    assert spec.build().n == 4
+    for extra in ("weights", "bogus"):
+        if extra in spec.params:
+            continue
+        bad = vs.InstanceSpec(family, 4, {**spec.params, extra: [1]}, 0)
+        with pytest.raises(SerializationError,
+                           match=rf"unknown parameters for {family}: \['{extra}'\]"):
+            bad.build()
+
+
 def test_instance_json_rejects_garbage():
     with pytest.raises(SerializationError):
         vs.InstanceSpec.from_json("not json")

@@ -407,6 +407,16 @@ class TestSerialization:
             {"groups": _group(family={"members": ["+1"]})},
             {"n": 5, "singletons": [1.0] * 5,
              "groups": _group(leader=4, items="1_0", family={"members": ["10"]})},
+            {"build_queries": float("nan")},
+            {"build_queries": "junk"},
+            {"build_queries": [1, 2]},
+            {"build_queries": True},
+            {"build_queries": {"value_queries": -5, "demand_queries": 0}},
+            {"build_queries": {"value_queries": True, "demand_queries": 0}},
+            {"build_queries": {"value_queries": 1.0, "demand_queries": 0}},
+            {"build_queries": {"value_queries": float("nan"), "demand_queries": 0}},
+            {"build_queries": {"value_queries": 1}},
+            {"build_queries": {"value_queries": 1, "demand_queries": 0, "extra": 0}},
         ],
     )
     def test_rejects_malformed_payloads(self, breakage):
@@ -458,12 +468,15 @@ class TestSerializeContract:
             ({"families": [vs.SketchFamily(1, math.inf, [0b01])]}, "r must be"),
             ({"leader": 1, "items": 0b01}, "leader outside"),
             ({"families": [vs.SketchFamily(True, 1.0, [0b01])]}, "k must be"),
+            ({"build_queries": math.nan}, "build_queries"),
         ],
     )
     def test_serialize_refuses_what_deserialize_would(self, tmp_path, fields, needle):
         group = dict(leader=0, items=0b11, scale=1.0, alpha=1.0, beta_certified=1.0,
                      families=[vs.SketchFamily(1, 1.0, [0b01])])
-        sketch = vs.Sketch(2, [1.0, 1.0], [vs.SketchGroup(**{**group, **fields})])
+        fields = dict(fields)
+        counts = fields.pop("build_queries", None)
+        sketch = vs.Sketch(2, [1.0, 1.0], [vs.SketchGroup(**{**group, **fields})], counts)
         with pytest.raises(SerializationError, match=needle):
             vs.serialize(sketch)
         path = tmp_path / "sketch.json"

@@ -83,7 +83,7 @@ def checking_specs(calls):
         got = card_demand_price_grid(stopping, ground, k, max_singleton=max_singleton)
         want = full_price_grid(fresh_view(view), ground, k, max_singleton=max_singleton)
         assert repr(got) == repr(want), (hex(ground), k)
-        assert stopping.ledger.demand_queries <= math.ceil(math.log2(8 * k * k)) + 1
+        assert stopping.parent.ledger.demand_queries <= math.ceil(math.log2(8 * k * k)) + 1
         calls.append("card")
         return got
 
@@ -94,7 +94,7 @@ def checking_specs(calls):
             want = xos_clause_demand_uniform(fresh_view(view), bundle, value_of_bundle)
         assert repr(got) == repr(want), hex(bundle)
         size = bundle.bit_count()
-        assert stopping.ledger.demand_queries <= 2 * (math.ceil(math.log2(4 * size)) + 1)
+        assert stopping.parent.ledger.demand_queries <= 2 * (math.ceil(math.log2(4 * size)) + 1)
         calls.append("clause")
         return got
 

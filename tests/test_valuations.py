@@ -40,8 +40,8 @@ class TestAdditiveClause:
         assert c.value(0b001) == 3.0
         assert c.value(0b111) == 4.5
         assert c.value(0b010) == 0.0
-        assert c.total() == 4.5
-        assert c.weight(1) == 0.0
+        assert c.value(c.support) == 4.5
+        assert c.weights.get(1, 0.0) == 0.0
 
     def test_uniform_constructor_and_fast_path(self):
         c = AdditiveClause.uniform(2.5, 0b1011)
@@ -99,7 +99,7 @@ class TestAdditiveClause:
     def test_meeting_is_the_items_whose_weight_meets(self, clause, t):
         for bundle in (0, 0b1111111, 0b1010101, clause.support):
             walked = bitsets.from_items(
-                j for j in bitsets.iter_items(bundle) if meets(clause.weight(j), t))
+                j for j in bitsets.iter_items(bundle) if meets(clause.weights.get(j, 0.0), t))
             if not meets(0.0, t):
                 assert bundle & clause.meeting(t) == walked
             else:  # at t = 0 every item meets, weighed in the support or not
@@ -326,7 +326,7 @@ class TestWrappers:
         led = vs.QueryLedger()
         view = OracleView(Broken([1, 2, 4], led), 0b011)
         for _ in range(2):
-            with pytest.raises(ValueError, match="Broken valued bundle 7 at nan"):
+            with pytest.raises(ValueError, match="Broken valued bundle 3 at nan"):
                 view.value(0b111)
         assert led.value_queries == 2
         assert view.answers == {}
@@ -338,7 +338,36 @@ class TestWrappers:
             view.demand(vs.UniformPrices(1.5, 0b1011))  # item 3 is outside the ground set
         with pytest.raises(ValueError, match="prices must be finite"):
             view.demand(vs.UniformPrices(-1.5, 0b011))
-        assert view.ledger.totals() == (0, 1)
+        assert view.parent.ledger.totals() == (0, 1)
+
+    def test_view_refuses_a_value_that_overflows_its_scale(self):
+        """A finite root answer that reaches inf once divided by the scale
+        is refused; the root counted it once and the view stores nothing."""
+        view = OracleView(vs.AdditiveValuation([1e10, 1.0]), 0b11, 1e-300)
+        with pytest.raises(ValueError, match="bundle 1 overflows in units of scale 1e-300"):
+            view.value(0b01)
+        assert view.answers == {} and view.parent.ledger.totals() == (1, 0)
+        assert view.value(0b10) == 1.0 / 1e-300
+        assert view.parent.ledger.totals() == (2, 0)
+
+    def test_nested_views_convert_in_order(self):
+        """Each view divides a value by its scale and multiplies a price by
+        it on the way to the root, the innermost first, bit for bit."""
+        class Recording(vs.AdditiveValuation):
+            def _demand_uniform(self, q, included):
+                self.asked = q, included
+                return super()._demand_uniform(q, included)
+
+        rng = random.Random(5)
+        for _ in range(200):
+            root = Recording([rng.uniform(0.0, 10.0) for _ in range(6)])
+            (m_out, s_out), (m_in, s_in) = [(rng.getrandbits(6), rng.uniform(1e-3, 1e3))
+                                            for _ in range(2)]
+            inner = OracleView(OracleView(root, m_out, s_out), m_in, s_in)
+            bundle, q = rng.getrandbits(6), rng.uniform(0.0, 10.0)
+            assert inner.value(bundle) == root._value(bundle & m_in & m_out) / s_out / s_in
+            inner.demand(vs.UniformPrices(q, bundle))
+            assert root.asked == (q * s_in * s_out, bundle & m_in & m_out)
 
     def test_stacked_views_count_a_repeat_once(self):
         led = vs.QueryLedger()

@@ -262,6 +262,16 @@ def test_package_holds_only_what_the_system_runs():
     assert not hasattr(vs.ValuationOracle, "restrict")
     # a cardinality spec is one callable and its alpha; the group view remembers answers
     assert not hasattr(vs.cardinality, "take_step")
+    # the view only remembers and converts; the root oracle counts, checks and names
+    oracle = vs.AdditiveValuation([1.0, 2.0])
+    view = vs.valuations.OracleView(oracle, 0b1)
+    assert not isinstance(view, vs.ValuationOracle)
+    for name in ("_answerer", "_reach"):
+        assert not hasattr(oracle, name), name
+    for name in ("_demand_uniform", "has_demand", "ledger"):
+        assert not hasattr(view, name), name
+    for name in ("weight", "total"):  # a clause's weights dict and value() serve tests too
+        assert not hasattr(vs.AdditiveClause, name), name
     assert [f.name for f in dataclasses.fields(vs.CardOracleSpec)] == ["run", "alpha",
                                                                        "needs_demand"]
     for name in ("brute_force", "brute_reference_table", "exhaustive_ratio_report",
