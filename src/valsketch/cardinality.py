@@ -16,11 +16,11 @@ with budget k they stop after the first k steps of their run with a
 larger budget. Each is written once, as a step generator
 steps(oracle, ground) that yields (bundle, value) after every item it
 adds; its spec's run replays it to step k, or to the last step if the
-run ends sooner. A build hands run its group's OracleView, which keeps
-each answer the root oracle gave, so a replay's repeated questions go
-uncounted. Matroid augmenting gallops to each item it adds and drops
-for good the items a probe showed spanned, so a step pays for the items
-it skips, not for the size of the pool. Threshold greedy steps over the
+run ends sooner. A build hands run its group's OracleView, a memo in the
+group's units of each answer the root oracle gave, so a replay's
+repeated questions go uncounted. Matroid augmenting gallops to each item
+it adds and drops for good the items a probe showed spanned, so a step
+pays for the items it skips, not for the size of the pool. Threshold greedy steps over the
 levels no item can clear without scanning them.
 """
 
@@ -175,8 +175,9 @@ def card_demand_price_grid(oracle: ValuationOracle | OracleView, ground: int, k:
     of k items and the blocks are valued instead; by subadditivity one of
     them carries its proportional share. The sweep stops after the first
     response that fits in k items, the empty one included. At most
-    ceil(log2(8 k^2)) + 1 demand queries, value queries only for distinct
-    candidate blocks.
+    ceil(log2(8 k^2)) + 1 demand queries and one value query per candidate
+    block; in a build the group's view answers a repeated block, so each
+    distinct block is valued once.
     """
     if not ground or k < 1:
         return 0, 0.0
@@ -185,7 +186,6 @@ def card_demand_price_grid(oracle: ValuationOracle | OracleView, ground: int, k:
     if max_singleton <= 0:
         return 0, 0.0
     best_bundle, best_value = 0, 0.0
-    cache = {}
     for t in range(math.ceil(math.log2(8 * k * k)) + 1):
         q = max_singleton / (4 * k) * (1 << t)
         resp = oracle.demand(UniformPrices(q, ground))
@@ -194,10 +194,7 @@ def card_demand_price_grid(oracle: ValuationOracle | OracleView, ground: int, k:
         for block in blocks:
             if not block:
                 continue
-            val = cache.get(block)
-            if val is None:
-                val = oracle.value(block)
-                cache[block] = val
+            val = oracle.value(block)
             if val > best_value:
                 best_bundle, best_value = block, val
         if fits:

@@ -14,7 +14,7 @@ import time
 
 from . import bitsets
 from .errors import CapabilityError
-from .instances import FAMILIES, InstanceSpec, generate_instance, load_instance, save_instance, validate_class
+from .instances import FAMILIES, generate_instance, load_instance, save_instance, validate_class
 from .ledger import QueryLedger
 from .pipelines import PIPELINES, bench_instance, get_pipeline
 from .sketch import build_sketch, evaluate, load_sketch, save_sketch
@@ -29,6 +29,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance file")
+    gen.set_defaults(handler=cmd_gen)
     gen.add_argument("--family", required=True, choices=FAMILIES)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
@@ -42,11 +43,13 @@ def _parser() -> argparse.ArgumentParser:
     )
 
     sk = sub.add_parser("sketch", help="build a sketch from an instance file")
+    sk.set_defaults(handler=cmd_sketch)
     sk.add_argument("--instance", required=True)
     sk.add_argument("--pipeline", required=True, choices=sorted(PIPELINES))
     sk.add_argument("--out", required=True)
 
     ev = sub.add_parser("eval", help="estimate bundle values from a sketch file")
+    ev.set_defaults(handler=cmd_eval)
     ev.add_argument("--sketch", required=True)
     ev.add_argument(
         "--bundle",
@@ -57,11 +60,13 @@ def _parser() -> argparse.ArgumentParser:
     )
 
     ver = sub.add_parser("verify", help="exhaustive checks at small n")
+    ver.set_defaults(handler=cmd_verify)
     ver.add_argument("--instance", required=True)
     ver.add_argument("--pipeline", required=True, choices=sorted(PIPELINES))
     ver.add_argument("--sketch", help="check this sketch file instead of rebuilding")
 
     be = sub.add_parser("bench", help="query counts across ground set sizes")
+    be.set_defaults(handler=cmd_bench)
     be.add_argument("--pipeline", required=True, choices=sorted(PIPELINES))
     be.add_argument("--n", type=int, action="append", required=True)
     be.add_argument("--seed", type=int, default=0)
@@ -166,19 +171,10 @@ def cmd_bench(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "gen": cmd_gen,
-    "sketch": cmd_sketch,
-    "eval": cmd_eval,
-    "verify": cmd_verify,
-    "bench": cmd_bench,
-}
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,9 @@
 """Query accounting.
 
 The root oracle owns the ledger. A view of it has none: it sends each
-question it has not seen to the root's counted value() or demand(), so a
-query is counted exactly once, whichever view it is asked through.
+question it has not seen to the root's counted value() or demand(), which
+check and count it, so a query is checked and counted exactly once,
+whichever view it is asked through.
 """
 
 

@@ -111,14 +111,19 @@ class Sketch:
         """(words, weights): each stored member as a column of `bitsets.to_words`
         words, shape (ceil(n/64), M), as a sum over the leading axis is twice as
         fast; the n singleton values, then each member's unit, its estimate per hit."""
-        fams = [(f, f.r / (4.0 * g.alpha * g.beta_certified) * g.scale)
-                for g in self.groups for f in g.families]
+        fams = [(f, member_unit(g, f)) for g in self.groups for f in g.families]
         words = bitsets.to_words([m for f, _ in fams for m in f.members], self.n).T
         units = [unit for f, unit in fams for _ in f.members]
         weights = np.array([*self.singletons, *units], dtype=np.float64)
         if not np.isfinite(weights).all():
             raise SerializationError("a member's unit r / (4 alpha beta) * scale overflows")
         return np.ascontiguousarray(words), weights
+
+
+def member_unit(group: SketchGroup, family: SketchFamily) -> float:
+    """The estimate a family's member adds per item it shares with a
+    bundle: r / (4 alpha beta) * scale; inf where that overflows."""
+    return family.r / (4.0 * group.alpha * group.beta_certified) * group.scale
 
 
 def well_bounded_partition(singletons, n: int):
@@ -173,7 +178,7 @@ def build_group_sketch(
     sing = [singletons[j] / scale for j in ranked]
     prefix = list(accumulate((1 << j for j in ranked), or_, initial=0))
     items = prefix[-1]
-    view = OracleView(oracle, items, scale)
+    view = OracleView(oracle, scale)
     view.answers.update(zip([1 << j for j in ranked], sing))  # what the view would answer
     sqrt_n = math.sqrt(grid.n)
     beta_cert = 1.0
@@ -265,10 +270,10 @@ def sketch_errors(sketch: Sketch) -> list:
     group's items inside the ground set, its leader among them, a finite
     positive scale, and finite alpha and beta of at least 1, whose worst
     values over the groups give a finite certified bound; each family
-    an int k >= 1, a finite positive r, and pairwise disjoint members of
-    at most k items inside the group; build_queries null, or exactly
-    value_queries and demand_queries, each an int >= 0. A bool is not an
-    int here. Fields are read as given, so a value of the wrong type
+    an int k >= 1, a finite positive r, a finite member_unit, and
+    pairwise disjoint members of at most k items inside the group;
+    build_queries null, or exactly value_queries and demand_queries,
+    each an int >= 0. A bool is not an int here. Fields are read as given, so a value of the wrong type
     raises TypeError.
     """
     n = sketch.n
@@ -284,10 +289,12 @@ def sketch_errors(sketch: Sketch) -> list:
             errors.append(f"{tag}: items outside the ground set")
         if not (type(g.leader) is int and 0 <= g.leader < n and (g.items >> g.leader) & 1):
             errors.append(f"{tag}: leader outside the group")
-        if not (math.isfinite(g.scale) and g.scale > 0):
+        group_ok = math.isfinite(g.scale) and g.scale > 0  # so member_unit can be computed
+        if not group_ok:
             errors.append(f"{tag}: scale must be positive and finite")
         if not (math.isfinite(g.alpha) and math.isfinite(g.beta_certified)
                 and g.alpha >= 1 and g.beta_certified >= 1):
+            group_ok = False
             errors.append(f"{tag}: alpha and beta must be finite and at least 1")
         outside = ~g.items
         for fam in g.families:
@@ -296,6 +303,9 @@ def sketch_errors(sketch: Sketch) -> list:
                 errors.append(f"{tag}: k must be an int of at least 1 at {cell}")
             if not (math.isfinite(fam.r) and fam.r > 0):
                 errors.append(f"{tag}: r must be positive and finite at {cell}")
+            elif group_ok and member_unit(g, fam) == math.inf:
+                errors.append(f"{tag}: the member unit r / (4 alpha beta) * scale "
+                              f"overflows at {cell}")
             used = 0
             for m in fam.members:
                 if m & outside:

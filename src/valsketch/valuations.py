@@ -180,53 +180,46 @@ class ValuationOracle:
 
 
 class OracleView:
-    """The parent valuation on the items of `mask`, in units of `scale`.
+    """The parent valuation in units of `scale`: values are divided by it
+    and prices multiplied by it. The view only remembers and converts:
+    each question it has not seen goes to the parent's counted value() or
+    demand(), so the root oracle counts, checks and names every answer,
+    once.
 
-    Items outside the mask add nothing and are never demanded; values are
-    divided by the scale and prices multiplied by it. The view only
-    remembers and converts: each question it has not seen goes to the
-    parent's counted value() or demand(), so the root oracle counts,
-    checks and names every answer, once.
-
-    `answers` maps a question to its answer: a value question by
-    `bundle & mask`, a demand question by `(q, included)`. A repeat
-    passes the argument checks and is answered from the table, uncounted.
-    A caller may seed `answers` with values it holds, in the view's scale.
+    `answers` maps a question to its answer: a value question by its
+    bundle, a demand question by `(q, included)`. Only a question the root
+    accepted is stored, so a repeat is answered from the table, unchecked
+    and uncounted. A caller may seed `answers` with values it holds, in
+    the view's scale.
     """
 
-    def __init__(self, parent: "ValuationOracle | OracleView", mask: int, scale: float = 1.0):
+    def __init__(self, parent: "ValuationOracle | OracleView", scale: float = 1.0):
         if scale <= 0 or not math.isfinite(scale):
             raise ValueError("scale must be positive and finite")
         self.parent = parent
-        self.n = parent.n
-        self.mask = mask
         self.scale = float(scale)
         self.answers = {}
 
     def value(self, bundle: int) -> float:
-        bitsets.check_bundle(bundle, self.n)
-        key = bundle & self.mask
-        answer = self.answers.get(key)
+        answer = self.answers.get(bundle)
         if answer is None:
-            answer = self.parent.value(key) / self.scale
+            answer = self.parent.value(bundle) / self.scale
             if answer == math.inf:
-                raise ValueError(f"the value of bundle {bitsets.to_hex(key)} overflows "
+                raise ValueError(f"the value of bundle {bitsets.to_hex(bundle)} overflows "
                                  f"in units of scale {self.scale!r}")
-            self.answers[key] = answer
+            self.answers[bundle] = answer
         return answer
 
     def demand(self, prices: UniformPrices) -> int:
-        q, included = prices.q, prices.included
-        bitsets.check_bundle(included, self.n)
-        key = (q, included)
+        key = prices.q, prices.included
         answer = self.answers.get(key)
         if answer is None:
             answer = self.answers[key] = self.parent.demand(
-                UniformPrices(q * self.scale, included & self.mask))
+                UniformPrices(prices.q * self.scale, prices.included))
         return answer
 
     def _value(self, bundle: int) -> float:
-        return self.parent._value(bundle & self.mask) / self.scale
+        return self.parent._value(bundle) / self.scale
 
 
 # ---------------------------------------------------------------------
@@ -559,7 +552,7 @@ class SubadditiveTableValuation(ValuationOracle):
         super().__init__(n, ledger)
         self.table = arr
         self._masks = masks
-        self._pc = popcount_table(n)
+        self._pc = np.bitwise_count(masks)
 
     def _value(self, bundle: int) -> float:
         return float(self.table[bundle])
@@ -587,11 +580,3 @@ def subadditive_witness(table, n: int):
                 return a, s ^ a, s
             a = (a - 1) & s
     return None
-
-
-def popcount_table(n: int) -> np.ndarray:
-    """Array of length 2^n whose entry at mask m is m.bit_count()."""
-    pc = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        pc = np.concatenate([pc, pc + 1])
-    return pc

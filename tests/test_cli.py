@@ -422,6 +422,26 @@ class TestPipelineChain:
                            "--pipeline", "brute", "--sketch", str(sk))
         assert code == 2 and "leader outside the group" in err
 
+    def test_a_sketch_whose_unit_overflows_is_refused_at_load(self, capsys, tmp_path):
+        """scale 1e10 and r = 1e300 are each finite, but the member unit
+        r / 4 * scale is not: eval and verify refuse the file as they load
+        it, naming the cell, not when the kernel compiles it."""
+        inst = tmp_path / "inst.json"
+        sk = tmp_path / "sketch.json"
+        run(capsys, "gen", "--family", "additive", "--n", "2", "--out", str(inst))
+        group = {"leader": 0, "items": "3", "scale": 1e10, "alpha": 1.0, "beta": 1.0,
+                 "families": [{"k": 1, "r": 1e300, "members": ["1"]}]}
+        sk.write_text(json.dumps({
+            "schema_version": 1, "kind": "valuation-sketch", "n": 2,
+            "singletons": [1.0, 1.0], "groups": [group], "build_queries": None,
+        }))
+        needle = "member unit r / (4 alpha beta) * scale overflows at k=1 r=1e+300"
+        for argv in (("eval", "--sketch", str(sk), "--bundle", "1"),
+                     ("verify", "--instance", str(inst), "--pipeline", "brute",
+                      "--sketch", str(sk))):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and needle in err and out == "", argv
+
     def test_eval_rejects_corrupt_sketch_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
 

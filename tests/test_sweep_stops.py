@@ -70,7 +70,7 @@ def fresh_view(view):
     empty answer table."""
     parent = copy.copy(view.parent)
     parent.ledger = vs.QueryLedger()
-    return OracleView(parent, view.mask, view.scale)
+    return OracleView(parent, view.scale)
 
 
 def checking_specs(calls):

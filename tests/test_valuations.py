@@ -193,7 +193,7 @@ class TestFamilies:
         block_of = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
         blocks = [[j for j in range(n) if block_of[j] == b] for b in range(6)]  # some empty
         caps = data.draw(st.lists(st.integers(0, 4), min_size=6, max_size=6))
-        bundle, mask = (data.draw(st.integers(0, (1 << n) - 1)) for _ in range(2))
+        bundle = data.draw(st.integers(0, (1 << n) - 1))
         scale = data.draw(st.sampled_from([0.25, 1.0, 3.0]))
 
         def capped_sum(s):
@@ -201,8 +201,8 @@ class TestFamilies:
 
         v = vs.PartitionMatroidRank(blocks, caps)
         assert v.value(bundle) == capped_sum(bundle)
-        assert OracleView(v, mask).value(bundle) == capped_sum(bundle & mask)
-        assert OracleView(v, mask, scale).value(bundle) == capped_sum(bundle & mask) / scale
+        assert OracleView(v).value(bundle) == capped_sum(bundle)
+        assert OracleView(v, scale).value(bundle) == capped_sum(bundle) / scale
 
     def test_partition_matroid_rejects_overlap_and_gaps(self):
         with pytest.raises(ValueError):
@@ -276,47 +276,55 @@ class TestTableValidation:
 
 
 class TestWrappers:
-    def test_restricted_masks_value(self):
-        v = vs.AdditiveValuation([1, 2, 4])
-        view = OracleView(v, 0b011)
-        assert view._value(0b111) == 3.0
-        assert view.n == 3
-
     def test_scaled_divides_value(self):
         v = vs.AdditiveValuation([2, 4])
-        s = OracleView(v, 0b11, 2.0)
+        s = OracleView(v, 2.0)
         assert s._value(0b11) == 3.0
 
     def test_scaled_rejects_bad_scale(self):
         v = vs.AdditiveValuation([1])
         for scale in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
-                OracleView(v, 0b1, scale)
+                OracleView(v, scale)
 
     def test_stacked_wrappers_share_ledger(self):
         led = vs.QueryLedger()
         v = vs.AdditiveValuation([1, 2, 4], led)
-        view = OracleView(OracleView(v, 0b111, 2.0), 0b101)
-        assert view.value(0b111) == 2.5
+        view = OracleView(OracleView(v, 2.0))
+        assert view.value(0b101) == 2.5
         assert led.value_queries == 1
 
     def test_view_counts_a_repeated_question_once(self):
         led = vs.QueryLedger()
-        view = OracleView(vs.AdditiveValuation([1, 2, 4], led), 0b011)
-        # 0b111 and 0b011 are one question to a view of items 0 and 1
-        assert [view.value(b) for b in (0b011, 0b011, 0b111)] == [3.0, 3.0, 3.0]
+        view = OracleView(vs.AdditiveValuation([1, 2, 4], led))
+        assert [view.value(b) for b in (0b011, 0b011)] == [3.0, 3.0]
         prices = vs.UniformPrices(1.5, 0b011)
         assert view.demand(prices) == view.demand(vs.UniformPrices(1.5, 0b011)) == 0b010
         assert led.totals() == (1, 1)
 
-    @pytest.mark.parametrize("bundle", [0b1011, -1])  # -1 & mask is the asked 0b011
+    @pytest.mark.parametrize("bundle", [0b1011, -1])  # item 3; bits past every item
     def test_view_hit_still_refuses_a_bad_bundle(self, bundle):
         v = vs.AdditiveValuation([1, 2, 4])
-        view = OracleView(v, 0b011)
+        view = OracleView(v)
         view.value(0b011)
         with pytest.raises(vs.MalformedBundleError):
             view.value(bundle)
-        assert v.ledger.totals() == (1, 0)
+        assert v.ledger.totals() == (1, 0) and view.answers == {0b011: 3.0}
+
+    @pytest.mark.parametrize("bad", [1 << 3, 0b1011, -1, -2])
+    def test_root_refuses_a_question_outside_the_ground_set(self, bad):
+        """A view has no check of its own: a bundle or priced set with items
+        outside 0..n-1, asked through nested views, is refused by the root,
+        which counts nothing, and no view stores anything."""
+        v = vs.AdditiveValuation([1, 2, 4])
+        outer = OracleView(v, 2.0)
+        inner = OracleView(outer, 0.5)
+        with pytest.raises(vs.MalformedBundleError, match="outside 0..2"):
+            inner.value(bad)
+        with pytest.raises(vs.MalformedBundleError, match="outside 0..2"):
+            inner.demand(vs.UniformPrices(1.0, bad))
+        assert v.ledger.totals() == (0, 0)
+        assert inner.answers == outer.answers == {}
 
     def test_view_does_not_store_a_refused_answer(self):
         class Broken(vs.AdditiveValuation):
@@ -324,26 +332,26 @@ class TestWrappers:
                 return math.nan if bundle == 0b011 else super()._value(bundle)
 
         led = vs.QueryLedger()
-        view = OracleView(Broken([1, 2, 4], led), 0b011)
+        view = OracleView(Broken([1, 2, 4], led))
         for _ in range(2):
             with pytest.raises(ValueError, match="Broken valued bundle 3 at nan"):
-                view.value(0b111)
+                view.value(0b011)
         assert led.value_queries == 2
         assert view.answers == {}
 
     def test_view_refuses_a_bad_demand_question_after_answering(self):
-        view = OracleView(vs.AdditiveValuation([1, 2, 4]), 0b011)
+        view = OracleView(vs.AdditiveValuation([1, 2, 4]))
         assert view.demand(vs.UniformPrices(1.5, 0b011)) == 0b010
         with pytest.raises(vs.MalformedBundleError):
             view.demand(vs.UniformPrices(1.5, 0b1011))  # item 3 is outside the ground set
         with pytest.raises(ValueError, match="prices must be finite"):
             view.demand(vs.UniformPrices(-1.5, 0b011))
-        assert view.parent.ledger.totals() == (0, 1)
+        assert view.parent.ledger.totals() == (0, 1) and len(view.answers) == 1
 
     def test_view_refuses_a_value_that_overflows_its_scale(self):
         """A finite root answer that reaches inf once divided by the scale
         is refused; the root counted it once and the view stores nothing."""
-        view = OracleView(vs.AdditiveValuation([1e10, 1.0]), 0b11, 1e-300)
+        view = OracleView(vs.AdditiveValuation([1e10, 1.0]), 1e-300)
         with pytest.raises(ValueError, match="bundle 1 overflows in units of scale 1e-300"):
             view.value(0b01)
         assert view.answers == {} and view.parent.ledger.totals() == (1, 0)
@@ -361,19 +369,18 @@ class TestWrappers:
         rng = random.Random(5)
         for _ in range(200):
             root = Recording([rng.uniform(0.0, 10.0) for _ in range(6)])
-            (m_out, s_out), (m_in, s_in) = [(rng.getrandbits(6), rng.uniform(1e-3, 1e3))
-                                            for _ in range(2)]
-            inner = OracleView(OracleView(root, m_out, s_out), m_in, s_in)
+            s_out, s_in = rng.uniform(1e-3, 1e3), rng.uniform(1e-3, 1e3)
+            inner = OracleView(OracleView(root, s_out), s_in)
             bundle, q = rng.getrandbits(6), rng.uniform(0.0, 10.0)
-            assert inner.value(bundle) == root._value(bundle & m_in & m_out) / s_out / s_in
+            assert inner.value(bundle) == root._value(bundle) / s_out / s_in
             inner.demand(vs.UniformPrices(q, bundle))
-            assert root.asked == (q * s_in * s_out, bundle & m_in & m_out)
+            assert root.asked == (q * s_in * s_out, bundle)
 
     def test_stacked_views_count_a_repeat_once(self):
         led = vs.QueryLedger()
-        inner = OracleView(OracleView(vs.AdditiveValuation([1, 2, 4], led), 0b111, 2.0), 0b101)
-        assert inner.value(0b111) == inner.value(0b101) == 2.5
-        prices = vs.UniformPrices(0.75, 0b111)  # 1.5 in the root's units
+        inner = OracleView(OracleView(vs.AdditiveValuation([1, 2, 4], led), 2.0))
+        assert inner.value(0b101) == inner.value(0b101) == 2.5
+        prices = vs.UniformPrices(0.75, 0b101)  # 1.5 in the root's units
         assert inner.demand(prices) == inner.demand(prices) == 0b100
         assert led.totals() == (1, 1)
 

@@ -1,6 +1,7 @@
 """Verification: the reference projections and core claim, ratio reports, invariants."""
 
 import dataclasses
+import inspect
 import math
 import os
 import re
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 import valsketch as vs
-from valsketch import bitsets
+from valsketch import bitsets, cli
 from valsketch.sketch import Sketch, SketchFamily, SketchGroup
 from valsketch.verify import family_invariant_check
 
@@ -264,12 +265,16 @@ def test_package_holds_only_what_the_system_runs():
     assert not hasattr(vs.cardinality, "take_step")
     # the view only remembers and converts; the root oracle counts, checks and names
     oracle = vs.AdditiveValuation([1.0, 2.0])
-    view = vs.valuations.OracleView(oracle, 0b1)
+    view = vs.valuations.OracleView(oracle, 2.0)
     assert not isinstance(view, vs.ValuationOracle)
+    assert list(inspect.signature(vs.valuations.OracleView).parameters) == ["parent", "scale"]
     for name in ("_answerer", "_reach"):
         assert not hasattr(oracle, name), name
-    for name in ("_demand_uniform", "has_demand", "ledger"):
+    for name in ("_demand_uniform", "has_demand", "ledger", "mask", "n"):
         assert not hasattr(view, name), name
+    # bit counts come from numpy; each subparser carries its handler
+    assert not hasattr(vs.valuations, "popcount_table")
+    assert not hasattr(cli, "_COMMANDS")
     for name in ("weight", "total"):  # a clause's weights dict and value() serve tests too
         assert not hasattr(vs.AdditiveClause, name), name
     assert [f.name for f in dataclasses.fields(vs.CardOracleSpec)] == ["run", "alpha",
