@@ -2,8 +2,10 @@
 """Exhaustive desk-scale verification over the standard fixture corpus.
 
 For every corpus instance: validates the advertised valuation class,
-builds the pipeline's sketch, checks the structural invariants, and
-compares the estimate against the truth on all 2^n bundles. Prints one
+builds the pipeline's sketch, checks the structural invariants,
+compares the estimate against the truth on all 2^n bundles, and checks
+that the sketch loaded back from its file estimates every bundle bit for
+bit like the built one. Prints one
 line per fixture and a summary that gives the most groups any sketch
 has and ends with the value and demand queries the builds spent; exits
 1 if anything is violated.
@@ -26,8 +28,10 @@ def check_entry(pipeline_name: str, spec) -> tuple:
     sketch = vs.build_sketch(oracle, pipeline.card, pipeline.xos)
     violations = vs.family_invariant_check(sketch)
     report = vs.exhaustive_ratio_report(oracle, sketch)
+    loaded = vs.deserialize(vs.serialize(sketch))
+    reloads = vs.evaluate_all(loaded).tobytes() == vs.evaluate_all(sketch).tobytes()
 
-    ok = class_ok and not violations and report.sound and report.within_bound
+    ok = class_ok and not violations and report.sound and report.within_bound and reloads
     notes = []
     if not class_ok:
         notes.append(f"class violated at {witness}")
@@ -37,6 +41,8 @@ def check_entry(pipeline_name: str, spec) -> tuple:
     if not report.within_bound:
         notes.append(f"coverage: under-ratio {report.max_under} at {report.argmax_under:x} "
                      f"> {report.bound}")
+    if not reloads:
+        notes.append("the sketch loaded from its file estimates some bundle differently")
     return ok, sketch, report, notes, oracle.ledger.totals()
 
 

@@ -332,7 +332,7 @@ def _family(name: str):
 
 VALIDATE_LIMIT = 16
 
-PROPERTIES = ("monotone", "subadditive", "submodular", "xos-consistent")
+PROPERTIES = ("monotone", "subadditive", "submodular", "matroid-rank")
 
 
 def validate_class(oracle: ValuationOracle, prop: str):
@@ -341,7 +341,9 @@ def validate_class(oracle: ValuationOracle, prop: str):
     Witnesses are bundle tuples whose values violate the inequality. All
     checks enumerate the full lattice, so n is capped at 16. Queries go
     through the uncounted _value hook on purpose: validation is not part
-    of any algorithm's budget.
+    of any algorithm's budget. A matroid rank function is submodular and
+    every marginal is 0 or 1, which from v(empty) = 0 makes every value an
+    integer.
     """
     n = oracle.n
     if n > VALIDATE_LIMIT:
@@ -366,29 +368,23 @@ def validate_class(oracle: ValuationOracle, prop: str):
         witness = subadditive_witness(tab, n)
         return witness is None, witness
 
-    if prop == "submodular":
-        # local characterization: marginals of j shrink as the base grows
+    if prop == "matroid-rank":
         for s in range(full + 1):
-            for i in range(n):
-                if (s >> i) & 1:
-                    continue
-                si = s | (1 << i)
-                for j in range(n):
-                    if (si >> j) & 1:
-                        continue
-                    gain_small = tab[s | (1 << j)] - tab[s]
-                    gain_large = tab[si | (1 << j)] - tab[si]
-                    if gain_large > gain_small + RELATIVE_TOL * max(1.0, tab[full]):
-                        return False, (s, si, j)
-        return True, None
+            for j in range(n):
+                if not (s >> j) & 1 and tab[s | (1 << j)] - tab[s] not in (0, 1):
+                    return False, (s, s | (1 << j))
 
-    # xos-consistent: the explicit clause list actually attains the max
-    # from below everywhere (each clause is a valid lower bound and is
-    # tight on its own support restricted to the bundle)
-    if not isinstance(oracle, XOSExplicitValuation):
-        raise ValueError("xos-consistent applies to explicit clause lists only")
+    # submodular, by its local characterization: marginals of j shrink as the base grows
     for s in range(full + 1):
-        best = max((c.value(s) for c in oracle.clauses), default=0.0)
-        if best != tab[s]:
-            return False, (s,)
+        for i in range(n):
+            if (s >> i) & 1:
+                continue
+            si = s | (1 << i)
+            for j in range(n):
+                if (si >> j) & 1:
+                    continue
+                gain_small = tab[s | (1 << j)] - tab[s]
+                gain_large = tab[si | (1 << j)] - tab[si]
+                if gain_large > gain_small + RELATIVE_TOL * max(1.0, tab[full]):
+                    return False, (s, si, j)
     return True, None

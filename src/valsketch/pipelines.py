@@ -25,7 +25,7 @@ PIPELINES = {
             "matroid",
             cardinality.matroid_augment(),
             clauses.clause_marginal(),
-            "submodular",
+            "matroid-rank",
         ),
         PipelineSpec(
             "submodular",

@@ -326,14 +326,11 @@ def sketch_errors(sketch: Sketch) -> list:
     return errors
 
 
-def _canon(x: float) -> float:
-    """12 significant digits; applying it twice is a fixed point."""
-    return float(format(float(x), ".12g"))
-
-
 def serialize(sketch: Sketch) -> str:
     """Canonical JSON text; raises SerializationError if the sketch
-    breaks the file contract. Empty families are left out."""
+    breaks the file contract. Empty families are left out. Each float is
+    written as json.dumps writes it, the shortest text that reads back as
+    the same float, so deserialize gives back the sketch field by field."""
     errors = sketch_errors(sketch)
     if errors:
         raise SerializationError(errors[0])
@@ -341,11 +338,11 @@ def serialize(sketch: Sketch) -> str:
         {
             "leader": g.leader,
             "items": bitsets.to_hex(g.items),
-            "scale": _canon(g.scale),
-            "alpha": _canon(g.alpha),
-            "beta": _canon(g.beta_certified),
+            "scale": float(g.scale),
+            "alpha": float(g.alpha),
+            "beta": float(g.beta_certified),
             "families": [
-                {"k": f.k, "r": _canon(f.r), "members": [bitsets.to_hex(m) for m in f.members]}
+                {"k": f.k, "r": float(f.r), "members": [bitsets.to_hex(m) for m in f.members]}
                 for f in g.families
                 if f.members
             ],
@@ -356,7 +353,7 @@ def serialize(sketch: Sketch) -> str:
         "schema_version": SCHEMA_VERSION,
         "kind": "valuation-sketch",
         "n": sketch.n,
-        "singletons": [_canon(v) for v in sketch.singletons],
+        "singletons": [float(v) for v in sketch.singletons],
         "groups": groups,
         "build_queries": sketch.build_queries,
     }

@@ -13,10 +13,8 @@ Conventions used throughout the package:
 """
 
 import math
-import struct
-from functools import cached_property, reduce
-from itertools import accumulate, compress, repeat
-from operator import getitem, or_
+from functools import cached_property
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -254,14 +252,16 @@ class AdditiveValuation(ValuationOracle):
 class CoverageValuation(ValuationOracle):
     """Weighted coverage: item j covers a fixed set of universe elements.
 
-    Monotone and submodular. A value reads the bundle as 64-bit words. Each
-    word index keeps a small cache of the last word values asked there and
-    their unions (at most _WordUnions.BOUND entries, so memory does not grow
-    with the queries); a greedy scan asking B | j for a fixed B finds every
-    word but j's there. A miss ORs the per-byte union memos of the word's
-    nonzero bytes, filled on first use. Demand falls back to exhaustive
-    enumeration, so it is only available up to ENUM_LIMIT items.
+    Monotone and submodular. A value remembers the last RECENT bundles
+    valued and the union of each one's covers, evicting the least recently
+    used. It starts from the largest remembered subset of its bundle,
+    refreshes that entry and ORs in the covers of the items the subset
+    lacks, so a greedy scan asking B | j for a fixed B ORs one cover and
+    keeps B remembered. Demand falls back to exhaustive enumeration, so it
+    is only available up to ENUM_LIMIT items.
     """
+
+    RECENT = 4
 
     def __init__(self, element_weights, covers, ledger: QueryLedger | None = None):
         n = len(covers)
@@ -278,73 +278,30 @@ class CoverageValuation(ValuationOracle):
         self.element_weights = ews
         self.covers = tuple(masks)
         self._unit = all(w == 1.0 for w in ews)
-        words = (n + 63) // 64
-        self._read_words = struct.Struct(f"<{words}Q").unpack
-        self._word_bytes = 8 * words
-
-    @cached_property
-    def _unions(self):
-        """One _CoverUnions per byte of a bundle; table i serves items 8i to 8i + 7."""
-        return [_CoverUnions(self.covers[i:i + 8]) for i in range(0, self.n, 8)]
-
-    @cached_property
-    def _words(self):
-        """One _WordUnions per 64-bit word of a bundle, over its bytes' tables."""
-        unions = self._unions
-        return [_WordUnions(unions[i:i + 8]) for i in range(0, len(unions), 8)]
+        self._recent = {}  # bundle -> union of its covers, least recently used first
 
     def _value(self, bundle: int) -> float:
-        words = self._read_words(bundle.to_bytes(self._word_bytes, "little"))
-        union = reduce(or_, map(getitem, self._words, words), 0)
+        recent = self._recent
+        base = 0
+        for b in recent:
+            if b & bundle == b and b.bit_count() > base.bit_count():
+                base = b
+        union = 0
+        if base:
+            union = recent[base] = recent.pop(base)
+        if base != bundle:
+            covers = self.covers
+            for j in bitsets.iter_items(bundle ^ base):
+                union |= covers[j]
+            recent[bundle] = union
+            if len(recent) > self.RECENT:
+                del recent[next(iter(recent))]
         if self._unit:
             return float(union.bit_count())
         total = 0.0
         for e in bitsets.iter_items(union):
             total += self.element_weights[e]
         return total
-
-
-class _CoverUnions(dict):
-    """Byte value b -> the union of covers[bit] over the bits set in b. An
-    entry is made on first use: b's lowest bits are cleared until an entry
-    is found, and their covers are ORed onto it. Only the asked b is
-    stored, so the table holds no value no query asked."""
-
-    __slots__ = ("covers",)
-
-    def __init__(self, covers):
-        super().__init__({0: 0})
-        self.covers = covers
-
-    def __missing__(self, b: int) -> int:
-        rest, union = b, 0
-        while rest not in self:
-            low = rest & -rest
-            union |= self.covers[low.bit_length() - 1]
-            rest ^= low
-        union = self[b] = self[rest] | union
-        return union
-
-
-class _WordUnions(dict):
-    """64-bit word value -> the union of the covers of the items set in it,
-    for the last few words asked. A miss ORs the byte tables of the word's
-    nonzero bytes; a full cache is emptied first, so it never holds more
-    than BOUND entries."""
-
-    __slots__ = ("tables",)
-    BOUND = 3
-
-    def __init__(self, tables):
-        super().__init__()
-        self.tables = tables
-
-    def __missing__(self, word: int) -> int:
-        if len(self) >= self.BOUND:
-            self.clear()
-        raw = word.to_bytes(8, "little")
-        union = self[word] = reduce(or_, map(getitem, compress(self.tables, raw), filter(None, raw)), 0)
-        return union
 
 
 class UniformMatroidRank(ValuationOracle):

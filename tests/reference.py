@@ -3,8 +3,9 @@
 None of these runs in a pipeline, the CLI or the benchmark: the optimal
 uniform clause by enumeration (criterion 05), the weight-bucket core
 check (criterion 06), the demand pipeline's query ceilings
-(criterion 08) and the XOS oracle's loops over every clause. Valuations are read through the uncounted _value hook,
-so checking costs no counted queries.
+(criterion 08), the XOS oracle's loops over every clause and the check
+that its clause list attains its values. Valuations are read through the
+uncounted _value hook, so checking costs no counted queries.
 """
 
 import math
@@ -152,3 +153,14 @@ def xos_demand_all_clauses(oracle, q: float, included: int) -> int:
         if cand[0] > best[0] or (cand[0] == best[0] and (cand[1], cand[2]) < (best[1], best[2])):
             best = cand
     return best[2]
+
+
+def xos_consistent(oracle) -> tuple:
+    """(ok, witness): the explicit clause list attains the max from below
+    on every bundle, each clause a lower bound and the best one tight.
+    The witness is the first bundle where the best clause misses v."""
+    for s in range(1 << oracle.n):
+        best = max((c.value(s) for c in oracle.clauses), default=0.0)
+        if best != oracle._value(s):
+            return False, (s,)
+    return True, None

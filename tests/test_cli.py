@@ -149,7 +149,18 @@ class TestPipelineChain:
         run(capsys, "gen", "--family", "partition-matroid", "--n", "8", "--out", str(inst))
         code, text, _ = run(capsys, "verify", "--instance", str(inst),
                             "--pipeline", "matroid")
-        assert code == 0 and "PASS" in text
+        assert code == 0 and "class matroid-rank: ok" in text and "PASS" in text
+
+    def test_verify_certifies_the_matroid_pipeline_only_on_matroid_ranks(self, capsys,
+                                                                         tmp_path):
+        # the matroid maximizer's alpha = 1 holds on matroid rank functions only:
+        # coverage is submodular, but a marginal can exceed 1
+        inst = tmp_path / "inst.json"
+        run(capsys, "gen", "--family", "coverage", "--n", "10", "--seed", "3", "--out", str(inst))
+        code, text, _ = run(capsys, "verify", "--instance", str(inst), "--pipeline", "matroid")
+        assert code == 1
+        assert re.search(r"^class matroid-rank: violated at \(\d+, \d+\)$", text, re.M)
+        assert text.strip().endswith("FAIL")
 
     def test_verify_flags_tampered_sketch(self, capsys, tmp_path):
         inst = tmp_path / "inst.json"

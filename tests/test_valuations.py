@@ -14,10 +14,11 @@ from valsketch.valuations import (
     RELATIVE_TOL,
     AdditiveClause,
     OracleView,
-    _WordUnions,
     meets,
     subadditive_witness,
 )
+
+from reference import xos_consistent
 
 
 def test_meets_tolerance_boundary():
@@ -135,41 +136,40 @@ class TestFamilies:
         bundles = [0, bitsets.full_mask(n), 1 << (n - 1)]
         bundles += [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(40)]
         # B | j for a few items j under one base B, as a greedy pass asks,
-        # then under the next base: B's words hit the word caches, j's word
-        # misses, and switching bases misses in every word that changed
+        # then under the next bases, more of them than the memo remembers,
+        # and back to the first: each B | j starts from B, a new base from
+        # a smaller remembered subset or from nothing
         for base in bundles[3:9] + bundles[3:5]:
             bundles += [base | (1 << j) for j in rng.sample(range(n), min(n, 12))]
+        # a prefix scan that grows one item at a time, asking each prefix twice
+        # and then every other item of it, a subset of the remembered prefixes
+        order = rng.sample(range(n), min(n, 20))
+        for i in range(1, len(order) + 1):
+            grown = bitsets.from_items(order[:i])
+            bundles += [grown, grown, bitsets.from_items(order[:i:2])]
         for bundle in bundles:
             union = 0
             for j in bitsets.iter_items(bundle):
                 union |= bitsets.from_items(covers[j])
             assert v._value(bundle) == sum(weights[e] for e in bitsets.iter_items(union))
 
-    def test_coverage_memo_fills_on_use(self):
-        v = vs.CoverageValuation([1.0] * 4, [[0, 1], [1, 2], [3]] * 4)
-        assert "_unions" not in vars(v)  # constructing fills no table
-        assert v._value(0b1000_0000_0011) == 4.0
-        # only the asked byte values are stored, not 0b10 on the way to 0b11
-        assert [dict(t) for t in v._unions] == [{0: 0, 0b11: 0b111}, {0: 0, 0b1000: 0b1000}]
-        assert v._value(0b110) == 3.0
-        assert v._value(0b111) == 4.0  # the stored 0b110 plus item 0's cover
-        assert dict(v._unions[0]) == {0: 0, 0b11: 0b111, 0b110: 0b1110, 0b111: 0b1111}
-
-    def test_coverage_word_cache_keeps_the_base_word(self):
+    def test_coverage_scan_keeps_its_base_remembered(self):
         v = vs.CoverageValuation([1.0] * 3, [[j % 3] for j in range(130)])
+        assert v._recent == {}  # constructing remembers nothing
         base = (1 << 129) | 0b101
-        v._value(base)
-        for j in range(64, 70):  # the scan changes word 1 only
-            v._value(base | (1 << j))
-        assert [dict(w) for w in (v._words[0], v._words[2])] == [{0b101: 0b101}, {0b10: 0b1}]
-        assert len(v._words[1]) <= _WordUnions.BOUND
+        assert v._value(base) == 2.0
+        for j in range(64, 70):
+            assert v._value(base | (1 << j)) == (3.0 if j % 3 == 1 else 2.0)
+            assert base in v._recent  # refreshed by each B | j, so never evicted
+        assert len(v._recent) == vs.CoverageValuation.RECENT
+        # the last bundles asked, the base refreshed just before the newest
+        assert list(v._recent)[-2:] == [base, base | (1 << 69)]
 
-    def test_coverage_word_caches_stay_bounded_through_a_build(self):
+    def test_coverage_memo_stays_bounded_through_a_build(self):
         pipeline = vs.get_pipeline("submodular")
         oracle = vs.generate_instance("coverage", 512, 0, universe=1024, max_cover=6).build()
         vs.build_sketch(oracle, pipeline.card, pipeline.xos)
-        assert len(oracle._words) == 8
-        assert all(1 <= len(w) <= _WordUnions.BOUND for w in oracle._words)
+        assert 1 <= len(oracle._recent) <= vs.CoverageValuation.RECENT
 
     def test_coverage_rejects_out_of_universe(self):
         with pytest.raises(ValueError):
@@ -401,10 +401,21 @@ class TestClassValidation:
         ok, _ = vs.validate_class(v, "subadditive")
         assert ok
 
+    def test_matroid_rank(self):
+        v = vs.PartitionMatroidRank([[0, 1], [2]], [1, 1])
+        assert vs.validate_class(v, "matroid-rank") == (True, None)
+        # submodular, but item 1 adds 2 to the empty bundle
+        v = vs.CoverageValuation([1, 1, 1], [[0], [1, 2]])
+        assert vs.validate_class(v, "submodular") == (True, None)
+        assert vs.validate_class(v, "matroid-rank") == (False, (0, 0b10))
+        v = vs.AdditiveValuation([1, 0.5])
+        assert vs.validate_class(v, "matroid-rank") == (False, (0, 0b10))
+        # every marginal 0 or 1, but item 1 adds more to {0} than to the empty bundle
+        assert vs.validate_class(_RawTable([0, 0, 0, 1], 2), "matroid-rank") == (False, (0, 1, 1))
+
     def test_xos_consistent(self):
         v = vs.XOSExplicitValuation([AdditiveClause({0: 1, 1: 1})])
-        ok, _ = vs.validate_class(v, "xos-consistent")
-        assert ok
+        assert xos_consistent(v) == (True, None)
 
     def test_unknown_property_rejected(self):
         v = vs.AdditiveValuation([1])
@@ -429,8 +440,9 @@ def test_generated_instances_are_monotone_and_classed(family, n, seed):
     oracle = spec.build()
     ok, witness = vs.validate_class(oracle, "monotone")
     assert ok, witness
-    prop = "subadditive" if family == "xos-explicit" else "submodular"
-    ok, witness = vs.validate_class(oracle, prop)
+    prop = {"xos-explicit": "subadditive", "uniform-matroid": "matroid-rank",
+            "partition-matroid": "matroid-rank", "graphic-matroid": "matroid-rank"}
+    ok, witness = vs.validate_class(oracle, prop.get(family, "submodular"))
     assert ok, witness
 
 

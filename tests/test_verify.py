@@ -277,6 +277,14 @@ def test_package_holds_only_what_the_system_runs():
     assert not hasattr(cli, "_COMMANDS")
     for name in ("weight", "total"):  # a clause's weights dict and value() serve tests too
         assert not hasattr(vs.AdditiveClause, name), name
+    # coverage remembers its recent answers in one memo; floats are written exactly
+    for name in ("_CoverUnions", "_WordUnions"):
+        assert not hasattr(vs.valuations, name), name
+    coverage = vs.CoverageValuation([1.0], [[0]])
+    for name in ("_unions", "_words", "_read_words", "_word_bytes"):
+        assert not hasattr(coverage, name), name
+    assert not hasattr(vs.sketch, "_canon")
+    assert "xos-consistent" not in vs.instances.PROPERTIES  # tests/reference.py checks it
     assert [f.name for f in dataclasses.fields(vs.CardOracleSpec)] == ["run", "alpha",
                                                                        "needs_demand"]
     for name in ("brute_force", "brute_reference_table", "exhaustive_ratio_report",
