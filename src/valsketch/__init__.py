@@ -16,7 +16,7 @@ from .cardinality import (
 )
 from .clauses import XosOracleSpec, clause_demand_uniform, clause_marginal
 from .errors import CapabilityError, MalformedBundleError, ScaleError, SerializationError
-from .instances import InstanceSpec, generate_instance, load_instance, save_instance, validate_class
+from .instances import InstanceSpec, generate_instance, load_instance, save_instance
 from .ledger import QueryLedger
 from .pipelines import PIPELINES, PipelineSpec, bench_instance, get_pipeline, standard_fixture_corpus
 from .sketch import (
@@ -47,6 +47,7 @@ from .valuations import (
     ValuationOracle,
     XOSExplicitValuation,
 )
-from .verify import RatioReport, brute_reference_table, exhaustive_ratio_report, family_invariant_check
+from .verify import (RatioReport, brute_reference_table, exhaustive_ratio_report,
+                     family_invariant_check, validate_class)
 
 __version__ = "0.1.0"

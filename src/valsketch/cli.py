@@ -14,11 +14,11 @@ import time
 
 from . import bitsets
 from .errors import CapabilityError
-from .instances import FAMILIES, generate_instance, load_instance, save_instance, validate_class
+from .instances import FAMILIES, generate_instance, load_instance, save_instance
 from .ledger import QueryLedger
 from .pipelines import PIPELINES, bench_instance, get_pipeline
 from .sketch import build_sketch, evaluate, load_sketch, save_sketch
-from .verify import exhaustive_ratio_report, family_invariant_check
+from .verify import exhaustive_ratio_report, family_invariant_check, validate_class
 
 # MalformedBundleError, ScaleError and SerializationError are ValueErrors
 USER_ERRORS = (CapabilityError, ValueError, OSError)

@@ -1,4 +1,4 @@
-"""Seeded instance generation and valuation-class validation.
+"""Seeded instance generation.
 
 An InstanceSpec is a small JSON-serializable record (family, n, params,
 seed) that deterministically rebuilds the same oracle. Generators use
@@ -27,8 +27,6 @@ from .valuations import (
     UniformMatroidRank,
     ValuationOracle,
     XOSExplicitValuation,
-    RELATIVE_TOL,
-    subadditive_witness,
 )
 
 SCHEMA_VERSION = 1
@@ -259,16 +257,9 @@ def _repair_table(raw: np.ndarray, n: int) -> np.ndarray:
                     best = cost
             a = (a - 1) & s
         table[s] = best
-    for s in order:
-        m = table[s]
-        rest = s
-        while rest:
-            low = rest & -rest
-            sub = table[s ^ low]
-            if sub > m:
-                m = sub
-            rest ^= low
-        table[s] = m
+    for j in range(n):  # each value becomes the largest over its subsets
+        halves = table.reshape(-1, 2, 1 << j)
+        np.maximum(halves[:, 0], halves[:, 1], out=halves[:, 1])
     return table
 
 
@@ -326,65 +317,3 @@ def _family(name: str):
         return _FAMILY_TABLE[name]
     except KeyError:
         raise ValueError(f"unknown family {name!r}") from None
-
-
-# -- exhaustive class validation (small n) -----------------------------
-
-VALIDATE_LIMIT = 16
-
-PROPERTIES = ("monotone", "subadditive", "submodular", "matroid-rank")
-
-
-def validate_class(oracle: ValuationOracle, prop: str):
-    """Exhaustively check a structural property; (ok, witness) on failure.
-
-    Witnesses are bundle tuples whose values violate the inequality. All
-    checks enumerate the full lattice, so n is capped at 16. Queries go
-    through the uncounted _value hook on purpose: validation is not part
-    of any algorithm's budget. A matroid rank function is submodular and
-    every marginal is 0 or 1, which from v(empty) = 0 makes every value an
-    integer.
-    """
-    n = oracle.n
-    if n > VALIDATE_LIMIT:
-        raise ScaleError(f"validation enumerates 2^n bundles; n={n} is too large")
-    if prop not in PROPERTIES:
-        raise ValueError(f"unknown property {prop!r}")
-    full = bitsets.full_mask(n)
-    tab = [oracle._value(s) for s in range(full + 1)]
-    tol = 1.0 - RELATIVE_TOL
-
-    if tab[0] != 0.0:
-        return False, (0,)
-
-    if prop == "monotone":
-        for s in range(full + 1):
-            for j in range(n):
-                if not (s >> j) & 1 and tab[s | (1 << j)] < tab[s] * tol:
-                    return False, (s, s | (1 << j))
-        return True, None
-
-    if prop == "subadditive":
-        witness = subadditive_witness(tab, n)
-        return witness is None, witness
-
-    if prop == "matroid-rank":
-        for s in range(full + 1):
-            for j in range(n):
-                if not (s >> j) & 1 and tab[s | (1 << j)] - tab[s] not in (0, 1):
-                    return False, (s, s | (1 << j))
-
-    # submodular, by its local characterization: marginals of j shrink as the base grows
-    for s in range(full + 1):
-        for i in range(n):
-            if (s >> i) & 1:
-                continue
-            si = s | (1 << i)
-            for j in range(n):
-                if (si >> j) & 1:
-                    continue
-                gain_small = tab[s | (1 << j)] - tab[s]
-                gain_large = tab[si | (1 << j)] - tab[si]
-                if gain_large > gain_small + RELATIVE_TOL * max(1.0, tab[full]):
-                    return False, (s, si, j)
-    return True, None

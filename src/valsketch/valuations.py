@@ -19,7 +19,7 @@ from itertools import accumulate, repeat
 import numpy as np
 
 from . import bitsets
-from .errors import CapabilityError, ScaleError
+from .errors import CapabilityError, MalformedBundleError, ScaleError
 from .ledger import QueryLedger
 
 RELATIVE_TOL = 1e-9
@@ -33,6 +33,12 @@ def meets(x: float, threshold: float) -> bool:
     return x >= threshold * (1.0 - RELATIVE_TOL)
 
 
+def bad_value(oracle, bundle: int, v) -> ValueError:
+    """The error for a value that is NaN, negative or infinite."""
+    return ValueError(f"{type(oracle).__name__} valued bundle {bitsets.to_hex(bundle)} at {v!r}; "
+                      "values must be finite and >= 0")
+
+
 class AdditiveClause:
     """Nonnegative per-item weights supported on a bundle.
 
@@ -43,6 +49,9 @@ class AdditiveClause:
     __slots__ = ("support", "weights", "_uniform_weight")
 
     def __init__(self, weights):
+        for j in weights:  # a bool, a float or a str is refused, not truncated
+            if type(j) is not int and not isinstance(j, np.integer):
+                raise MalformedBundleError(f"clause keys must be integer item ids, got {j!r}")
         ws = {}
         for j in sorted(weights):
             w = float(weights[j])
@@ -120,10 +129,7 @@ class ValuationOracle:
         self.ledger.count_value()
         v = self._value(bundle)
         if not 0 <= v < math.inf:
-            raise ValueError(
-                f"{type(self).__name__} valued bundle {bitsets.to_hex(bundle)} at {v!r}; "
-                "values must be finite and >= 0"
-            )
+            raise bad_value(self, bundle, v)
         return v
 
     def demand(self, prices: UniformPrices) -> int:
@@ -478,7 +484,7 @@ class SubadditiveTableValuation(ValuationOracle):
     subadditive inequality over all disjoint splits costs 3^n / 2 table reads,
     so it is verified here only up to n = 12; larger tables are expected to
     come from the repairing generator and can be re-checked explicitly via
-    validate_class.
+    verify.validate_class.
     """
 
     FULL_CHECK_LIMIT = 12
@@ -497,19 +503,16 @@ class SubadditiveTableValuation(ValuationOracle):
             raise ValueError("table is not normalized: v(empty) must be 0")
         if not np.all(np.isfinite(arr)) or arr.min() < 0:
             raise ValueError("table values must be finite and >= 0")
-        masks = np.arange(size, dtype=np.int64)
-        for j in range(n):
-            without = np.flatnonzero((masks >> j) & 1 == 0)
-            if np.any(arr[without | (1 << j)] < arr[without]):
-                raise ValueError("table is not monotone")
+        if marginal_witness(arr, lambda low, high: high < low) is not None:
+            raise ValueError("table is not monotone")
         witness = subadditive_witness(arr.tolist(), n) if n <= self.FULL_CHECK_LIMIT else None
         if witness is not None:
             a, b, s = witness
             raise ValueError(f"table is not subadditive: v({a:#x}) + v({b:#x}) < v({s:#x})")
         super().__init__(n, ledger)
         self.table = arr
-        self._masks = masks
-        self._pc = np.bitwise_count(masks)
+        self._masks = np.arange(size, dtype=np.int64)
+        self._pc = np.bitwise_count(self._masks)
 
     def _value(self, bundle: int) -> float:
         return float(self.table[bundle])
@@ -537,3 +540,18 @@ def subadditive_witness(table, n: int):
                 return a, s ^ a, s
             a = (a - 1) & s
     return None
+
+
+def marginal_witness(table: np.ndarray, fails):
+    """The first (s, s | 1 << j), s ascending and then j, whose pair of values
+    fails: over arrays of table[s] and table[s | 1 << j] for every s without
+    j, fails(low, high) flags the pairs that fail. None if none does."""
+    first = None
+    for j in range(table.shape[0].bit_length() - 1):
+        halves = table.reshape(-1, 2, 1 << j)  # [r, 0, c] is s = r << (j + 1) | c
+        bad = fails(halves[:, 0], halves[:, 1]).ravel()
+        p = int(bad.argmax())
+        s = (p >> j << j + 1) | (p & ((1 << j) - 1))
+        if bad[p] and (first is None or s < first[0]):
+            first = s, s | 1 << j
+    return first

@@ -1,5 +1,5 @@
 """Desk-scale verification, as `valsketch verify` runs it: the true
-value table, exhaustive ratio reports and structural invariants.
+value table, class checks, ratio reports and structural invariants.
 
 Everything here may read valuations through the uncounted _value hook;
 verification cost is deliberately kept out of the query ledger.
@@ -13,10 +13,16 @@ import numpy as np
 from . import bitsets
 from .errors import ScaleError
 from .sketch import Sketch, evaluate_all, sketch_bound, sketch_errors
-from .valuations import RELATIVE_TOL, ValuationOracle
+from .valuations import (RELATIVE_TOL, ValuationOracle, bad_value, marginal_witness,
+                         subadditive_witness)
 
 #: slack allowed on "never overestimates": one filter tolerance of dust
 SOUND_TOL = 4.0 * RELATIVE_TOL
+
+#: the largest n whose 2^n bundles brute_reference_table enumerates
+VALIDATE_LIMIT = 16
+
+PROPERTIES = ("monotone", "subadditive", "submodular", "matroid-rank")
 
 
 @dataclass
@@ -43,10 +49,8 @@ def exhaustive_ratio_report(oracle: ValuationOracle, sketch: Sketch) -> RatioRep
     n = oracle.n
     if n != sketch.n:
         raise ValueError("sketch was built for a different ground set")
-    if n > 16:
-        raise ScaleError("exhaustive comparison needs n <= 16")
-    est = evaluate_all(sketch)
     truth = brute_reference_table(oracle)
+    est = evaluate_all(sketch)
     bound = sketch_bound(sketch)
     # ratio 1 where a side holds trivially (the empty bundle included);
     # argmax keeps the first worst bundle
@@ -112,8 +116,50 @@ def family_invariant_check(sketch: Sketch) -> list:
     return bad
 
 
+def validate_class(oracle: ValuationOracle, prop: str):
+    """(ok, witness) of an exhaustive check of a class on the true table. Every
+    class is monotone, checked first: (s, s | 1 << j) is a marginal that falls
+    by more than RELATIVE_TOL or, for matroid-rank, is neither 0 nor 1. Then
+    submodular and matroid-rank need no marginal to grow, subadditive no split."""
+    if prop not in PROPERTIES:
+        raise ValueError(f"unknown property {prop!r}")
+    tab = brute_reference_table(oracle)
+    if tab[0] != 0.0:
+        return False, (0,)
+    if prop == "matroid-rank":
+        witness = marginal_witness(tab, lambda low, high: (high - low != 0) & (high - low != 1))
+    else:
+        witness = marginal_witness(tab, lambda low, high: high < low * (1.0 - RELATIVE_TOL))
+    if witness is None and prop == "subadditive":
+        witness = subadditive_witness(tab.tolist(), oracle.n)
+    elif witness is None and prop != "monotone":
+        witness = _submodular_witness(tab)
+    return witness is None, witness
+
+
+def _submodular_witness(tab: np.ndarray):
+    """The first (s, s | 1 << i, j), ascending, where j's marginal grows from
+    s to s | 1 << i by more than RELATIVE_TOL * max(1, v(full)). j's marginal
+    is NaN on bundles holding j, so no pair with i = j or j in s fails."""
+    slack = RELATIVE_TOL * max(1.0, tab[-1])
+    first = None
+    for j in range(tab.shape[0].bit_length() - 1):
+        gain = np.full_like(tab, np.nan)
+        halves = tab.reshape(-1, 2, 1 << j)
+        gain.reshape(-1, 2, 1 << j)[:, 0] = halves[:, 1] - halves[:, 0]
+        witness = marginal_witness(gain, lambda low, high: high > low + slack)
+        if witness is not None and (first is None or witness < first[:2]):
+            first = (*witness, j)
+    return first
+
+
 def brute_reference_table(oracle: ValuationOracle) -> np.ndarray:
-    """All 2^n true values via the uncounted hook (n <= 20)."""
-    if oracle.n > 20:
-        raise ScaleError("reference tables need n <= 20")
-    return np.array([oracle._value(s) for s in range(1 << oracle.n)])
+    """All 2^n true values via the uncounted hook, each checked as value() checks it."""
+    if oracle.n > VALIDATE_LIMIT:
+        raise ScaleError(f"exhaustive checks enumerate 2^n bundles and need n <= {VALIDATE_LIMIT}, "
+                         f"got n={oracle.n}")
+    table = np.array([oracle._value(s) for s in range(1 << oracle.n)], dtype=np.float64)
+    bad = np.flatnonzero(~((table >= 0) & (table < np.inf)))
+    if bad.size:
+        raise bad_value(oracle, int(bad[0]), float(table[bad[0]]))
+    return table

@@ -3,9 +3,10 @@
 None of these runs in a pipeline, the CLI or the benchmark: the optimal
 uniform clause by enumeration (criterion 05), the weight-bucket core
 check (criterion 06), the demand pipeline's query ceilings
-(criterion 08), the XOS oracle's loops over every clause and the check
-that its clause list attains its values. Valuations are read through the
-uncounted _value hook, so checking costs no counted queries.
+(criterion 08), the XOS oracle's loops over every clause, the check
+that its clause list attains its values and the class checks' loops over
+the lattice. Valuations are read through the uncounted _value hook, so
+checking costs no counted queries.
 """
 
 import math
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from valsketch import bitsets
 from valsketch.errors import ScaleError
-from valsketch.valuations import RELATIVE_TOL, AdditiveClause, ValuationOracle
+from valsketch.valuations import RELATIVE_TOL, AdditiveClause, ValuationOracle, subadditive_witness
 
 
 def brute_best_uniform_clause(oracle: ValuationOracle, bundle: int, value_of_bundle=None):
@@ -163,4 +164,44 @@ def xos_consistent(oracle) -> tuple:
         best = max((c.value(s) for c in oracle.clauses), default=0.0)
         if best != oracle._value(s):
             return False, (s,)
+    return True, None
+
+
+def lattice_class_check(oracle, prop: str) -> tuple:
+    """verify.validate_class as it was before it scanned one checked
+    table: Python loops over the lattice, with monotonicity checked only
+    when "monotone" is asked. (ok, witness) in validate_class's form."""
+    n = oracle.n
+    full = bitsets.full_mask(n)
+    tab = [oracle._value(s) for s in range(full + 1)]
+    tol = 1.0 - RELATIVE_TOL
+    if tab[0] != 0.0:
+        return False, (0,)
+    if prop == "monotone":
+        for s in range(full + 1):
+            for j in range(n):
+                if not (s >> j) & 1 and tab[s | (1 << j)] < tab[s] * tol:
+                    return False, (s, s | (1 << j))
+        return True, None
+    if prop == "subadditive":
+        witness = subadditive_witness(tab, n)
+        return witness is None, witness
+    if prop == "matroid-rank":
+        for s in range(full + 1):
+            for j in range(n):
+                if not (s >> j) & 1 and tab[s | (1 << j)] - tab[s] not in (0, 1):
+                    return False, (s, s | (1 << j))
+    # submodular: marginals of j shrink as the base grows
+    for s in range(full + 1):
+        for i in range(n):
+            if (s >> i) & 1:
+                continue
+            si = s | (1 << i)
+            for j in range(n):
+                if (si >> j) & 1:
+                    continue
+                gain_small = tab[s | (1 << j)] - tab[s]
+                gain_large = tab[si | (1 << j)] - tab[si]
+                if gain_large > gain_small + RELATIVE_TOL * max(1.0, tab[full]):
+                    return False, (s, si, j)
     return True, None

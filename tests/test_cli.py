@@ -184,6 +184,35 @@ class TestPipelineChain:
         assert int(over.group(1), 16) == report.argmax_over
         assert int(under.group(1), 16) == report.argmax_under
 
+    @pytest.mark.parametrize("family, pipeline, prop", [("coverage", "submodular", "submodular"),
+                                                        ("partition-matroid", "matroid",
+                                                         "matroid-rank")])
+    def test_verify_checks_at_the_size_limit_and_refuses_beyond(self, capsys, tmp_path,
+                                                                family, pipeline, prop):
+        inst = tmp_path / "inst.json"
+        limit = vs.verify.VALIDATE_LIMIT
+        run(capsys, "gen", "--family", family, "--n", str(limit), "--out", str(inst))
+        code, text, _ = run(capsys, "verify", "--instance", str(inst), "--pipeline", pipeline)
+        assert code == 0 and f"class {prop}: ok" in text and text.strip().endswith("PASS")
+        run(capsys, "gen", "--family", family, "--n", str(limit + 1), "--out", str(inst))
+        code, text, err = run(capsys, "verify", "--instance", str(inst), "--pipeline", pipeline)
+        assert code == 2 and text == "" and f"need n <= {limit}, got n={limit + 1}" in err
+
+    def test_verify_refuses_a_true_value_that_overflows(self, capsys, tmp_path):
+        """Each weight is finite, their sum is not: the true table holds inf,
+        which is bad input (exit 2), not a failed check (exit 1)."""
+        inst = tmp_path / "inst.json"
+        sk = tmp_path / "sketch.json"
+        vs.save_instance(vs.InstanceSpec("additive", 2, {"weights": [1.0, 1.0]}), str(inst))
+        run(capsys, "sketch", "--instance", str(inst), "--pipeline", "submodular",
+            "--out", str(sk))
+        vs.save_instance(vs.InstanceSpec("additive", 2, {"weights": [1e308, 1e308]}), str(inst))
+        for extra in ((), ("--sketch", str(sk))):
+            code, text, err = run(capsys, "verify", "--instance", str(inst),
+                                  "--pipeline", "submodular", *extra)
+            assert code == 2 and "VIOLATED" not in text, extra
+            assert "AdditiveValuation valued bundle 3 at inf; values must be finite" in err
+
     def test_incompatible_pipeline(self, capsys, tmp_path):
         inst = tmp_path / "inst.json"
         run(capsys, "gen", "--family", "uniform-matroid", "--n", "30", "--out", str(inst))

@@ -18,7 +18,7 @@ from valsketch.valuations import (
     subadditive_witness,
 )
 
-from reference import xos_consistent
+from reference import lattice_class_check, xos_consistent
 
 
 def test_meets_tolerance_boundary():
@@ -84,6 +84,18 @@ class TestAdditiveClause:
             AdditiveClause({0: -1.0})
         with pytest.raises(ValueError):
             AdditiveClause({0: math.inf})
+
+    @pytest.mark.parametrize("weights", [{1.5: 2.0, True: 3.0}, {True: 3.0},
+                                         {"0": 1.0}, {0: 1.0, 2.0: 1.0}, {np.float64(1): 1.0}])
+    def test_refuses_keys_that_are_not_integers(self, weights):
+        # int() would truncate 1.5 to 1 and merge True into item 1, losing a weight
+        with pytest.raises(vs.MalformedBundleError, match="integer item ids"):
+            AdditiveClause(weights)
+
+    def test_numpy_integer_keys_are_item_ids(self):
+        c = AdditiveClause({np.int64(3): 1.0, np.uint8(0): 2.0})
+        assert c == AdditiveClause({0: 2.0, 3: 1.0}) and c.support == 0b1001
+        assert all(type(j) is int for j in c.weights)
 
     def test_equality(self):
         assert AdditiveClause({0: 1, 1: 2}) == AdditiveClause({1: 2.0, 0: 1.0})
@@ -413,6 +425,34 @@ class TestClassValidation:
         # every marginal 0 or 1, but item 1 adds more to {0} than to the empty bundle
         assert vs.validate_class(_RawTable([0, 0, 0, 1], 2), "matroid-rank") == (False, (0, 1, 1))
 
+    def test_every_class_check_includes_monotonicity(self):
+        # v({0, 1}) = 0.5 falls below v({0}) = 1: no split or marginal growth
+        # fails, but no class holds a valuation that falls
+        v = _RawTable([0, 1, 1, 0.5], 2)
+        for prop in vs.verify.PROPERTIES:
+            assert vs.validate_class(v, prop) == (False, (0b01, 0b11)), prop
+
+    def test_class_checks_match_the_lattice_loops(self):
+        """On a monotone table every property gives the loops' (ok, witness);
+        on a table that falls, submodular and subadditive give the loops'
+        first monotone witness. matroid-rank's 0-or-1 marginals already
+        imply monotone, so it matches the loops on every table."""
+        outcomes = set()
+        for seed in range(200):
+            for table, n in _class_tables(seed):
+                oracle = _RawTable(table, n)
+                monotone = lattice_class_check(oracle, "monotone")
+                for prop in vs.verify.PROPERTIES:
+                    got = vs.validate_class(oracle, prop)
+                    if monotone[0] or prop in ("monotone", "matroid-rank"):
+                        assert got == lattice_class_check(oracle, prop), (table, prop)
+                    else:
+                        assert got == monotone, (table, prop)
+                    outcomes.add((prop, monotone[0], got[0]))
+        # each property fails on tables that fall; the others both pass and fail
+        assert {(p, False, False) for p in vs.verify.PROPERTIES} <= outcomes
+        assert {(p, True, ok) for p in vs.verify.PROPERTIES[1:] for ok in (True, False)} <= outcomes
+
     def test_xos_consistent(self):
         v = vs.XOSExplicitValuation([AdditiveClause({0: 1, 1: 1})])
         assert xos_consistent(v) == (True, None)
@@ -467,6 +507,36 @@ class _RawTable(vs.ValuationOracle):
         return self.table[bundle]
 
 
+def _class_tables(seed):
+    """Small integer and dyadic tables for one seed, as (table, n): raw
+    draws, their monotone closures, coverage and partition matroid ranks,
+    each also with one entry moved, and now and then v(empty) != 0."""
+    rng = random.Random(seed)
+    n = 1 + seed % 5
+    size = 1 << n
+    raw = [0] + [rng.randint(0, 3) for _ in range(size - 1)]
+    dyadic = [0.0] + [rng.randint(0, 12) / 4 for _ in range(size - 1)]
+    covers = [rng.getrandbits(4) for _ in range(n)]
+    coverage = [_union_count(covers, s) for s in range(size)]
+    blocks = [rng.randrange(3) for _ in range(n)]
+    # a partition matroid with cap 1 per block: the number of blocks touched
+    matroid = [len({blocks[j] for j in bitsets.iter_items(s)}) for s in range(size)]
+    tables = [raw, dyadic, _monotone_closure(raw, n), _monotone_closure(dyadic, n),
+              coverage, matroid]
+    for table in list(tables):
+        moved, s = list(table), rng.randrange(size)
+        moved[s] = max(0, moved[s] + rng.choice((-1, -0.5, 0.5, 1)))
+        tables.append(moved)
+    return [(t, n) for t in tables]
+
+
+def _union_count(covers, s):
+    union = 0
+    for j in bitsets.iter_items(s):
+        union |= covers[j]
+    return union.bit_count()
+
+
 def _failing_splits(table, n):
     """Every (a, b, a | b) with 0 < a < b disjoint and v(a) + v(b) below
     v(a | b) beyond RELATIVE_TOL, from all pairs of nonempty bundles."""
@@ -482,10 +552,22 @@ def _monotone_closure(table, n):
     return out
 
 
+def test_repair_closure_is_the_loop_closure():
+    """With every nonempty value in [8, 12] no split undercuts a value, so
+    the repair is only its monotone closure, taken one item at a time over
+    the table; it must equal the loop over each bundle's subsets."""
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = 1 + seed % 8
+        raw = [0.0] + [rng.randint(32, 48) / 4 for _ in range((1 << n) - 1)]
+        assert _repair_table(np.asarray(raw), n).tolist() == _monotone_closure(raw, n)
+
+
 def test_subadditive_witness_is_the_first_failing_split():
     """The witness is the failing split of the smallest bundle s, and of
     its halves the one with the largest a; None when no split fails.
-    validate_class and the table constructor report that same split."""
+    validate_class and the table constructor report that same split, and
+    validate_class reports the first fall instead on a table that falls."""
     for seed in range(60):
         rng = random.Random(seed)
         n = 1 + seed % 6
@@ -497,7 +579,10 @@ def test_subadditive_witness_is_the_first_failing_split():
             bad = _failing_splits(table, n)
             witness = subadditive_witness(table, n)
             assert witness == (min(bad, key=lambda w: (w[2], -w[0])) if bad else None)
-            assert vs.validate_class(_RawTable(table, n), "subadditive") == (not bad, witness)
+            oracle = _RawTable(table, n)
+            monotone = lattice_class_check(oracle, "monotone")
+            expected = (not bad, witness) if monotone[0] else monotone
+            assert vs.validate_class(oracle, "subadditive") == expected
         assert subadditive_witness(repaired, n) is None
         closure = _monotone_closure(raw, n)
         witness = subadditive_witness(closure, n)

@@ -251,6 +251,17 @@ class TestBruteHelpers:
         with pytest.raises(vs.ScaleError):
             vs.brute_reference_table(vs.AdditiveValuation([1.0] * 21))
 
+    @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+    def test_reference_table_refuses_a_bad_value_as_value_does(self, bad):
+        oracle = vs.AdditiveValuation([1.0, 2.0])
+        oracle._value = lambda bundle: bad if bundle == 0b10 else 1.0
+        with pytest.raises(ValueError) as counted:
+            oracle.value(0b10)
+        with pytest.raises(ValueError) as table:
+            vs.brute_reference_table(oracle)
+        assert str(table.value) == str(counted.value)
+        assert str(table.value).startswith(f"AdditiveValuation valued bundle 2 at {bad!r};")
+
 
 def test_package_holds_only_what_the_system_runs():
     """Test-only routines live in tests/reference.py; src/ never reaches for them."""
@@ -284,7 +295,10 @@ def test_package_holds_only_what_the_system_runs():
     for name in ("_unions", "_words", "_read_words", "_word_bytes"):
         assert not hasattr(coverage, name), name
     assert not hasattr(vs.sketch, "_canon")
-    assert "xos-consistent" not in vs.instances.PROPERTIES  # tests/reference.py checks it
+    assert "xos-consistent" not in vs.verify.PROPERTIES  # tests/reference.py checks it
+    # the class check is verification: it reads the checked reference table
+    for name in ("validate_class", "PROPERTIES", "VALIDATE_LIMIT"):
+        assert not hasattr(vs.instances, name), name
     assert [f.name for f in dataclasses.fields(vs.CardOracleSpec)] == ["run", "alpha",
                                                                        "needs_demand"]
     for name in ("brute_force", "brute_reference_table", "exhaustive_ratio_report",
