@@ -24,10 +24,11 @@ def check_entry(pipeline_name: str, spec) -> tuple:
     pipeline = vs.get_pipeline(pipeline_name)
     oracle = spec.build(vs.QueryLedger())
 
-    class_ok, witness = vs.validate_class(oracle, pipeline.property)
+    truth = vs.brute_reference_table(oracle)
+    class_ok, witness = vs.validate_class(truth, pipeline.property)
     sketch = vs.build_sketch(oracle, pipeline.card, pipeline.xos)
     violations = vs.family_invariant_check(sketch)
-    report = vs.exhaustive_ratio_report(oracle, sketch)
+    report = vs.exhaustive_ratio_report(truth, sketch)
     loaded = vs.deserialize(vs.serialize(sketch))
     reloads = vs.evaluate_all(loaded).tobytes() == vs.evaluate_all(sketch).tobytes()
 

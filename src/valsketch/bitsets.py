@@ -66,9 +66,12 @@ def from_hex(text: str) -> int:
     """Parse the serialized form, refusing other spellings int() accepts:
     a sign, 0x, underscores, spaces, leading zeros, non-ASCII digits.
     Uppercase digits pass; to_hex writes them back in lowercase."""
-    mask = int(text, 16)
+    try:
+        mask = int(text, 16)
+    except ValueError:  # no digits, or a character that is not one
+        mask = None
     # any sign, prefix, separator, space or leading zero makes the text longer
-    if len(text) != ((mask.bit_length() + 3) >> 2 or 1) or not text.isascii():
+    if mask is None or len(text) != ((mask.bit_length() + 3) >> 2 or 1) or not text.isascii():
         raise MalformedBundleError(f"bundle {text!r} is not bare lowercase hex")
     return mask
 

@@ -505,7 +505,7 @@ class SubadditiveTableValuation(ValuationOracle):
             raise ValueError("table values must be finite and >= 0")
         if marginal_witness(arr, lambda low, high: high < low) is not None:
             raise ValueError("table is not monotone")
-        witness = subadditive_witness(arr.tolist(), n) if n <= self.FULL_CHECK_LIMIT else None
+        witness = subadditive_witness(arr.tolist()) if n <= self.FULL_CHECK_LIMIT else None
         if witness is not None:
             a, b, s = witness
             raise ValueError(f"table is not subadditive: v({a:#x}) + v({b:#x}) < v({s:#x})")
@@ -526,13 +526,13 @@ class SubadditiveTableValuation(ValuationOracle):
         return int(cands[np.lexsort((cands, self._pc[cands]))[0]])
 
 
-def subadditive_witness(table, n: int):
+def subadditive_witness(table):
     """The first split (a, s ^ a, s) with v(a) + v(s ^ a) < v(s) beyond
-    RELATIVE_TOL, bundles s ascending and each s's submasks a descending;
-    None if the table is subadditive. Only a < s ^ a is read, since the
-    inequality is symmetric in the two halves."""
+    RELATIVE_TOL in a 2^n table, bundles s ascending and each s's submasks a
+    descending; None if the table is subadditive. Only a < s ^ a is read,
+    since the inequality is symmetric in the two halves."""
     tol = 1.0 - RELATIVE_TOL
-    for s in range(1, 1 << n):
+    for s in range(1, len(table)):
         floor = table[s] * tol
         a = (s - 1) & s
         while a:

@@ -29,7 +29,6 @@ PROPERTIES = ("monotone", "subadditive", "submodular", "matroid-rank")
 class RatioReport:
     """Outcome of comparing a sketch against the truth on every bundle."""
 
-    n: int
     max_over: float
     argmax_over: int
     max_under: float
@@ -39,17 +38,16 @@ class RatioReport:
     within_bound: bool
 
 
-def exhaustive_ratio_report(oracle: ValuationOracle, sketch: Sketch) -> RatioReport:
-    """Check the two-sided contract on all 2^n bundles.
+def exhaustive_ratio_report(truth: np.ndarray, sketch: Sketch) -> RatioReport:
+    """Check the two-sided contract on all 2^n bundles of truth, the table
+    brute_reference_table returns.
 
     Soundness: the estimate never exceeds the true value (beyond float
     dust). Coverage: the true value never exceeds the estimate times the
     certified bound, which uses the worst alpha and beta over the groups.
     """
-    n = oracle.n
-    if n != sketch.n:
+    if truth.shape[0] != 1 << sketch.n:
         raise ValueError("sketch was built for a different ground set")
-    truth = brute_reference_table(oracle)
     est = evaluate_all(sketch)
     bound = sketch_bound(sketch)
     # ratio 1 where a side holds trivially (the empty bundle included);
@@ -60,7 +58,6 @@ def exhaustive_ratio_report(oracle: ValuationOracle, sketch: Sketch) -> RatioRep
     argmax_over, argmax_under = int(over.argmax()), int(under.argmax())
     max_over, max_under = float(over[argmax_over]), float(under[argmax_under])
     return RatioReport(
-        n=n,
         max_over=max_over,
         argmax_over=argmax_over,
         max_under=max_under,
@@ -116,24 +113,24 @@ def family_invariant_check(sketch: Sketch) -> list:
     return bad
 
 
-def validate_class(oracle: ValuationOracle, prop: str):
-    """(ok, witness) of an exhaustive check of a class on the true table. Every
-    class is monotone, checked first: (s, s | 1 << j) is a marginal that falls
-    by more than RELATIVE_TOL or, for matroid-rank, is neither 0 nor 1. Then
-    submodular and matroid-rank need no marginal to grow, subadditive no split."""
+def validate_class(truth: np.ndarray, prop: str):
+    """(ok, witness) of an exhaustive check of a class on truth, the table
+    brute_reference_table returns. Every class is monotone, checked first:
+    (s, s | 1 << j) is a marginal that falls by more than RELATIVE_TOL or, for
+    matroid-rank, is neither 0 nor 1. Then submodular and matroid-rank need no
+    marginal to grow, subadditive no split."""
     if prop not in PROPERTIES:
         raise ValueError(f"unknown property {prop!r}")
-    tab = brute_reference_table(oracle)
-    if tab[0] != 0.0:
+    if truth[0] != 0.0:
         return False, (0,)
     if prop == "matroid-rank":
-        witness = marginal_witness(tab, lambda low, high: (high - low != 0) & (high - low != 1))
+        witness = marginal_witness(truth, lambda low, high: (high - low != 0) & (high - low != 1))
     else:
-        witness = marginal_witness(tab, lambda low, high: high < low * (1.0 - RELATIVE_TOL))
+        witness = marginal_witness(truth, lambda low, high: high < low * (1.0 - RELATIVE_TOL))
     if witness is None and prop == "subadditive":
-        witness = subadditive_witness(tab.tolist(), oracle.n)
+        witness = subadditive_witness(truth.tolist())
     elif witness is None and prop != "monotone":
-        witness = _submodular_witness(tab)
+        witness = _submodular_witness(truth)
     return witness is None, witness
 
 

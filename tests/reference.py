@@ -184,7 +184,7 @@ def lattice_class_check(oracle, prop: str) -> tuple:
                     return False, (s, s | (1 << j))
         return True, None
     if prop == "subadditive":
-        witness = subadditive_witness(tab, n)
+        witness = subadditive_witness(tab)
         return witness is None, witness
     if prop == "matroid-rank":
         for s in range(full + 1):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -46,11 +48,13 @@ def test_from_hex_rejects_negative():
 
 
 @pytest.mark.parametrize(
-    "text", ["0x3", " +1 ", "+1", "1_0", "03", "00", "", " 1", "1\n", "\u0663", "\uff11"]
+    "text", ["0x3", " +1 ", "+1", "1_0", "03", "00", "", " 1", "1\n", "\u0663", "\uff11",
+             "zz", "0x", "-", "g1", "1.0"]
 )
 def test_from_hex_refuses_other_spellings(text):
-    # each would parse, or fail to, differently from the bare form serialize writes
-    with pytest.raises(ValueError):
+    # each would parse, or fail to, differently from the bare form serialize writes;
+    # the error names the text, also where int() refuses it
+    with pytest.raises(MalformedBundleError, match=re.escape(f"bundle {text!r} is not bare")):
         bitsets.from_hex(text)
 
 

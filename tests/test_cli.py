@@ -11,6 +11,7 @@ import tracemalloc
 import pytest
 
 import valsketch as vs
+from valsketch import cli
 from valsketch.cli import main
 from valsketch.instances import FAMILIES
 
@@ -176,8 +177,8 @@ class TestPipelineChain:
         assert code == 1
         assert "soundness" in text and "VIOLATED" in text
         assert text.strip().endswith("FAIL")
-        report = vs.exhaustive_ratio_report(vs.load_instance(str(inst)).build(),
-                                            vs.load_sketch(str(sk)))
+        truth = vs.brute_reference_table(vs.load_instance(str(inst)).build())
+        report = vs.exhaustive_ratio_report(truth, vs.load_sketch(str(sk)))
         assert report.argmax_over > 0
         over = re.search(r"soundness: max_over=\S+ at ([0-9a-f]+) VIOLATED", text)
         under = re.search(r"coverage: max_under=\S+ at ([0-9a-f]+) bound=", text)
@@ -188,15 +189,27 @@ class TestPipelineChain:
                                                         ("partition-matroid", "matroid",
                                                          "matroid-rank")])
     def test_verify_checks_at_the_size_limit_and_refuses_beyond(self, capsys, tmp_path,
-                                                                family, pipeline, prop):
+                                                                monkeypatch, family, pipeline,
+                                                                prop):
+        """Beyond the limit verify exits 2 before it builds or loads a sketch."""
+        def refuse(*args):
+            raise AssertionError("verify built or loaded a sketch")
+
         inst = tmp_path / "inst.json"
+        sk = tmp_path / "sketch.json"
         limit = vs.verify.VALIDATE_LIMIT
         run(capsys, "gen", "--family", family, "--n", str(limit), "--out", str(inst))
+        run(capsys, "sketch", "--instance", str(inst), "--pipeline", pipeline, "--out", str(sk))
         code, text, _ = run(capsys, "verify", "--instance", str(inst), "--pipeline", pipeline)
         assert code == 0 and f"class {prop}: ok" in text and text.strip().endswith("PASS")
         run(capsys, "gen", "--family", family, "--n", str(limit + 1), "--out", str(inst))
-        code, text, err = run(capsys, "verify", "--instance", str(inst), "--pipeline", pipeline)
-        assert code == 2 and text == "" and f"need n <= {limit}, got n={limit + 1}" in err
+        monkeypatch.setattr(cli, "build_sketch", refuse)
+        monkeypatch.setattr(cli, "load_sketch", refuse)
+        for extra in ((), ("--sketch", str(sk))):
+            code, text, err = run(capsys, "verify", "--instance", str(inst),
+                                  "--pipeline", pipeline, *extra)
+            assert code == 2 and text == "", extra
+            assert f"need n <= {limit}, got n={limit + 1}" in err, extra
 
     def test_verify_refuses_a_true_value_that_overflows(self, capsys, tmp_path):
         """Each weight is finite, their sum is not: the true table holds inf,
@@ -210,15 +223,52 @@ class TestPipelineChain:
         for extra in ((), ("--sketch", str(sk))):
             code, text, err = run(capsys, "verify", "--instance", str(inst),
                                   "--pipeline", "submodular", *extra)
-            assert code == 2 and "VIOLATED" not in text, extra
+            assert code == 2 and text == "", extra
             assert "AdditiveValuation valued bundle 3 at inf; values must be finite" in err
 
     def test_incompatible_pipeline(self, capsys, tmp_path):
+        """Every oracle answers demand by enumeration up to ENUM_LIMIT = 22
+        items, so only a larger n shows the refusal; verify refuses such an n
+        before it builds."""
         inst = tmp_path / "inst.json"
         run(capsys, "gen", "--family", "uniform-matroid", "--n", "30", "--out", str(inst))
+        code, _, err = run(capsys, "sketch", "--instance", str(inst),
+                           "--pipeline", "subadditive", "--out", str(tmp_path / "s.json"))
+        assert code == 2 and "demand" in err
         code, _, err = run(capsys, "verify", "--instance", str(inst),
                            "--pipeline", "subadditive")
-        assert code == 2 and "demand" in err
+        assert code == 2 and f"need n <= {vs.verify.VALIDATE_LIMIT}" in err
+
+    @pytest.mark.parametrize("extra", [False, True])
+    def test_verify_builds_the_true_table_once(self, capsys, tmp_path, monkeypatch, extra):
+        inst = tmp_path / "inst.json"
+        sk = tmp_path / "sketch.json"
+        run(capsys, "gen", "--family", "coverage", "--n", "8", "--out", str(inst))
+        run(capsys, "sketch", "--instance", str(inst), "--pipeline", "submodular",
+            "--out", str(sk))
+        calls = []
+
+        def counted(oracle):
+            calls.append(oracle.n)
+            return vs.brute_reference_table(oracle)
+
+        monkeypatch.setattr(cli, "brute_reference_table", counted)
+        code, text, _ = run(capsys, "verify", "--instance", str(inst), "--pipeline",
+                            "submodular", *(("--sketch", str(sk)) if extra else ()))
+        assert code == 0 and text.strip().endswith("PASS") and calls == [8]
+
+    def test_verify_prints_nothing_for_a_sketch_of_another_n(self, capsys, tmp_path):
+        small = tmp_path / "small.json"
+        inst = tmp_path / "inst.json"
+        sk = tmp_path / "sketch.json"
+        run(capsys, "gen", "--family", "coverage", "--n", "8", "--out", str(small))
+        run(capsys, "sketch", "--instance", str(small), "--pipeline", "submodular",
+            "--out", str(sk))
+        run(capsys, "gen", "--family", "coverage", "--n", "9", "--out", str(inst))
+        code, text, err = run(capsys, "verify", "--instance", str(inst),
+                              "--pipeline", "submodular", "--sketch", str(sk))
+        assert code == 2 and text == ""
+        assert "sketch was built for a different ground set" in err
 
     def test_missing_instance_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "sketch", "--instance", str(tmp_path / "absent.json"),
@@ -435,11 +485,11 @@ class TestPipelineChain:
             "--out", str(sk))
         code, _, err = run(capsys, "eval", "--sketch", str(sk), "--bundle", "0xffff")
         assert code == 2 and "error:" in err
-        code, _, err = run(capsys, "eval", "--sketch", str(sk), "--bundle", "zz")
-        assert code == 2
-        # in range, but not the bare hex of the file format
-        code, _, err = run(capsys, "eval", "--sketch", str(sk), "--bundle", "0x3")
-        assert code == 2 and "not bare lowercase hex" in err
+        # no hex at all, or in range but not the bare hex of the file format
+        for text in ("zz", "", "0x", "0x3"):
+            code, out, err = run(capsys, "eval", "--sketch", str(sk), "--bundle", text)
+            assert code == 2 and out == ""
+            assert err == f"error: bundle {text!r} is not bare lowercase hex\n"
 
     def test_sketch_rejects_bad_oracle_output(self, capsys, tmp_path, monkeypatch):
         inst = tmp_path / "inst.json"

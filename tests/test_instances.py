@@ -124,9 +124,9 @@ def test_repair_table_output_is_always_valid(n, data):
     ]
     fixed = _repair_table(np.asarray(raw), n)
     # repaired table must construct cleanly, which runs the full checks
-    oracle = vs.SubadditiveTableValuation(fixed)
+    truth = vs.brute_reference_table(vs.SubadditiveTableValuation(fixed))
     for prop in ("monotone", "subadditive"):
-        ok, witness = vs.validate_class(oracle, prop)
+        ok, witness = vs.validate_class(truth, prop)
         assert ok, (prop, witness)
     # singletons have no proper splits, so they survive untouched
     assert all(fixed[1 << j] == raw[1 << j] for j in range(n))

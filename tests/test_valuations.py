@@ -400,37 +400,39 @@ class TestWrappers:
 class TestClassValidation:
     def test_submodular_families_pass(self):
         v = vs.CoverageValuation([1, 1, 1], [[0], [0, 1], [2]])
-        ok, _ = vs.validate_class(v, "submodular")
+        truth = vs.brute_reference_table(v)
+        ok, _ = vs.validate_class(truth, "submodular")
         assert ok
-        ok, _ = vs.validate_class(v, "monotone")
+        ok, _ = vs.validate_class(truth, "monotone")
         assert ok
 
     def test_subadditive_but_not_submodular(self):
         # flat at 1 on sizes 1 and 2, jumps to 2 on the full set
-        v = vs.SubadditiveTableValuation([0, 1, 1, 1, 1, 1, 1, 2])
-        ok, witness = vs.validate_class(v, "submodular")
+        truth = vs.brute_reference_table(vs.SubadditiveTableValuation([0, 1, 1, 1, 1, 1, 1, 2]))
+        ok, witness = vs.validate_class(truth, "submodular")
         assert not ok and witness is not None
-        ok, _ = vs.validate_class(v, "subadditive")
+        ok, _ = vs.validate_class(truth, "subadditive")
         assert ok
 
     def test_matroid_rank(self):
-        v = vs.PartitionMatroidRank([[0, 1], [2]], [1, 1])
-        assert vs.validate_class(v, "matroid-rank") == (True, None)
+        truth = vs.brute_reference_table(vs.PartitionMatroidRank([[0, 1], [2]], [1, 1]))
+        assert vs.validate_class(truth, "matroid-rank") == (True, None)
         # submodular, but item 1 adds 2 to the empty bundle
-        v = vs.CoverageValuation([1, 1, 1], [[0], [1, 2]])
-        assert vs.validate_class(v, "submodular") == (True, None)
-        assert vs.validate_class(v, "matroid-rank") == (False, (0, 0b10))
-        v = vs.AdditiveValuation([1, 0.5])
-        assert vs.validate_class(v, "matroid-rank") == (False, (0, 0b10))
+        truth = vs.brute_reference_table(vs.CoverageValuation([1, 1, 1], [[0], [1, 2]]))
+        assert vs.validate_class(truth, "submodular") == (True, None)
+        assert vs.validate_class(truth, "matroid-rank") == (False, (0, 0b10))
+        truth = vs.brute_reference_table(vs.AdditiveValuation([1, 0.5]))
+        assert vs.validate_class(truth, "matroid-rank") == (False, (0, 0b10))
         # every marginal 0 or 1, but item 1 adds more to {0} than to the empty bundle
-        assert vs.validate_class(_RawTable([0, 0, 0, 1], 2), "matroid-rank") == (False, (0, 1, 1))
+        truth = vs.brute_reference_table(_RawTable([0, 0, 0, 1], 2))
+        assert vs.validate_class(truth, "matroid-rank") == (False, (0, 1, 1))
 
     def test_every_class_check_includes_monotonicity(self):
         # v({0, 1}) = 0.5 falls below v({0}) = 1: no split or marginal growth
         # fails, but no class holds a valuation that falls
-        v = _RawTable([0, 1, 1, 0.5], 2)
+        truth = vs.brute_reference_table(_RawTable([0, 1, 1, 0.5], 2))
         for prop in vs.verify.PROPERTIES:
-            assert vs.validate_class(v, prop) == (False, (0b01, 0b11)), prop
+            assert vs.validate_class(truth, prop) == (False, (0b01, 0b11)), prop
 
     def test_class_checks_match_the_lattice_loops(self):
         """On a monotone table every property gives the loops' (ok, witness);
@@ -442,8 +444,9 @@ class TestClassValidation:
             for table, n in _class_tables(seed):
                 oracle = _RawTable(table, n)
                 monotone = lattice_class_check(oracle, "monotone")
+                truth = vs.brute_reference_table(oracle)
                 for prop in vs.verify.PROPERTIES:
-                    got = vs.validate_class(oracle, prop)
+                    got = vs.validate_class(truth, prop)
                     if monotone[0] or prop in ("monotone", "matroid-rank"):
                         assert got == lattice_class_check(oracle, prop), (table, prop)
                     else:
@@ -458,14 +461,14 @@ class TestClassValidation:
         assert xos_consistent(v) == (True, None)
 
     def test_unknown_property_rejected(self):
-        v = vs.AdditiveValuation([1])
+        truth = vs.brute_reference_table(vs.AdditiveValuation([1]))
         with pytest.raises(ValueError):
-            vs.validate_class(v, "concave")
+            vs.validate_class(truth, "concave")
 
     def test_scale_guard(self):
-        v = vs.UniformMatroidRank(20, 3)
+        # the class check reads a checked table, which stops at VALIDATE_LIMIT = 16
         with pytest.raises(vs.ScaleError):
-            vs.validate_class(v, "monotone")
+            vs.brute_reference_table(vs.UniformMatroidRank(17, 3))
 
 
 @settings(max_examples=40, deadline=None)
@@ -477,12 +480,12 @@ class TestClassValidation:
 )
 def test_generated_instances_are_monotone_and_classed(family, n, seed):
     spec = vs.generate_instance(family, n, seed)
-    oracle = spec.build()
-    ok, witness = vs.validate_class(oracle, "monotone")
+    truth = vs.brute_reference_table(spec.build())
+    ok, witness = vs.validate_class(truth, "monotone")
     assert ok, witness
     prop = {"xos-explicit": "subadditive", "uniform-matroid": "matroid-rank",
             "partition-matroid": "matroid-rank", "graphic-matroid": "matroid-rank"}
-    ok, witness = vs.validate_class(oracle, prop.get(family, "submodular"))
+    ok, witness = vs.validate_class(truth, prop.get(family, "submodular"))
     assert ok, witness
 
 
@@ -490,9 +493,9 @@ def test_generated_instances_are_monotone_and_classed(family, n, seed):
 @given(n=st.integers(min_value=2, max_value=7), seed=st.integers(min_value=0, max_value=10_000))
 def test_generated_tables_are_subadditive(n, seed):
     spec = vs.generate_instance("subadditive-table", n, seed)
-    oracle = spec.build()
+    truth = vs.brute_reference_table(spec.build())
     for prop in ("monotone", "subadditive"):
-        ok, witness = vs.validate_class(oracle, prop)
+        ok, witness = vs.validate_class(truth, prop)
         assert ok, (prop, witness)
 
 
@@ -577,15 +580,15 @@ def test_subadditive_witness_is_the_first_failing_split():
         bumped[rng.randrange(1, 1 << n)] += rng.randint(1, 12)
         for table in (raw, repaired, bumped, _monotone_closure(raw, n)):
             bad = _failing_splits(table, n)
-            witness = subadditive_witness(table, n)
+            witness = subadditive_witness(table)
             assert witness == (min(bad, key=lambda w: (w[2], -w[0])) if bad else None)
             oracle = _RawTable(table, n)
             monotone = lattice_class_check(oracle, "monotone")
             expected = (not bad, witness) if monotone[0] else monotone
-            assert vs.validate_class(oracle, "subadditive") == expected
-        assert subadditive_witness(repaired, n) is None
+            assert vs.validate_class(vs.brute_reference_table(oracle), "subadditive") == expected
+        assert subadditive_witness(repaired) is None
         closure = _monotone_closure(raw, n)
-        witness = subadditive_witness(closure, n)
+        witness = subadditive_witness(closure)
         if witness is None:
             vs.SubadditiveTableValuation(closure)
         else:

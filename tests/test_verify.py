@@ -107,21 +107,21 @@ class TestRatioReport:
     def test_honest_sketch_passes(self):
         oracle = vs.AdditiveValuation([1.0, 2.0, 4.0])
         sketch = vs.build_sketch(oracle, vs.brute_force(), vs.clause_marginal())
-        report = vs.exhaustive_ratio_report(oracle, sketch)
+        report = vs.exhaustive_ratio_report(vs.brute_reference_table(oracle), sketch)
         assert report.sound and report.within_bound
         assert report.max_over <= 1.0
 
     def test_inflated_singletons_break_soundness(self):
         oracle = vs.AdditiveValuation([1.0, 2.0, 4.0])
         fake = Sketch(n=3, singletons=[10.0, 20.0, 40.0], groups=[])
-        report = vs.exhaustive_ratio_report(oracle, fake)
+        report = vs.exhaustive_ratio_report(vs.brute_reference_table(oracle), fake)
         assert not report.sound
         assert report.max_over == 10.0
 
     def test_vacuous_sketch_misses_coverage(self):
         oracle = vs.AdditiveValuation([1.0, 2.0, 4.0])
         empty = Sketch(n=3, singletons=[0.0, 0.0, 0.0], groups=[])
-        report = vs.exhaustive_ratio_report(oracle, empty)
+        report = vs.exhaustive_ratio_report(vs.brute_reference_table(oracle), empty)
         assert report.sound and not report.within_bound
         assert report.max_under == float("inf")
 
@@ -136,19 +136,19 @@ class TestRatioReport:
                 sketches += [dataclasses.replace(entry.sketch, singletons=tripled),
                              Sketch(entry.oracle.n, [0.0] * entry.oracle.n, [])]
             for sketch in sketches:
-                report = vs.exhaustive_ratio_report(entry.oracle, sketch)
+                report = vs.exhaustive_ratio_report(entry.truth, sketch)
                 got = (report.max_over, report.argmax_over, report.max_under, report.argmax_under)
                 assert got == _loop_ratios(entry.truth.tolist(), vs.evaluate_all(sketch).tolist())
 
     def test_ground_set_mismatch(self):
-        oracle = vs.AdditiveValuation([1.0, 2.0])
+        truth = vs.brute_reference_table(vs.AdditiveValuation([1.0, 2.0]))
         with pytest.raises(ValueError):
-            vs.exhaustive_ratio_report(oracle, Sketch(n=3, singletons=[0.0] * 3, groups=[]))
+            vs.exhaustive_ratio_report(truth, Sketch(n=3, singletons=[0.0] * 3, groups=[]))
 
     def test_refuses_large_ground_sets(self):
-        oracle = vs.AdditiveValuation([1.0] * 17)
+        # the report reads a checked table, which stops at VALIDATE_LIMIT = 16
         with pytest.raises(vs.ScaleError):
-            vs.exhaustive_ratio_report(oracle, Sketch(n=17, singletons=[0.0] * 17, groups=[]))
+            vs.brute_reference_table(vs.AdditiveValuation([1.0] * 17))
 
 
 def one_group_sketch(n=4, singletons=None, **overrides):
