@@ -36,12 +36,6 @@ def iter_items(mask: int):
         mask ^= low
 
 
-def to_array(mask: int, n: int) -> np.ndarray:
-    """Length-n uint8 array of 0/1 whose entry j is bit j; mask < 2^n."""
-    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=n, bitorder="little")
-
-
 def to_words(masks, n: int) -> np.ndarray:
     """Row i holds masks[i] < 2^n as ceil(n/64) little-endian uint64 words."""
     width = (n + 63) // 64

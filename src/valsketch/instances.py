@@ -27,6 +27,7 @@ from .valuations import (
     UniformMatroidRank,
     ValuationOracle,
     XOSExplicitValuation,
+    disjoint_splits,
 )
 
 SCHEMA_VERSION = 1
@@ -244,19 +245,8 @@ def _repair_table(raw: np.ndarray, n: int) -> np.ndarray:
     """
     table = raw.astype(np.float64).copy()
     table[0] = 0.0
-    order = sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m))
-    for s in order:
-        if s.bit_count() < 2:
-            continue
-        best = table[s]
-        a = (s - 1) & s
-        while a:
-            if a < (s ^ a):  # each unordered split once
-                cost = table[a] + table[s ^ a]
-                if cost < best:
-                    best = cost
-            a = (a - 1) & s
-        table[s] = best
+    for s, a, b in disjoint_splits(1 << n):
+        table[s] = np.minimum(table[s], (table[a] + table[b]).min(axis=1))
     for j in range(n):  # each value becomes the largest over its subsets
         halves = table.reshape(-1, 2, 1 << j)
         np.maximum(halves[:, 0], halves[:, 1], out=halves[:, 1])

@@ -226,6 +226,38 @@ class OracleView:
         return self.parent._value(bundle) / self.scale
 
 
+class RecentBundles(ValuationOracle):
+    """A family whose value is _read(state) of an int state, a cover union or
+    a rank, that _grow(base, state, bundle) takes from a subset to bundle.
+    The last RECENT bundles and states are remembered, least recently used
+    first; a value grows from the largest remembered subset of its bundle
+    and refreshes it, so a scan of B | j for a fixed B keeps B remembered."""
+
+    RECENT = 4
+
+    def __init__(self, n: int, ledger: QueryLedger | None = None):
+        super().__init__(n, ledger)
+        self._recent = {}  # bundle -> state, least recently used first
+
+    def _value(self, bundle: int) -> float:
+        recent = self._recent
+        base = 0
+        for b in recent:
+            if b & bundle == b and b.bit_count() > base.bit_count():
+                base = b
+        state = 0
+        if base:
+            state = recent[base] = recent.pop(base)
+        if base != bundle:
+            state = recent[bundle] = self._grow(base, state, bundle)
+            if len(recent) > self.RECENT:
+                del recent[next(iter(recent))]
+        return self._read(state)
+
+    def _read(self, state: int) -> float:
+        return float(state)
+
+
 # ---------------------------------------------------------------------
 # concrete families
 # ---------------------------------------------------------------------
@@ -255,19 +287,14 @@ class AdditiveValuation(ValuationOracle):
         return take
 
 
-class CoverageValuation(ValuationOracle):
+class CoverageValuation(RecentBundles):
     """Weighted coverage: item j covers a fixed set of universe elements.
 
-    Monotone and submodular. A value remembers the last RECENT bundles
-    valued and the union of each one's covers, evicting the least recently
-    used. It starts from the largest remembered subset of its bundle,
-    refreshes that entry and ORs in the covers of the items the subset
-    lacks, so a greedy scan asking B | j for a fixed B ORs one cover and
-    keeps B remembered. Demand falls back to exhaustive enumeration, so it
-    is only available up to ENUM_LIMIT items.
+    Monotone and submodular. The state is the union of the bundle's covers,
+    so a greedy scan asking B | j for a fixed B ORs one cover. Demand falls
+    back to exhaustive enumeration, so it is only available up to ENUM_LIMIT
+    items.
     """
-
-    RECENT = 4
 
     def __init__(self, element_weights, covers, ledger: QueryLedger | None = None):
         n = len(covers)
@@ -284,24 +311,14 @@ class CoverageValuation(ValuationOracle):
         self.element_weights = ews
         self.covers = tuple(masks)
         self._unit = all(w == 1.0 for w in ews)
-        self._recent = {}  # bundle -> union of its covers, least recently used first
 
-    def _value(self, bundle: int) -> float:
-        recent = self._recent
-        base = 0
-        for b in recent:
-            if b & bundle == b and b.bit_count() > base.bit_count():
-                base = b
-        union = 0
-        if base:
-            union = recent[base] = recent.pop(base)
-        if base != bundle:
-            covers = self.covers
-            for j in bitsets.iter_items(bundle ^ base):
-                union |= covers[j]
-            recent[bundle] = union
-            if len(recent) > self.RECENT:
-                del recent[next(iter(recent))]
+    def _grow(self, base: int, union: int, bundle: int) -> int:
+        covers = self.covers
+        for j in bitsets.iter_items(bundle ^ base):
+            union |= covers[j]
+        return union
+
+    def _read(self, union: int) -> float:
         if self._unit:
             return float(union.bit_count())
         total = 0.0
@@ -321,8 +338,9 @@ class UniformMatroidRank(ValuationOracle):
         return float(min(bundle.bit_count(), self.cap))
 
 
-class PartitionMatroidRank(ValuationOracle):
-    """Sum over blocks of min(|S intersect block|, cap_block)."""
+class PartitionMatroidRank(RecentBundles):
+    """Sum over blocks of min(|S intersect block|, cap_block); the state is
+    the rank, grown one touched block at a time."""
 
     def __init__(self, blocks, caps, ledger: QueryLedger | None = None):
         if len(blocks) != len(caps) or not blocks:
@@ -347,20 +365,18 @@ class PartitionMatroidRank(ValuationOracle):
         self.caps = tuple(caps)
 
     @cached_property
-    def _block_arrays(self):
-        """(block id per item, caps as floats); built on first use so
-        constructing an oracle stays cheap."""
-        block_of = np.empty(self.n, dtype=np.intp)
-        for b, bm in enumerate(self.blocks):
-            block_of[bitsets.to_array(bm, self.n).astype(bool)] = b
-        return block_of, np.array(self.caps, dtype=np.float64)
+    def _block_of(self):
+        """item -> (its block's mask, cap), built on first use so constructing stays cheap."""
+        return {j: (bm, cap) for bm, cap in zip(self.blocks, self.caps) for j in bitsets.iter_items(bm)}
 
-    def _value(self, bundle: int) -> float:
-        block_of, caps = self._block_arrays
-        counts = np.bincount(
-            block_of, weights=bitsets.to_array(bundle, self.n), minlength=len(caps)
-        )
-        return float(np.minimum(counts, caps).sum())
+    def _grow(self, base: int, rank: int, bundle: int) -> int:
+        block_of = self._block_of
+        rest = bundle ^ base
+        while rest:  # once per block that bundle ^ base touches
+            bm, cap = block_of[(rest & -rest).bit_length() - 1]
+            rest &= ~bm
+            rank += min((bundle & bm).bit_count(), cap) - min((base & bm).bit_count(), cap)
+        return rank
 
 
 class GraphicMatroidRank(ValuationOracle):
@@ -505,7 +521,7 @@ class SubadditiveTableValuation(ValuationOracle):
             raise ValueError("table values must be finite and >= 0")
         if marginal_witness(arr, lambda low, high: high < low) is not None:
             raise ValueError("table is not monotone")
-        witness = subadditive_witness(arr.tolist()) if n <= self.FULL_CHECK_LIMIT else None
+        witness = subadditive_witness(arr) if n <= self.FULL_CHECK_LIMIT else None
         if witness is not None:
             a, b, s = witness
             raise ValueError(f"table is not subadditive: v({a:#x}) + v({b:#x}) < v({s:#x})")
@@ -526,20 +542,41 @@ class SubadditiveTableValuation(ValuationOracle):
         return int(cands[np.lexsort((cands, self._pc[cands]))[0]])
 
 
+def disjoint_splits(size: int):
+    """Chunks (s, a, s ^ a) over the bundles s of a 2^n table with two items
+    or more, by size and then ascending: a row per s, and a column per split
+    of s into nonempty halves, a ascending over the nonempty submasks of s
+    without its top bit, so a < s ^ a. A chunk holds about 2^15 splits, and
+    a caller may change the table between chunks for the sizes passed."""
+    bundles = np.arange(size, dtype=np.int64)
+    sizes = np.bitwise_count(bundles)
+    for k in range(2, int(sizes[-1]) + 1):
+        group = bundles[sizes == k]
+        rows = max(1, (1 << 15) >> (k - 1))
+        for start in range(0, group.shape[0], rows):
+            s = group[start:start + rows]
+            a, rest = np.zeros((s.shape[0], 1), dtype=np.int64), s.copy()
+            for _ in range(k - 1):  # the submasks of s's lower items, doubling per item
+                low = rest & -rest
+                a = np.concatenate((a, a | low[:, None]), axis=1)
+                rest ^= low
+            yield s, a[:, 1:], s[:, None] ^ a[:, 1:]
+
+
 def subadditive_witness(table):
     """The first split (a, s ^ a, s) with v(a) + v(s ^ a) < v(s) beyond
     RELATIVE_TOL in a 2^n table, bundles s ascending and each s's submasks a
     descending; None if the table is subadditive. Only a < s ^ a is read,
     since the inequality is symmetric in the two halves."""
-    tol = 1.0 - RELATIVE_TOL
-    for s in range(1, len(table)):
-        floor = table[s] * tol
-        a = (s - 1) & s
-        while a:
-            if a < (s ^ a) and table[a] + table[s ^ a] < floor:
-                return a, s ^ a, s
-            a = (a - 1) & s
-    return None
+    tab = np.asarray(table, dtype=np.float64)
+    first = None
+    for s, a, b in disjoint_splits(tab.shape[0]):
+        bad = tab[a] + tab[b] < (tab[s] * (1.0 - RELATIVE_TOL))[:, None]
+        failing = np.flatnonzero(bad.any(axis=1))
+        if failing.size and (first is None or s[failing[0]] < first[2]):
+            r, c = failing[0], a.shape[1] - 1 - int(bad[failing[0], ::-1].argmax())
+            first = int(a[r, c]), int(b[r, c]), int(s[r])
+    return first
 
 
 def marginal_witness(table: np.ndarray, fails):

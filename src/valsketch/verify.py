@@ -128,7 +128,7 @@ def validate_class(truth: np.ndarray, prop: str):
     else:
         witness = marginal_witness(truth, lambda low, high: high < low * (1.0 - RELATIVE_TOL))
     if witness is None and prop == "subadditive":
-        witness = subadditive_witness(truth.tolist())
+        witness = subadditive_witness(truth)
     elif witness is None and prop != "monotone":
         witness = _submodular_witness(truth)
     return witness is None, witness

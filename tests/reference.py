@@ -4,9 +4,10 @@ None of these runs in a pipeline, the CLI or the benchmark: the optimal
 uniform clause by enumeration (criterion 05), the weight-bucket core
 check (criterion 06), the demand pipeline's query ceilings
 (criterion 08), the XOS oracle's loops over every clause, the check
-that its clause list attains its values and the class checks' loops over
-the lattice. Valuations are read through the uncounted _value hook, so
-checking costs no counted queries.
+that its clause list attains its values, the class checks' loops over
+the lattice and the partition matroid's rank without a memo. Valuations
+are read through the uncounted _value hook, so checking costs no counted
+queries.
 """
 
 import math
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from valsketch import bitsets
 from valsketch.errors import ScaleError
-from valsketch.valuations import RELATIVE_TOL, AdditiveClause, ValuationOracle, subadditive_witness
+from valsketch.valuations import RELATIVE_TOL, AdditiveClause, ValuationOracle
 
 
 def brute_best_uniform_clause(oracle: ValuationOracle, bundle: int, value_of_bundle=None):
@@ -184,7 +185,7 @@ def lattice_class_check(oracle, prop: str) -> tuple:
                     return False, (s, s | (1 << j))
         return True, None
     if prop == "subadditive":
-        witness = subadditive_witness(tab)
+        witness = subadditive_witness_loop(tab)
         return witness is None, witness
     if prop == "matroid-rank":
         for s in range(full + 1):
@@ -205,3 +206,39 @@ def lattice_class_check(oracle, prop: str) -> tuple:
                 if gain_large > gain_small + RELATIVE_TOL * max(1.0, tab[full]):
                     return False, (s, si, j)
     return True, None
+
+
+def subadditive_witness_loop(table):
+    """valuations.subadditive_witness as it was before it read all bundles
+    of one size at once: a loop over each bundle s, ascending, and its
+    submasks a, descending, reading only a < s ^ a."""
+    tol = 1.0 - RELATIVE_TOL
+    for s in range(1, len(table)):
+        floor = table[s] * tol
+        a = (s - 1) & s
+        while a:
+            if a < (s ^ a) and table[a] + table[s ^ a] < floor:
+                return a, s ^ a, s
+            a = (a - 1) & s
+    return None
+
+
+def cheapest_split_caps_loop(raw, n: int) -> list:
+    """The first pass of instances._repair_table as it was before it read
+    all bundles of one size at once: in order of size, then ascending, each
+    value capped by the cheapest split of its bundle into two halves."""
+    table = [float(x) for x in raw]
+    table[0] = 0.0
+    for s in sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m)):
+        a = (s - 1) & s
+        while a:
+            if a < (s ^ a) and table[a] + table[s ^ a] < table[s]:
+                table[s] = table[a] + table[s ^ a]
+            a = (a - 1) & s
+    return table
+
+
+def capped_block_sum(blocks, caps, bundle: int) -> float:
+    """A partition matroid's rank by its definition: over the block masks,
+    the sum of min(|bundle in the block|, the block's cap)."""
+    return float(sum(min((bundle & bm).bit_count(), cap) for bm, cap in zip(blocks, caps)))

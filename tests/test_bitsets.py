@@ -1,6 +1,5 @@
 import re
 
-import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -31,15 +30,6 @@ def test_hex_round_trip_examples():
     assert bitsets.to_hex(0) == "0"
     assert bitsets.to_hex(0xF) == "f"
     assert bitsets.from_hex("1a") == 26
-
-
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 512])
-def test_to_array_matches_iter_items(n):
-    full = bitsets.full_mask(n)
-    for mask in (0, full, 1 << (n - 1), full // 3):
-        arr = bitsets.to_array(mask, n)
-        assert arr.shape == (n,)
-        assert np.flatnonzero(arr).tolist() == list(bitsets.iter_items(mask))
 
 
 def test_from_hex_rejects_negative():

@@ -14,11 +14,13 @@ from valsketch.valuations import (
     RELATIVE_TOL,
     AdditiveClause,
     OracleView,
+    RecentBundles,
     meets,
     subadditive_witness,
 )
 
-from reference import lattice_class_check, xos_consistent
+from reference import (capped_block_sum, cheapest_split_caps_loop, lattice_class_check,
+                       subadditive_witness_loop, xos_consistent)
 
 
 def test_meets_tolerance_boundary():
@@ -596,3 +598,113 @@ def test_subadditive_witness_is_the_first_failing_split():
             message = f"not subadditive: v({a:#x}) + v({b:#x}) < v({s:#x})"
             with pytest.raises(ValueError, match=re.escape(message)):
                 vs.SubadditiveTableValuation(closure)
+
+
+def test_subadditive_witness_matches_the_loop():
+    """The per-size read finds the loop's witness on random tables up to
+    n = 10: raw draws that fall and rise, their subadditive repairs, and
+    repairs whose full bundle alone is raised past some of its splits."""
+    for seed in range(120):
+        rng = random.Random(seed)
+        n = 1 + seed % 10
+        full = (1 << n) - 1
+        raw = [0.0] + [rng.randint(0, 16) / 4 for _ in range(full)]
+        repaired = [float(x) for x in _repair_table(np.asarray(raw), n)]
+        raised = list(repaired)
+        cheapest = min((repaired[a] + repaired[full ^ a] for a in range(1, full)), default=0.0)
+        raised[full] = max(raised[full], cheapest + rng.choice((0.25, 1.0, 5.0)))
+        for table in (raw, repaired, raised):
+            assert subadditive_witness(table) == subadditive_witness_loop(table)
+            assert subadditive_witness(np.asarray(table)) == subadditive_witness_loop(table)
+        if n > 1:
+            assert subadditive_witness(repaired) is None
+            assert subadditive_witness(raised)[2] == full
+
+
+def test_repair_table_caps_each_value_as_the_split_loop_does():
+    """The repair reads the splits of all bundles of one size at once; it
+    equals the loop that caps each value by its cheapest split, size by
+    size, followed by the monotone closure, float for float."""
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = 1 + seed % 10
+        raw = [rng.choice([0.0, rng.randint(0, 40) / 4, rng.random() * 9]) for _ in range(1 << n)]
+        capped = cheapest_split_caps_loop(raw, n)
+        assert _repair_table(np.asarray(raw), n).tolist() == _monotone_closure(capped, n)
+
+
+@st.composite
+def _memo_walks(draw):
+    """(n, bundles): B | j scans under more bases than RecentBundles.RECENT,
+    a return to the first, evicted base, then shrinking bundles, repeats,
+    new bundles and the empty bundle in any order."""
+    n = draw(st.integers(min_value=1, max_value=70))
+    bundles = st.integers(0, (1 << n) - 1)
+    items = st.integers(0, n - 1)
+    bases = draw(st.lists(bundles, min_size=RecentBundles.RECENT + 1, max_size=8))
+    walk = [0]
+    for base in bases + bases[:1]:
+        walk += [base] + [base | 1 << j for j in draw(st.lists(items, min_size=1, max_size=4))]
+    for kind in draw(st.lists(st.sampled_from(["shrink", "repeat", "new", "empty"]), max_size=12)):
+        if kind == "shrink":
+            walk.append(walk[-1] & draw(bundles))
+        elif kind == "repeat":
+            walk.append(draw(st.sampled_from(walk)))
+        else:
+            walk.append(draw(bundles) if kind == "new" else 0)
+    return n, walk
+
+
+@settings(max_examples=80, deadline=None)
+@given(walk=_memo_walks(), data=st.data())
+def test_recent_memo_answers_every_walk_exactly(walk, data):
+    """Both families that grow their values from the recent-bundle memo
+    answer each question of a walk with the capped block sum or the cover
+    union, and keep at most RECENT bundles, the last one asked last."""
+    n, bundles = walk
+    block_of = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    blocks = [[j for j in range(n) if block_of[j] == b] for b in range(6)]  # some empty
+    caps = data.draw(st.lists(st.integers(0, 3), min_size=6, max_size=6))
+    weights = data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.25]),
+                                 min_size=2 * n, max_size=2 * n))
+    covers = data.draw(st.lists(st.sets(st.integers(0, 2 * n - 1), max_size=4),
+                                min_size=n, max_size=n))
+    matroid = vs.PartitionMatroidRank(blocks, caps)
+    coverage = vs.CoverageValuation(weights, [sorted(c) for c in covers])
+    for bundle in bundles:
+        union = 0
+        for j in bitsets.iter_items(bundle):
+            union |= coverage.covers[j]
+        assert matroid._value(bundle) == capped_block_sum(matroid.blocks, matroid.caps, bundle)
+        assert coverage._value(bundle) == sum(weights[e] for e in bitsets.iter_items(union))
+        for oracle in (matroid, coverage):
+            assert isinstance(oracle, RecentBundles)
+            assert len(oracle._recent) <= RecentBundles.RECENT
+            assert not bundle or list(oracle._recent)[-1] == bundle
+
+
+def test_partition_matroid_constructor_remembers_nothing():
+    oracle = vs.generate_instance("partition-matroid", 512, 0, block_size=4, cap=1).build()
+    assert oracle._recent == {}
+    assert "_block_of" not in vars(oracle)  # the per-item table waits for the first value
+    assert oracle._value(0b1011) == capped_block_sum(oracle.blocks, oracle.caps, 0b1011)
+    assert "_block_of" in vars(oracle)
+
+
+def test_partition_matroid_memo_through_the_matroid_value_build():
+    """The n = 512 matroid-value recipe: the memo never holds more than
+    RECENT bundles, and every root question equals the capped block sum."""
+    oracle = vs.generate_instance("partition-matroid", 512, 0, block_size=4, cap=1).build()
+    answers, hook = [], oracle._value
+
+    def recording(bundle):
+        answers.append((bundle, hook(bundle)))
+        assert len(oracle._recent) <= RecentBundles.RECENT
+        return answers[-1][1]
+
+    oracle._value = recording
+    pipeline = vs.get_pipeline("matroid")
+    vs.build_sketch(oracle, pipeline.card, pipeline.xos)
+    assert len(answers) == oracle.ledger.totals()[0] == 3055
+    for bundle, answer in answers:
+        assert answer == capped_block_sum(oracle.blocks, oracle.caps, bundle)
