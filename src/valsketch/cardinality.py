@@ -32,7 +32,7 @@ from typing import Callable
 
 from . import bitsets
 from .errors import ScaleError
-from .valuations import OracleView, UniformPrices, ValuationOracle
+from .valuations import ENUM_LIMIT, OracleView, UniformPrices, ValuationOracle
 
 
 @dataclass(frozen=True)
@@ -211,8 +211,8 @@ def brute_opt_k(oracle: ValuationOracle | OracleView, ground: int, k: int):
     Scans submasks in ascending numeric order with a strict improvement
     test, so of all maximizers it returns the numerically smallest mask.
     """
-    if ground.bit_count() > 22:
-        raise ScaleError("exhaustive search is limited to pools of 22 items")
+    if ground.bit_count() > ENUM_LIMIT:
+        raise ScaleError(f"exhaustive search is limited to pools of {ENUM_LIMIT} items")
     best_bundle, best_value = 0, 0.0
     for sub in bitsets.submasks(ground):
         if sub and sub.bit_count() <= k:

@@ -14,7 +14,7 @@ from itertools import chain
 
 import numpy as np
 
-from . import bitsets
+from . import bitsets, valuations
 from .errors import MalformedBundleError, ScaleError, SerializationError
 from .ledger import QueryLedger
 from .valuations import (
@@ -219,8 +219,9 @@ def _gen_xos_explicit(n, rng, params):
 
 
 def _gen_subadditive_table(n, rng, params):
-    if n > 12:
-        raise ScaleError("subadditive tables are generated only up to n = 12")
+    limit = valuations.VALIDATE_LIMIT
+    if n > limit:
+        raise ScaleError(f"subadditive tables are generated only up to n = {limit}")
     high = _int_param("subadditive-table", "high", params.pop("high", 8), 1)
     _reject_extras("subadditive-table", params)
     raw = [0] + [rng.randint(1, high) for _ in range((1 << n) - 1)]

@@ -66,7 +66,7 @@ _BENCH_RECIPES = {
     "subadditive": lambda n: (
         "xos-explicit", {"clauses": 24, "support": max(2, n // 8), "uniform": True}
     ),
-    "brute": lambda n: ("subadditive-table", {}),  # the generator stops at n = 12
+    "brute": lambda n: ("subadditive-table", {}),  # the generator stops at n = 16
 }
 
 

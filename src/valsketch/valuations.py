@@ -27,6 +27,9 @@ RELATIVE_TOL = 1e-9
 # the most priced items the inherited demand answers by enumeration
 ENUM_LIMIT = 22
 
+# the most items of an exhaustive table: an explicit one, or verify's 2^n bundles
+VALIDATE_LIMIT = 16
+
 
 def meets(x: float, threshold: float) -> bool:
     """x >= threshold, forgiving a relative slack of RELATIVE_TOL."""
@@ -494,16 +497,9 @@ class XOSExplicitValuation(ValuationOracle):
 
 
 class SubadditiveTableValuation(ValuationOracle):
-    """Explicit 2^n table indexed by bundle mask. Limited to n <= 22.
-
-    The constructor always checks normalization and monotonicity. The
-    subadditive inequality over all disjoint splits costs 3^n / 2 table reads,
-    so it is verified here only up to n = 12; larger tables are expected to
-    come from the repairing generator and can be re-checked explicitly via
-    verify.validate_class.
-    """
-
-    FULL_CHECK_LIMIT = 12
+    """Explicit 2^n table indexed by bundle mask, n <= VALIDATE_LIMIT. A
+    finite, nonnegative table is accepted exactly when
+    verify.validate_class(table, "subadditive") accepts it."""
 
     def __init__(self, table, ledger: QueryLedger | None = None):
         arr = np.asarray(table, dtype=np.float64)
@@ -513,15 +509,15 @@ class SubadditiveTableValuation(ValuationOracle):
         if size < 2 or size & (size - 1):
             raise ValueError("table length must be a power of two, at least 2")
         n = size.bit_length() - 1
-        if n > 22:
-            raise ScaleError("explicit tables are limited to 22 items")
+        if n > VALIDATE_LIMIT:
+            raise ScaleError(f"explicit tables are limited to {VALIDATE_LIMIT} items")
         if arr[0] != 0.0:
             raise ValueError("table is not normalized: v(empty) must be 0")
         if not np.all(np.isfinite(arr)) or arr.min() < 0:
             raise ValueError("table values must be finite and >= 0")
-        if marginal_witness(arr, lambda low, high: high < low) is not None:
+        if monotone_witness(arr) is not None:
             raise ValueError("table is not monotone")
-        witness = subadditive_witness(arr) if n <= self.FULL_CHECK_LIMIT else None
+        witness = subadditive_witness(arr)
         if witness is not None:
             a, b, s = witness
             raise ValueError(f"table is not subadditive: v({a:#x}) + v({b:#x}) < v({s:#x})")
@@ -577,6 +573,11 @@ def subadditive_witness(table):
             r, c = failing[0], a.shape[1] - 1 - int(bad[failing[0], ::-1].argmax())
             first = int(a[r, c]), int(b[r, c]), int(s[r])
     return first
+
+
+def monotone_witness(table: np.ndarray):
+    """The first (s, s | 1 << j) whose value falls by more than RELATIVE_TOL."""
+    return marginal_witness(table, lambda low, high: high < low * (1.0 - RELATIVE_TOL))
 
 
 def marginal_witness(table: np.ndarray, fails):

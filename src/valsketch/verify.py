@@ -13,14 +13,11 @@ import numpy as np
 from . import bitsets
 from .errors import ScaleError
 from .sketch import Sketch, evaluate_all, sketch_bound, sketch_errors
-from .valuations import (RELATIVE_TOL, ValuationOracle, bad_value, marginal_witness,
-                         subadditive_witness)
+from .valuations import (RELATIVE_TOL, VALIDATE_LIMIT, ValuationOracle, bad_value,
+                         marginal_witness, monotone_witness, subadditive_witness)
 
 #: slack allowed on "never overestimates": one filter tolerance of dust
 SOUND_TOL = 4.0 * RELATIVE_TOL
-
-#: the largest n whose 2^n bundles brute_reference_table enumerates
-VALIDATE_LIMIT = 16
 
 PROPERTIES = ("monotone", "subadditive", "submodular", "matroid-rank")
 
@@ -126,7 +123,7 @@ def validate_class(truth: np.ndarray, prop: str):
     if prop == "matroid-rank":
         witness = marginal_witness(truth, lambda low, high: (high - low != 0) & (high - low != 1))
     else:
-        witness = marginal_witness(truth, lambda low, high: high < low * (1.0 - RELATIVE_TOL))
+        witness = monotone_witness(truth)
     if witness is None and prop == "subadditive":
         witness = subadditive_witness(truth)
     elif witness is None and prop != "monotone":

@@ -25,11 +25,11 @@ def build_and_check(oracle, card, xos):
     return sketch
 
 
-@pytest.fixture(scope="session")
-def corpus():
-    """All desk-scale fixtures, sketched once and shared by the suite."""
+def sketch_entries(fixtures):
+    """A CorpusEntry per (pipeline name, InstanceSpec) pair: built, sketched
+    with its invariants checked, and evaluated on every bundle."""
     entries = []
-    for name, spec in vs.standard_fixture_corpus():
+    for name, spec in fixtures:
         pipeline = vs.get_pipeline(name)
         oracle = spec.build(vs.QueryLedger())
         sketch = build_and_check(oracle, pipeline.card, pipeline.xos)
@@ -44,3 +44,29 @@ def corpus():
             )
         )
     return entries
+
+
+@pytest.fixture(scope="session")
+def corpus():
+    """All desk-scale fixtures, sketched once and shared by the suite."""
+    return sketch_entries(vs.standard_fixture_corpus())
+
+
+#: the sizes of the exhaustive net: past the corpus's 12, up to VALIDATE_LIMIT
+NET_SIZES = (14, 16)
+NET_SEEDS = 4
+
+
+@pytest.fixture(scope="session")
+def net():
+    """The corpus's four blocks (matroid rotation, coverage, xos-explicit,
+    subadditive-table) at each of NET_SIZES and seeds 0..NET_SEEDS-1."""
+    fixtures = []
+    for n in NET_SIZES:
+        for seed in range(NET_SEEDS):
+            matroid = vs.pipelines._MATROID_ROTATION[seed % 3]
+            fixtures += [("matroid", vs.generate_instance(matroid, n, seed)),
+                         ("submodular", vs.generate_instance("coverage", n, seed)),
+                         ("subadditive", vs.generate_instance("xos-explicit", n, seed)),
+                         ("subadditive", vs.generate_instance("subadditive-table", n, seed))]
+    return sketch_entries(fixtures)

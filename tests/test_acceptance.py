@@ -3,8 +3,9 @@
 Run as `pytest tests/test_acceptance.py -v -s`. Every test prints
 `[acceptance] NN name: PASS|FAIL (detail)` before asserting, so the
 checklist is readable even from a failing run. The desk-scale corpus
-(four fixture blocks at n in {6, 8, 10, 12}, 50 seeds each) comes from
-conftest and is shared across criteria.
+(four fixture blocks at n in {6, 8, 10, 12}, 50 seeds each) and the
+exhaustive net (the same blocks at n in {14, 16}, 4 seeds each) come
+from conftest and are shared across criteria.
 """
 
 import json
@@ -357,3 +358,46 @@ def test_criterion_10_golden_trace():
     )
     assert _line(10, "golden-trace", ok,
                  f"families {len(cells)}, full estimate {full_estimate}, queries {queries}")
+
+
+def _singletons_only(sketch: vs.Sketch) -> np.ndarray:
+    """max of v({j}) over j in S, for every bundle S: the estimate of a
+    sketch without groups."""
+    single = np.zeros(1 << sketch.n)
+    for j, v in enumerate(sketch.singletons):
+        halves = single.reshape(-1, 2, 1 << j)  # [:, 1] holds the bundles with j
+        np.maximum(halves[:, 1], v, out=halves[:, 1])
+    return single
+
+
+def test_criterion_11_exhaustive_net(net):
+    """At n = 14 and 16 every fixture is in its pipeline's class, keeps its
+    invariants, never overestimates and stays within its certified bound.
+    Per block, the member share is the share of nonzero bundles whose
+    estimate beats the singletons-only one."""
+    problems = []
+    beats, nonzero, worst = {}, {}, {}
+    for entry in net:
+        tag = f"{entry.spec.family} n={entry.spec.n} seed={entry.spec.seed}"
+        prop = vs.get_pipeline(entry.pipeline).property
+        passed, witness = vs.validate_class(entry.truth, prop)
+        report = vs.exhaustive_ratio_report(entry.truth, entry.sketch)
+        violations = vs.family_invariant_check(entry.sketch)
+        if not passed:
+            problems.append(f"{tag}: class {prop} violated at {witness}")
+        if violations:
+            problems.append(f"{tag}: {violations[0]}")
+        if not (report.sound and report.within_bound):
+            problems.append(f"{tag}: max_over {report.max_over}, max_under {report.max_under} "
+                            f"against bound {report.bound}")
+        block = "matroid" if entry.pipeline == "matroid" else entry.spec.family
+        pos = entry.truth > 0
+        better = entry.estimate > _singletons_only(entry.sketch) * (1.0 + RELATIVE_TOL)
+        beats[block] = beats.get(block, 0) + int(np.count_nonzero(better & pos))
+        nonzero[block] = nonzero.get(block, 0) + int(np.count_nonzero(pos))
+        worst[block] = max(worst.get(block, 1.0), report.max_under)
+    shares = ", ".join(f"{b} {100.0 * beats[b] / nonzero[b]:.1f}% (max_under {worst[b]:.3f})"
+                       for b in beats)
+    ok = not problems
+    assert _line(11, "exhaustive-net", ok,
+                 f"{len(net)} fixtures; member share {shares}" if ok else problems[0])

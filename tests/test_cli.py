@@ -211,6 +211,34 @@ class TestPipelineChain:
             assert code == 2 and text == "", extra
             assert f"need n <= {limit}, got n={limit + 1}" in err, extra
 
+    def test_table_family_stops_at_the_size_limit(self, capsys, tmp_path):
+        """Tables are generated, checked and verified at exactly the sizes
+        verify enumerates: gen at the limit passes verify, one more exits 2."""
+        inst = tmp_path / "inst.json"
+        limit = vs.verify.VALIDATE_LIMIT
+        assert run(capsys, "gen", "--family", "subadditive-table", "--n", str(limit),
+                   "--out", str(inst))[0] == 0
+        code, text, _ = run(capsys, "verify", "--instance", str(inst), "--pipeline", "subadditive")
+        assert code == 0 and "class subadditive: ok" in text and text.strip().endswith("PASS")
+        code, _, err = run(capsys, "gen", "--family", "subadditive-table", "--n", str(limit + 1),
+                           "--out", str(tmp_path / "big.json"))
+        assert code == 2 and f"generated only up to n = {limit}" in err
+        assert not (tmp_path / "big.json").exists()
+
+    def test_sketch_refuses_a_table_that_is_not_subadditive(self, capsys, tmp_path):
+        """v(S) = |S|^2 on 14 items is monotone but not subadditive: the
+        sketch command exits 2 naming the first failing split, and writes
+        no sketch."""
+        inst = tmp_path / "inst.json"
+        sk = tmp_path / "sketch.json"
+        table = [float(s.bit_count() ** 2) for s in range(1 << 14)]
+        vs.save_instance(vs.InstanceSpec("subadditive-table", 14, {"table": table}, 0), str(inst))
+        code, text, err = run(capsys, "sketch", "--instance", str(inst),
+                              "--pipeline", "subadditive", "--out", str(sk))
+        assert code == 2 and text == ""
+        assert "not subadditive: v(0x1) + v(0x2) < v(0x3)" in err
+        assert not sk.exists()
+
     def test_verify_refuses_a_true_value_that_overflows(self, capsys, tmp_path):
         """Each weight is finite, their sum is not: the true table holds inf,
         which is bad input (exit 2), not a failed check (exit 1)."""
@@ -580,7 +608,7 @@ class TestBench:
         assert (n, f"{value_q},{demand_q}") == ("256", counts)
 
     def test_oversized_brute_bench(self, capsys):
-        code, _, err = run(capsys, "bench", "--pipeline", "brute", "--n", "16")
+        code, _, err = run(capsys, "bench", "--pipeline", "brute", "--n", "17")
         assert code == 2 and "error:" in err
 
 

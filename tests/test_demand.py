@@ -172,15 +172,14 @@ ALWAYS_DEMAND = ("additive", "xos-explicit", "subadditive-table")
 def test_has_demand_is_derived_as_each_family_passed_it(family, n):
     """has_demand follows from n and from whether the family overrides
     _demand_uniform: every shipped family answers up to ENUM_LIMIT items,
-    and past it only the ALWAYS_DEMAND ones."""
-    if family != "subadditive-table":
-        oracle = vs.generate_instance(family, n, 0).build()
-    elif n <= 22:
-        oracle = vs.SubadditiveTableValuation(np.zeros(1 << n))  # valid, checked quickly
-    else:
-        with pytest.raises(vs.ScaleError, match="limited to 22 items"):
+    and past it only the ALWAYS_DEMAND ones. A table holds at most
+    VALIDATE_LIMIT items, fewer than either n here."""
+    if family == "subadditive-table":
+        limit = vs.valuations.VALIDATE_LIMIT
+        with pytest.raises(vs.ScaleError, match=f"limited to {limit} items"):
             vs.SubadditiveTableValuation(np.broadcast_to(0.0, 1 << n))  # allocates no table
         return
+    oracle = vs.generate_instance(family, n, 0).build()
     expected = family in ALWAYS_DEMAND or n <= 22
     assert oracle.n == n and oracle.has_demand is expected
 

@@ -109,7 +109,7 @@ def test_graphic_edges_stay_in_range():
 
 def test_table_generation_size_guard():
     with pytest.raises(vs.ScaleError):
-        vs.generate_instance("subadditive-table", 13, seed=0)
+        vs.generate_instance("subadditive-table", 17, seed=0)
 
 
 @settings(max_examples=30, deadline=None)

@@ -288,6 +288,31 @@ class TestTableValidation:
         with pytest.raises(ValueError, match="flat list"):
             vs.SubadditiveTableValuation(table)
 
+    def test_checks_every_split_past_twelve_items(self):
+        # v(S) = |S|^2 is monotone; its first failing split is 1 + 1 < 4
+        table = np.bitwise_count(np.arange(1 << 14)).astype(float) ** 2
+        with pytest.raises(ValueError, match=re.escape("v(0x1) + v(0x2) < v(0x3)")):
+            vs.SubadditiveTableValuation(table)
+
+    def test_refuses_a_table_past_the_limit(self):
+        with pytest.raises(vs.ScaleError, match="limited to 16 items"):
+            vs.SubadditiveTableValuation(np.broadcast_to(0.0, 1 << 17))  # allocates no table
+
+    @pytest.mark.parametrize("table, accepted", [([0, 1, 1, 1 - 1e-12], True),
+                                                 ([0, 1, 1, 1 - 1e-6], False),
+                                                 ([0, 1, 1, 2 + 1e-12], True),
+                                                 ([0, 1, 1, 2 + 1e-6], False)])
+    def test_accepts_what_validate_class_accepts(self, table, accepted):
+        """A dip or a split excess within RELATIVE_TOL is forgiven by both."""
+        ok, witness = vs.validate_class(np.asarray(table), "subadditive")
+        assert ok is accepted
+        if ok:
+            assert vs.SubadditiveTableValuation(table).table.tolist() == table
+        else:
+            kind = "monotone" if len(witness) == 2 else "subadditive"
+            with pytest.raises(ValueError, match=f"table is not {kind}"):
+                vs.SubadditiveTableValuation(table)
+
 
 class TestWrappers:
     def test_scaled_divides_value(self):

@@ -299,6 +299,8 @@ def test_package_holds_only_what_the_system_runs():
     # the class check is verification: it reads the checked reference table
     for name in ("validate_class", "PROPERTIES", "VALIDATE_LIMIT"):
         assert not hasattr(vs.instances, name), name
+    # a table is checked in full at every size it may have, VALIDATE_LIMIT
+    assert not hasattr(vs.SubadditiveTableValuation, "FULL_CHECK_LIMIT")
     assert [f.name for f in dataclasses.fields(vs.CardOracleSpec)] == ["run", "alpha",
                                                                        "needs_demand"]
     for name in ("brute_force", "brute_reference_table", "exhaustive_ratio_report",
