@@ -12,6 +12,11 @@ has and ends with the value and demand queries the builds spent; exits
 
     python3 scripts/verify_corpus.py
     python3 scripts/verify_corpus.py --limit 20 --quiet
+    python3 scripts/verify_corpus.py --sizes 14,16 --quiet   # the exhaustive net
+
+With --sizes the fixtures are the corpus's four blocks at each size given
+and seeds 0-3, as the tests' exhaustive net builds them, instead of the
+standard corpus.
 """
 
 import argparse
@@ -47,13 +52,29 @@ def check_entry(pipeline_name: str, spec) -> tuple:
     return ok, sketch, report, notes, oracle.ledger.totals()
 
 
+def sizes(text: str) -> list:
+    """Comma-separated ground-set sizes, each from 1 to VALIDATE_LIMIT."""
+    out = [int(n) for n in text.split(",")]
+    limit = vs.valuations.VALIDATE_LIMIT
+    if not all(1 <= n <= limit for n in out):
+        raise argparse.ArgumentTypeError(f"sizes must lie in 1..{limit}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--limit", type=int, help="check only the first N fixtures")
     parser.add_argument("--quiet", action="store_true", help="print failures and summary only")
+    parser.add_argument("--sizes", type=sizes,
+                        help="comma-separated ground-set sizes, each at seeds 0-3, "
+                             "instead of the standard corpus")
     args = parser.parse_args(argv)
 
-    corpus = vs.standard_fixture_corpus()
+    if args.sizes:
+        corpus = [fixture for n in args.sizes for seed in range(vs.pipelines.NET_SEEDS)
+                  for fixture in vs.pipelines.corpus_blocks(n, seed)]
+    else:
+        corpus = vs.standard_fixture_corpus()
     if args.limit:
         corpus = corpus[: args.limit]
 

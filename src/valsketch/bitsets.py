@@ -102,11 +102,21 @@ def lower_half(mask: int) -> int:
 
 
 def chunks(mask: int, k: int) -> list[int]:
-    """Split into consecutive ascending-id blocks of at most k items each."""
+    """Split into consecutive ascending-id blocks of at most k items each, in
+    one pass over the 64-bit words of mask: a block is cut at its k-th item."""
     if k < 1:
         raise ValueError("block size must be at least 1")
-    out = []
-    while mask:
-        out.append(prefix(mask, k))
-        mask ^= out[-1]
+    out, need, low = [], k, 0  # need: the open block's missing items; low: mask below the last cut
+    words = np.frombuffer(mask.to_bytes(8 * ((mask.bit_length() + 63) // 64), "little"), "<u8")
+    for i, word in enumerate(words.tolist()):
+        count = word.bit_count()
+        while count >= need:
+            head = prefix(word, need)
+            word ^= head
+            cut = mask & ((1 << (64 * i + head.bit_length())) - 1)
+            out.append(cut ^ low)
+            low, count, need = cut, count - need, k
+        need -= count
+    if mask != low:
+        out.append(mask ^ low)
     return out

@@ -78,8 +78,19 @@ def bench_instance(pipeline: str, n: int, seed: int = 0) -> InstanceSpec:
 
 CORPUS_SIZES = (6, 8, 10, 12)
 CORPUS_SEEDS = 50
+#: seeds per size of the exhaustive net past the corpus's sizes
+NET_SEEDS = 4
 
 _MATROID_ROTATION = ("uniform-matroid", "partition-matroid", "graphic-matroid")
+
+
+def corpus_blocks(n: int, seed: int):
+    """The corpus's four blocks at one (n, seed), as (pipeline name, InstanceSpec)
+    pairs: the matroid rotation, coverage, xos-explicit, subadditive-table."""
+    return [("matroid", generate_instance(_MATROID_ROTATION[seed % 3], n, seed)),
+            ("submodular", generate_instance("coverage", n, seed)),
+            ("subadditive", generate_instance("xos-explicit", n, seed)),
+            ("subadditive", generate_instance("subadditive-table", n, seed))]
 
 
 def standard_fixture_corpus():
@@ -89,13 +100,8 @@ def standard_fixture_corpus():
     one pinned complete-graph matroid whose rank structure is known by
     heart. Everything is small enough for exhaustive comparison.
     """
-    out = []
-    for seed in range(CORPUS_SEEDS):
-        n = CORPUS_SIZES[seed % len(CORPUS_SIZES)]
-        out.append(("matroid", generate_instance(_MATROID_ROTATION[seed % 3], n, seed)))
-        out.append(("submodular", generate_instance("coverage", n, seed)))
-        out.append(("subadditive", generate_instance("xos-explicit", n, seed)))
-        out.append(("subadditive", generate_instance("subadditive-table", n, seed)))
+    out = [fixture for seed in range(CORPUS_SEEDS)
+           for fixture in corpus_blocks(CORPUS_SIZES[seed % len(CORPUS_SIZES)], seed)]
     k4_edges = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
     out.append(
         ("matroid", InstanceSpec("graphic-matroid", 6, {"vertices": 4, "edges": k4_edges}, 0))

@@ -49,7 +49,7 @@ class AdditiveClause:
     sorted by item id so float accumulations are reproducible.
     """
 
-    __slots__ = ("support", "weights", "_uniform_weight")
+    __slots__ = ("support", "_weights", "_uniform_weight")
 
     def __init__(self, weights):
         for j in weights:  # a bool, a float or a str is refused, not truncated
@@ -61,7 +61,7 @@ class AdditiveClause:
             if w < 0 or not math.isfinite(w):
                 raise ValueError(f"clause weight for item {j} must be finite and >= 0")
             ws[int(j)] = w
-        self.weights = ws
+        self._weights = ws
         self.support = bitsets.from_items(ws)
         distinct = set(ws.values())
         self._uniform_weight = distinct.pop() if len(distinct) == 1 else None
@@ -71,10 +71,18 @@ class AdditiveClause:
         w = float(price)
         if w < 0 or not math.isfinite(w):
             raise ValueError(f"uniform clause price must be finite and >= 0, got {price!r}")
+        if type(mask) is not int or mask < 0:  # a bool is not an int here
+            raise MalformedBundleError(f"uniform clause support must be an int >= 0, got {mask!r}")
         clause = cls.__new__(cls)
-        clause.weights, clause.support = dict.fromkeys(bitsets.iter_items(mask), w), mask
-        clause._uniform_weight = w if mask else None
+        clause._weights, clause.support, clause._uniform_weight = None, mask, w if mask else None
         return clause
+
+    @property
+    def weights(self) -> dict:
+        """item -> weight, ascending by item; a uniform clause builds it on first read."""
+        if self._weights is None:
+            self._weights = dict.fromkeys(bitsets.iter_items(self.support), self._uniform_weight)
+        return self._weights
 
     def meeting(self, threshold: float) -> int:
         """The support items j whose weight meets(w, threshold)."""
@@ -452,8 +460,24 @@ class XOSExplicitValuation(ValuationOracle):
                                 for c in cls if c._uniform_weight is not None), reverse=True)
         self._mixed = tuple(c for c in cls if c._uniform_weight is None)
 
+    @cached_property
+    def _single(self) -> list:
+        """item -> v({j}), built on first use so constructing stays cheap: exactly
+        the heaviest weight a clause gives j (w * 1 = w if uniform), or 0.0."""
+        weights, supports = zip(*[(w, s) for w, _, s in self._uniform if w > 0] or [(0.0, 0)])
+        bits = np.unpackbits(bitsets.to_words(supports, self.n).view(np.uint8), axis=1,
+                             count=self.n, bitorder="little")  # rows heaviest first
+        single = np.where(bits.any(axis=0), np.array(weights)[bits.argmax(axis=0)], 0.0).tolist()
+        for c in self._mixed:
+            for j, w in c.weights.items():
+                if w > single[j]:
+                    single[j] = w
+        return single
+
     def _value(self, bundle: int) -> float:
         best, items = 0.0, bundle.bit_count()
+        if items == 1:
+            return self._single[bundle.bit_length() - 1]
         for w, size, support in self._uniform:
             # float products of factors >= 0 rise with each factor: this clause is
             # worth at most w * min(items, size), and each later w' <= w at most w * items

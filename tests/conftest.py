@@ -54,19 +54,11 @@ def corpus():
 
 #: the sizes of the exhaustive net: past the corpus's 12, up to VALIDATE_LIMIT
 NET_SIZES = (14, 16)
-NET_SEEDS = 4
 
 
 @pytest.fixture(scope="session")
 def net():
-    """The corpus's four blocks (matroid rotation, coverage, xos-explicit,
-    subadditive-table) at each of NET_SIZES and seeds 0..NET_SEEDS-1."""
-    fixtures = []
-    for n in NET_SIZES:
-        for seed in range(NET_SEEDS):
-            matroid = vs.pipelines._MATROID_ROTATION[seed % 3]
-            fixtures += [("matroid", vs.generate_instance(matroid, n, seed)),
-                         ("submodular", vs.generate_instance("coverage", n, seed)),
-                         ("subadditive", vs.generate_instance("xos-explicit", n, seed)),
-                         ("subadditive", vs.generate_instance("subadditive-table", n, seed))]
-    return sketch_entries(fixtures)
+    """The corpus's four blocks at each of NET_SIZES and seeds
+    0..NET_SEEDS-1, as `scripts/verify_corpus.py --sizes 14,16` checks them."""
+    return sketch_entries([fixture for n in NET_SIZES for seed in range(vs.pipelines.NET_SEEDS)
+                           for fixture in vs.pipelines.corpus_blocks(n, seed)])

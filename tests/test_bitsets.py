@@ -151,6 +151,9 @@ def test_chunks_partition_in_order(mask, k):
 @example(0, 1)
 @example(0b1011, 3)
 @example(0b1011, 100)
+@example(0b11 << 63, 1)  # items 63 and 64: a cut between two words
+@example((1 << 64) - 1, 64)  # one full word, one block
+@example((1 << 2048) - 1, 46)  # cuts inside words and on word ends
 def test_chunks_matches_item_walk(mask, k):
     assert bitsets.chunks(mask, k) == _chunks_by_walking(mask, k)
 

@@ -73,13 +73,22 @@ class TestAdditiveClause:
     def test_uniform_matches_the_per_item_constructor(self, mask, price, t, bundle):
         fast = AdditiveClause.uniform(price, mask)
         slow = AdditiveClause({j: price for j in bitsets.iter_items(mask)})
-        assert fast == slow and list(fast.weights) == list(slow.weights)
         assert fast.support == slow.support
         assert fast._uniform_weight == slow._uniform_weight
         assert (fast._uniform_weight is None) == (slow._uniform_weight is None)
         assert fast.value(bundle) == slow.value(bundle)
         for threshold in (t, price):
             assert fast.meeting(threshold) == slow.meeting(threshold)
+        # on a nonempty support, value and meeting read only the uniform weight
+        assert fast._weights is None or not mask
+        assert fast == slow and list(fast.weights) == list(slow.weights)
+        assert repr(fast) == repr(slow)
+
+    @pytest.mark.parametrize("mask", [-1, -0b1010, True, False, 3.0, np.int64(3), "0b11", None])
+    def test_uniform_refuses_a_mask_that_is_not_a_bundle(self, mask):
+        # iter_items(-1) never ends, and meeting() would hand out a negative bundle
+        with pytest.raises(vs.MalformedBundleError, match="int >= 0"):
+            AdditiveClause.uniform(1.0, mask)
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):

@@ -326,3 +326,17 @@ def test_verify_corpus_script_smoke():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "checked 8 fixtures: 0 failures" in proc.stdout
     assert re.search(r", queries \d+ value, \d+ demand\n\Z", proc.stdout), proc.stdout
+
+
+def test_verify_corpus_script_checks_the_net_sizes():
+    """--sizes checks the corpus's four blocks at each size, seeds 0-3, as the net fixture does."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "verify_corpus.py"),
+         "--sizes", "14", "--quiet"],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == ("checked 16 fixtures: 0 failures, worst ratio 6.000, at most 2 groups, "
+                           "queries 780 value, 577 demand\n")

@@ -53,7 +53,9 @@ def test_pruned_oracle_matches_all_clause_loops(n, seed):
     bundles = supports + [0, bitsets.full_mask(n)]
     bundles += [s & _mask(rng, n, 0.5) for s in supports]
     bundles += [_mask(rng, n, rng.choice([0.01, 0.05, 0.2, 0.6])) for _ in range(20)]
-    for bundle in bundles:
+    # every one-item bundle too: the table of one-item values, items in no
+    # clause and items in per-item or zero-weight clauses only among them
+    for bundle in bundles + [1 << j for j in range(n)]:
         assert _same_float(oracle._value(bundle), xos_value_all_clauses(oracle, bundle))
     weights = sorted({w for c in clauses for w in c.weights.values()})
     prices = [0.0] + weights + DYADIC + [rng.uniform(0, 4) for _ in range(5)]
@@ -88,6 +90,15 @@ def test_value_reads_a_clause_whose_bound_just_clears_the_best():
     assert oracle._value(bitsets.full_mask(10)) == 0.429 * 7
 
 
+def test_one_item_value_of_a_negative_zero_weight_is_positive_zero():
+    # -0.0 passes the weight checks; the clause scan answers +0.0, and so must the table
+    oracle = XOSExplicitValuation([AdditiveClause.uniform(-0.0, 0b11), AdditiveClause({2: -0.0})],
+                                  n=4)
+    for bundle in (0b1, 0b10, 0b100, 0b1000):
+        assert _same_float(oracle._value(bundle), 0.0)
+        assert _same_float(xos_value_all_clauses(oracle, bundle), 0.0)
+
+
 class _AllClauseXOS(XOSExplicitValuation):
     def _value(self, bundle):
         return xos_value_all_clauses(self, bundle)
@@ -96,14 +107,18 @@ class _AllClauseXOS(XOSExplicitValuation):
         return xos_demand_all_clauses(self, q, included)
 
 
-def test_benchmark_recipe_builds_the_same_sketch_with_the_same_questions():
-    # the xos-demand recipe of perfbench; TestPinnedOutput pins its digest
-    spec = vs.generate_instance("xos-explicit", 2048, 0, clauses=24, support=256, uniform=True)
+@pytest.mark.parametrize("n, support, uniform, expected", [
+    (2048, 256, True, (2309, 1302)),  # the xos-demand recipe of perfbench; TestPinnedOutput pins its digest
+    (1024, 128, False, (1665, 2349)),  # per-item clauses: demand reads each weight
+], ids=["uniform", "per-item"])
+def test_benchmark_recipe_builds_the_same_sketch_with_the_same_questions(n, support, uniform,
+                                                                          expected):
+    spec = vs.generate_instance("xos-explicit", n, 0, clauses=24, support=support, uniform=uniform)
     pipeline = vs.get_pipeline("subadditive")
     texts, totals = [], []
-    for make in (spec.build, lambda ledger: _AllClauseXOS(spec.build().clauses, ledger, n=2048)):
+    for make in (spec.build, lambda ledger: _AllClauseXOS(spec.build().clauses, ledger, n=n)):
         oracle = make(vs.QueryLedger())
         texts.append(vs.serialize(vs.build_sketch(oracle, pipeline.card, pipeline.xos)))
         totals.append(oracle.ledger.totals())
     assert texts[0] == texts[1]
-    assert totals == [(2309, 1302)] * 2
+    assert totals == [expected] * 2
