@@ -36,6 +36,12 @@ def iter_items(mask: int):
         mask ^= low
 
 
+def item_ids(mask: int) -> list[int]:
+    """The set bit positions in ascending order, as a list read in one numpy pass."""
+    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
+
+
 def to_words(masks, n: int) -> np.ndarray:
     """Row i holds masks[i] < 2^n as ceil(n/64) little-endian uint64 words."""
     width = (n + 63) // 64

@@ -18,10 +18,12 @@ steps(oracle, ground) that yields (bundle, value) after every item it
 adds; its spec's run replays it to step k, or to the last step if the
 run ends sooner. A build hands run its group's OracleView, a memo in the
 group's units of each answer the root oracle gave, so a replay's
-repeated questions go uncounted. Matroid augmenting gallops to each item
-it adds and drops for good the items a probe showed spanned, so a step
-pays for the items it skips, not for the size of the pool. Threshold greedy steps over the
-levels no item can clear without scanning them.
+repeated questions go uncounted; threshold greedy reads its pool's
+singletons from the view's table by item id. Matroid augmenting gallops
+to each item it adds and drops for good the items a probe showed
+spanned, so a step pays for the items it skips, not for the size of the
+pool. Threshold greedy steps over the levels no item can clear without
+scanning them.
 """
 
 import math
@@ -93,11 +95,15 @@ def greedy_threshold_steps(oracle: ValuationOracle | OracleView, ground: int, ep
     skipped levels are still stepped through one multiplication at a time,
     so every scanned w is the float a level-by-level run scans, and the
     run asks the same questions in the same order.
+
+    A view's `singles` table gives each pool item's singleton by its id; an
+    item it lacks, and every item of a bare oracle, is valued by its bundle.
     """
-    items = list(bitsets.iter_items(ground))
+    items = bitsets.item_ids(ground)
     if not items:
         return
-    upper = {j: oracle.value(1 << j) for j in items}
+    singles = getattr(oracle, "singles", {})
+    upper = {j: singles[j] if j in singles else oracle.value(1 << j) for j in items}
     w_max = max(upper.values())
     if w_max <= 0:
         return
@@ -176,8 +182,9 @@ def card_demand_price_grid(oracle: ValuationOracle | OracleView, ground: int, k:
     them carries its proportional share. The sweep stops after the first
     response that fits in k items, the empty one included. At most
     ceil(log2(8 k^2)) + 1 demand queries and one value query per candidate
-    block; in a build the group's view answers a repeated block, so each
-    distinct block is valued once.
+    block. A response equal to the last level's is not split again, since
+    its blocks were valued there; in a build the group's view answers a
+    block repeated across calls, so each distinct block is valued once.
     """
     if not ground or k < 1:
         return 0, 0.0
@@ -185,10 +192,14 @@ def card_demand_price_grid(oracle: ValuationOracle | OracleView, ground: int, k:
         max_singleton = max(oracle.value(1 << j) for j in bitsets.iter_items(ground))
     if max_singleton <= 0:
         return 0, 0.0
-    best_bundle, best_value = 0, 0.0
+    best_bundle, best_value, last = 0, 0.0, None
     for t in range(math.ceil(math.log2(8 * k * k)) + 1):
         q = max_singleton / (4 * k) * (1 << t)
         resp = oracle.demand(UniformPrices(q, ground))
+        if resp == last:
+            # the last level's oversized response, whose blocks were valued there
+            continue
+        last = resp
         fits = resp.bit_count() <= k
         blocks = [resp] if fits else bitsets.chunks(resp, k)
         for block in blocks:

@@ -171,6 +171,9 @@ def build_group_sketch(
     reuse identical maximizer and clause calls made earlier in the group,
     and the group's view, seeded with the singleton values, asks each
     question once: replaying a pool for a larger k pays only for new steps.
+    The view also holds the singletons in its `singles` table by item id,
+    so a maximizer replaying a pool reads each item's singleton without
+    building and hashing its one-item bundle.
     """
     scale = singletons[ranked[-1]]
     # sing[i] is the scaled value of ranked[i] and prefix[i] the set of
@@ -180,6 +183,7 @@ def build_group_sketch(
     items = prefix[-1]
     view = OracleView(oracle, scale)
     view.answers.update(zip([1 << j for j in ranked], sing))  # what the view would answer
+    view.singles.update(zip(ranked, sing))
     sqrt_n = math.sqrt(grid.n)
     beta_cert = 1.0
     families = []

@@ -88,7 +88,11 @@ class AdditiveClause:
         """The support items j whose weight meets(w, threshold)."""
         if self._uniform_weight is not None:
             return self.support if meets(self._uniform_weight, threshold) else 0
-        return bitsets.from_items(j for j, w in self.weights.items() if meets(w, threshold))
+        cut, kept = threshold * (1.0 - RELATIVE_TOL), 0  # meets(w, threshold) is w >= cut
+        for j, w in self.weights.items():
+            if w >= cut:
+                kept |= 1 << j
+        return kept
 
     def value(self, bundle: int) -> float:
         inter = bundle & self.support
@@ -205,7 +209,8 @@ class OracleView:
     bundle, a demand question by `(q, included)`. Only a question the root
     accepted is stored, so a repeat is answered from the table, unchecked
     and uncounted. A caller may seed `answers` with values it holds, in
-    the view's scale.
+    the view's scale, and `singles`, item id -> the value of its one-item
+    bundle, which a maximizer reads by id instead of by bundle.
     """
 
     def __init__(self, parent: "ValuationOracle | OracleView", scale: float = 1.0):
@@ -214,6 +219,7 @@ class OracleView:
         self.parent = parent
         self.scale = float(scale)
         self.answers = {}
+        self.singles = {}
 
     def value(self, bundle: int) -> float:
         answer = self.answers.get(bundle)

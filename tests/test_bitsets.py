@@ -158,6 +158,18 @@ def test_chunks_matches_item_walk(mask, k):
     assert bitsets.chunks(mask, k) == _chunks_by_walking(mask, k)
 
 
+@given(wide_masks)
+@example(0)
+@example(1)
+@example(1 << 63)
+@example(1 << 64)  # the first item of a second word
+@example(1 << 511)
+@example((1 << 2048) - 1)
+def test_item_ids_matches_iter_items(mask):
+    assert bitsets.item_ids(mask) == list(bitsets.iter_items(mask))
+    assert all(type(j) is int for j in bitsets.item_ids(mask))
+
+
 def test_chunks_rejects_bad_block_size():
     with pytest.raises(ValueError):
         bitsets.chunks(0b111, 0)

@@ -20,8 +20,10 @@ from hypothesis import given, settings, strategies as st
 import valsketch as vs
 from valsketch import bitsets
 from valsketch import sketch as sketch_module
+from valsketch.cardinality import card_demand_price_grid, greedy_threshold_steps
 from valsketch.errors import SerializationError
 from valsketch.sketch import GridParams, _estimates, well_bounded_partition
+from valsketch.valuations import OracleView
 
 from conftest import build_and_check
 
@@ -750,6 +752,111 @@ class TestBuildContract:
         for fam in by_leader[0].families:
             assert fam.members == [] or fam.members == [0b0001]
         assert vs.evaluate(sketch, 0b0001) == 100.0
+
+
+class _ViewWithoutItemTable(OracleView):
+    """A group view whose item table stays empty, so threshold greedy
+    values each pool item's singleton by its one-item bundle."""
+
+    @property
+    def singles(self):
+        return {}
+
+    @singles.setter
+    def singles(self, table):
+        pass
+
+
+def _submodular_build_record(spec, view_class):
+    """Build spec under the submodular pipeline with group views of
+    view_class. Returns the sketch text, every greedy step in order, the
+    root oracle's value questions in order, the one-item lookups greedy
+    made in a view, and the size of every pool greedy ran on."""
+    pipeline = vs.get_pipeline("submodular")
+    steps, root, pools, lookups, in_greedy = [], [], [], [0], [False]
+    oracle = spec.build(vs.QueryLedger())
+    ask, view_value = oracle.value, OracleView.value
+
+    def asked(bundle):
+        root.append(bundle)
+        return ask(bundle)
+
+    def looked_up(view, bundle):
+        if in_greedy[0] and bundle.bit_count() == 1:
+            lookups[0] += 1
+        return view_value(view, bundle)
+
+    def greedy_steps(view, pool):
+        pools.append(pool.bit_count())
+        for step in greedy_threshold_steps(view, pool, 0.1):
+            steps.append(step)
+            yield step
+
+    stepwise = vs.CardOracleSpec.stepwise(greedy_steps, pipeline.card.alpha)
+
+    def run(view, pool, k, **hints):
+        in_greedy[0] = True
+        try:
+            return stepwise.run(view, pool, k, **hints)
+        finally:
+            in_greedy[0] = False
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "value", asked)
+        mp.setattr(OracleView, "value", looked_up)
+        mp.setattr(sketch_module, "OracleView", view_class)
+        sketch = vs.build_sketch(oracle, vs.CardOracleSpec(run, stepwise.alpha), pipeline.xos)
+    plain = vs.build_sketch(spec.build(vs.QueryLedger()), pipeline.card, pipeline.xos)
+    assert vs.serialize(sketch) == vs.serialize(plain)  # the recorded build is the pipeline's
+    return vs.serialize(sketch), steps, root, lookups[0], pools
+
+
+def _coverage_corpus():
+    return [spec for name, spec in vs.standard_fixture_corpus() if name == "submodular"]
+
+
+@pytest.mark.parametrize("specs", [
+    _coverage_corpus,
+    lambda: [vs.generate_instance(*PERFBENCH_RECIPES[1][1:3], 0, **PERFBENCH_RECIPES[1][3])],
+], ids=["corpus", "coverage-greedy"])
+def test_greedy_reads_singletons_from_the_item_table(specs):
+    """Threshold greedy reads each pool item's singleton from the group's
+    item table, never from the view, and takes the same steps after the
+    same root questions as through a view without the table."""
+    runs = 0
+    for spec in specs():
+        text, steps, root, lookups, pools = _submodular_build_record(spec, OracleView)
+        plain = _submodular_build_record(spec, _ViewWithoutItemTable)
+        assert (text, steps, root) == plain[:3]
+        assert lookups == 0
+        assert plain[3] == sum(pools) and pools == plain[4]  # one lookup per pool item per run
+        runs += len(pools)
+    assert runs > 0
+
+
+def test_demand_grid_splits_each_response_once_per_call(monkeypatch):
+    """A demand response the last grid level already split is not split
+    again; the xos-demand sketch and its totals stay those of the pipeline."""
+    splits, calls, chunks = [], [0], bitsets.chunks
+
+    def counted_chunks(mask, k):
+        splits.append((calls[0], mask, k))
+        return chunks(mask, k)
+
+    def run(view, pool, k, **hints):
+        calls[0] += 1
+        return card_demand_price_grid(view, pool, k, **hints)
+
+    pipeline = vs.get_pipeline("subadditive")
+    _, family, n, params = PERFBENCH_RECIPES[2]
+    spec = vs.generate_instance(family, n, 0, **params)
+    plain = vs.build_sketch(spec.build(vs.QueryLedger()), pipeline.card, pipeline.xos)
+    monkeypatch.setattr(bitsets, "chunks", counted_chunks)
+    oracle = spec.build(vs.QueryLedger())
+    sketch = vs.build_sketch(oracle, dataclasses.replace(pipeline.card, run=run), pipeline.xos)
+    assert splits and len(splits) == len(set(splits))
+    assert oracle.ledger.totals() == (2309, 1302)
+    assert vs.serialize(sketch) == vs.serialize(plain)
 
 
 def _payload_digest(*sketches):

@@ -130,6 +130,29 @@ class TestAdditiveClause:
                 assert walked == bundle and clause.meeting(t) == clause.support
 
 
+    @pytest.mark.parametrize("t", [1.0, 3.0, 0.1, 2.5e-300, 7e300])
+    def test_mixed_meeting_at_the_tolerance_boundary(self, t):
+        cut = t * (1 - RELATIVE_TOL)  # the float meets(w, t) compares w with
+        weights = {0: math.nextafter(cut, 0.0), 1: cut, 2: math.nextafter(cut, math.inf),
+                   3: t * (1 - 2 * RELATIVE_TOL), 4: t * (1 - RELATIVE_TOL / 2), 5: t,
+                   6: 0.0, 9: 2 * t}
+        outside = {j: weights[j] for j in (0, 3, 6)}  # every weight just short: an empty result
+        for kept, expected in ((weights, 0b1000110110), (outside, 0)):
+            clause = AdditiveClause(kept)
+            assert clause._uniform_weight is None
+            walked = bitsets.from_items(j for j, w in kept.items() if meets(w, t))
+            assert clause.meeting(t) == walked == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(weights=st.dictionaries(st.integers(min_value=0, max_value=600),
+                                   st.floats(min_value=0, max_value=1e6), max_size=40),
+           t=st.floats(min_value=0, max_value=1e6))
+    def test_mixed_meeting_is_the_items_whose_weight_meets(self, weights, t):
+        clause = AdditiveClause(weights)
+        assert clause.meeting(t) == bitsets.from_items(
+            j for j, w in clause.weights.items() if meets(w, t))
+
+
 class TestFamilies:
     def test_additive(self):
         v = vs.AdditiveValuation([1, 2, 4])
