@@ -9,10 +9,9 @@ together with the certified beta for this call. Clause weights double as
 per-item value shares, which is what the sketch stores.
 
 An XosOracleSpec holds the extraction routine itself as its clause
-field, called as clause(oracle, S, v_S) with v_S the value of S in the
-oracle's scale when the caller already knows it, else None; a routine
-that has no use for v_S ignores it. The oracle is a ValuationOracle or,
-in a build, a group's OracleView of one.
+field, called as clause(oracle, S). The oracle is a ValuationOracle or,
+in a build, a group's OracleView of one, which answers from its memo a
+value the maximizer already asked for.
 """
 
 import math
@@ -41,13 +40,13 @@ def clause_demand_uniform() -> XosOracleSpec:
     return XosOracleSpec(xos_clause_demand_uniform, needs_demand=True)
 
 
-def xos_clause_marginal(oracle: ValuationOracle | OracleView, bundle: int, value_of_bundle=None):
+def xos_clause_marginal(oracle: ValuationOracle | OracleView, bundle: int):
     """Weights are marginals along the ascending-id order.
 
     The weights telescope to v(S) exactly, and on submodular inputs every
     sub-bundle's weight sum is dominated by its value, so beta = 1.
-    Costs |S| value queries, v(S) among them, so value_of_bundle is
-    ignored. Negative float dust is clamped to zero.
+    Costs |S| value queries, v(S) among them. Negative float dust is
+    clamped to zero.
     """
     weights = {}
     prefix, prev = 0, 0.0
@@ -59,8 +58,7 @@ def xos_clause_marginal(oracle: ValuationOracle | OracleView, bundle: int, value
     return AdditiveClause(weights), 1.0
 
 
-def xos_clause_demand_uniform(oracle: ValuationOracle | OracleView, bundle: int,
-                              value_of_bundle=None):
+def xos_clause_demand_uniform(oracle: ValuationOracle | OracleView, bundle: int):
     """Uniform clause from demand responses at geometric prices.
 
     A response R to uniform price q satisfies v(T) >= q|T| for every T
@@ -71,10 +69,10 @@ def xos_clause_demand_uniform(oracle: ValuationOracle | OracleView, bundle: int,
     the final one is still worth 3/4 v(S) by its profit, so one refinement
     pass over that response recovers a sharper clause. Each sweep stops
     once the response is the whole bundle it prices. At most
-    2 (ceil(log2 4|S|) + 1) demand queries; the only value query is v(S)
-    when it is not passed in.
+    2 (ceil(log2 4|S|) + 1) demand queries and one value query, v(S),
+    which a group's view answers from its memo when the price grid found S.
     """
-    v_s = oracle.value(bundle) if value_of_bundle is None else value_of_bundle
+    v_s = oracle.value(bundle)
     if v_s <= 0:
         return AdditiveClause.uniform(0.0, bundle), 1.0
     price, support, score, levels, last = _best_uniform_response(oracle, bundle, v_s)

@@ -112,9 +112,9 @@ def cmd_sketch(args) -> int:
 
 def cmd_eval(args) -> int:
     sketch = load_sketch(args.sketch)
-    for raw in args.bundle:
-        bundle = bitsets.from_hex(raw)
-        print(f"{bitsets.to_hex(bundle)} {format(evaluate(sketch, bundle), '.12g')}")
+    # every bundle is parsed and estimated before the first line is printed
+    bundles = [bitsets.from_hex(raw) for raw in args.bundle]
+    print("\n".join(f"{bitsets.to_hex(b)} {format(evaluate(sketch, b), '.12g')}" for b in bundles))
     return 0
 
 

@@ -62,7 +62,7 @@ def get_pipeline(name: str) -> PipelineSpec:
 #: generator parameters at n; queries on these stay cheap to answer
 _BENCH_RECIPES = {
     "matroid": lambda n: ("partition-matroid", {"block_size": 4, "cap": 1}),
-    "submodular": lambda n: ("coverage", {"universe": 2 * n, "max_cover": 6}),
+    "submodular": lambda n: ("coverage", {"universe": 2 * n}),
     "subadditive": lambda n: (
         "xos-explicit", {"clauses": 24, "support": max(2, n // 8), "uniform": True}
     ),

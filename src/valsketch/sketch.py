@@ -169,11 +169,11 @@ def build_group_sketch(
     keeps the items whose clause weight clears r / (4 alpha beta), which
     is what makes the member count per item charge against r. Cells
     reuse identical maximizer and clause calls made earlier in the group,
-    and the group's view, seeded with the singleton values, asks each
-    question once: replaying a pool for a larger k pays only for new steps.
-    The view also holds the singletons in its `singles` table by item id,
-    so a maximizer replaying a pool reads each item's singleton without
-    building and hashing its one-item bundle.
+    and the group's view asks each question once: replaying a pool for a
+    larger k pays only for new steps. The singleton values are seeded into
+    the view's `singles` table by item id, which answers the view's
+    one-item bundles and lets a maximizer replaying a pool read each item's
+    singleton without building and hashing its one-item bundle.
     """
     scale = singletons[ranked[-1]]
     # sing[i] is the scaled value of ranked[i] and prefix[i] the set of
@@ -182,15 +182,13 @@ def build_group_sketch(
     prefix = list(accumulate((1 << j for j in ranked), or_, initial=0))
     items = prefix[-1]
     view = OracleView(oracle, scale)
-    view.answers.update(zip([1 << j for j in ranked], sing))  # what the view would answer
-    view.singles.update(zip(ranked, sing))
+    view.singles = dict(zip(ranked, sing))  # what the view would answer
     sqrt_n = math.sqrt(grid.n)
     beta_cert = 1.0
     families = []
-    # view is fixed here; max_singleton is a function of pool, and the
-    # clause oracle may read value, so these keys determine each call
+    # view is fixed and max_singleton is a function of pool: these keys determine each call
     best_of = {}  # (pool, k) -> card.run result
-    clause_of = {}  # (bundle, value) -> xos.clause result
+    clause_of = {}  # bundle -> xos.clause result
     for k in grid.k_grid:
         for r in grid.r_grid:
             # the items `meets(value, k * r / sqrt_n)` counts as heavy, by the same float
@@ -206,9 +204,9 @@ def build_group_sketch(
                 bundle, value = best_of[pool, k]
                 if not bundle or not meets(value, k * r / (2 * card.alpha)):
                     break
-                if (bundle, value) not in clause_of:
-                    clause_of[bundle, value] = xos.clause(view, bundle, value)
-                clause, beta_call = clause_of[bundle, value]
+                if bundle not in clause_of:
+                    clause_of[bundle] = xos.clause(view, bundle)
+                clause, beta_call = clause_of[bundle]
                 beta_cert = max(beta_cert, beta_call)
                 # an item outside the clause's support weighs 0, which meets t only at t = 0
                 t = r / (4 * card.alpha * beta_call)

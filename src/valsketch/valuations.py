@@ -208,9 +208,10 @@ class OracleView:
     `answers` maps a question to its answer: a value question by its
     bundle, a demand question by `(q, included)`. Only a question the root
     accepted is stored, so a repeat is answered from the table, unchecked
-    and uncounted. A caller may seed `answers` with values it holds, in
-    the view's scale, and `singles`, item id -> the value of its one-item
-    bundle, which a maximizer reads by id instead of by bundle.
+    and uncounted. `singles` maps an item id to the value of its one-item
+    bundle, in the view's scale, for a caller to seed with values it holds:
+    a one-item bundle missing from `answers` is answered from it, uncounted
+    and not stored, and a maximizer may read it by id instead of by bundle.
     """
 
     def __init__(self, parent: "ValuationOracle | OracleView", scale: float = 1.0):
@@ -224,6 +225,8 @@ class OracleView:
     def value(self, bundle: int) -> float:
         answer = self.answers.get(bundle)
         if answer is None:
+            if not bundle & (bundle - 1) and (j := bundle.bit_length() - 1) in self.singles:
+                return self.singles[j]
             answer = self.parent.value(bundle) / self.scale
             if answer == math.inf:
                 raise ValueError(f"the value of bundle {bitsets.to_hex(bundle)} overflows "

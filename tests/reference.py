@@ -18,7 +18,7 @@ from valsketch.errors import ScaleError
 from valsketch.valuations import RELATIVE_TOL, AdditiveClause, ValuationOracle
 
 
-def brute_best_uniform_clause(oracle: ValuationOracle, bundle: int, value_of_bundle=None):
+def brute_best_uniform_clause(oracle: ValuationOracle, bundle: int):
     """The optimal uniform clause, found by exhausting all supports.
 
     The stiffest admissible price on support R is the minimum density
@@ -30,7 +30,7 @@ def brute_best_uniform_clause(oracle: ValuationOracle, bundle: int, value_of_bun
     s = len(items)
     if s > 16:
         raise ScaleError("exhaustive clause search is limited to 16 items")
-    v_s = oracle._value(bundle) if value_of_bundle is None else value_of_bundle
+    v_s = oracle._value(bundle)
     if s == 0 or v_s <= 0:
         return AdditiveClause.uniform(0.0, bundle), 1.0
     expand = [0] * (1 << s)

@@ -175,16 +175,16 @@ def test_criterion_05_clause_contracts(corpus):
         for bundle in _probe_bundles(entry):
             v = float(entry.truth[bundle])
             if submodular:
-                clause, _ = marginal.clause(entry.oracle, bundle, v)
+                clause, _ = marginal.clause(entry.oracle, bundle)
                 support_bad += _assert_supporting(entry.oracle, clause)
                 if not math.isclose(clause.value(bundle), v, rel_tol=1e-9, abs_tol=1e-12):
                     tight_bad += 1
-            dclause, dbeta = demand.clause(entry.oracle, bundle, v)
+            dclause, dbeta = demand.clause(entry.oracle, bundle)
             support_bad += _assert_supporting(entry.oracle, dclause)
             if dclause.value(bundle) > v * (1.0 + RELATIVE_TOL):
                 overshoot_bad += 1
             if entry.spec.family == "subadditive-table":
-                _, beta_exact = brute_best_uniform_clause(entry.oracle, bundle, v)
+                _, beta_exact = brute_best_uniform_clause(entry.oracle, bundle)
                 size = bundle.bit_count()
                 beta_checked += 1
                 if dbeta > 4.0 * math.log2(2 * size) * beta_exact * (1 + RELATIVE_TOL):
@@ -210,7 +210,7 @@ def test_criterion_06_core_claim(corpus):
             v = float(entry.truth[bundle])
             if v <= 0:
                 continue
-            clause, beta = xos.clause(entry.oracle, bundle, v)
+            clause, beta = xos.clause(entry.oracle, bundle)
             ok, info = check_core_claim(entry.oracle, clause, beta)
             total += 1
             if not ok:

@@ -52,20 +52,6 @@ def test_marginal_clause_query_count():
     assert led.value_queries == bundle.bit_count()
 
 
-def test_marginal_clause_ignores_given_value():
-    """The spec's clause field is the routine; a passed v(S) changes nothing."""
-    assert vs.clause_marginal().clause is xos_clause_marginal
-    bundle = 0b10110101
-    runs = []
-    for given in (None, 123.0):
-        led = vs.QueryLedger()
-        oracle = vs.generate_instance("coverage", 8, 3).build(led)
-        clause, beta = vs.clause_marginal().clause(oracle, bundle, given)
-        runs.append((clause.weights, beta, led.value_queries))
-    assert runs[0] == runs[1]
-    assert runs[0][2] == bundle.bit_count()
-
-
 def test_marginal_clause_frozen():
     oracle = vs.CoverageValuation([1, 1, 1], [[0, 1], [1, 2], [0]])
     clause, _ = xos_clause_marginal(oracle, 0b111)
@@ -99,14 +85,6 @@ def test_demand_uniform_query_budget(seed, bundle):
     size = bundle.bit_count()
     assert led.demand_queries <= 2 * (math.ceil(math.log2(4 * size)) + 1)
     assert led.value_queries == 1  # v(S) itself
-
-
-def test_demand_uniform_reuses_given_value():
-    led = vs.QueryLedger()
-    oracle = vs.generate_instance("subadditive-table", 6, 11).build(led)
-    v_s = oracle._value(0b111)
-    xos_clause_demand_uniform(oracle, 0b111, v_s)
-    assert led.value_queries == 0
 
 
 def test_demand_uniform_zero_bundle_value():

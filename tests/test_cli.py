@@ -519,6 +519,18 @@ class TestPipelineChain:
             assert code == 2 and out == ""
             assert err == f"error: bundle {text!r} is not bare lowercase hex\n"
 
+    @pytest.mark.parametrize("bad", ["0x3", "2"])  # a bad hex; a bundle past item 0
+    def test_eval_prints_nothing_before_a_bad_bundle(self, capsys, tmp_path, bad):
+        """Every bundle is checked before the first estimate is printed."""
+        inst = tmp_path / "inst.json"
+        sk = tmp_path / "sketch.json"
+        run(capsys, "gen", "--family", "additive", "--n", "1", "--out", str(inst))
+        run(capsys, "sketch", "--instance", str(inst), "--pipeline", "brute", "--out", str(sk))
+        code, out, _ = run(capsys, "eval", "--sketch", str(sk), "--bundle", "1")
+        assert code == 0 and out.startswith("1 ")
+        code, out, err = run(capsys, "eval", "--sketch", str(sk), "--bundle", "1", "--bundle", bad)
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_sketch_rejects_bad_oracle_output(self, capsys, tmp_path, monkeypatch):
         inst = tmp_path / "inst.json"
         run(capsys, "gen", "--family", "additive", "--n", "4", "--out", str(inst))
@@ -606,6 +618,12 @@ class TestBench:
         assert code == 0
         n, value_q, demand_q, _ = text.strip().splitlines()[1].split(",")
         assert (n, f"{value_q},{demand_q}") == ("256", counts)
+
+    @pytest.mark.parametrize("pipeline", ["matroid", "submodular", "subadditive", "brute"])
+    def test_smallest_ground_sets(self, capsys, pipeline):
+        code, text, err = run(capsys, "bench", "--pipeline", pipeline, "--n", "1", "--n", "2")
+        assert code == 0 and err == ""
+        assert [line.split(",")[0] for line in text.strip().splitlines()] == ["n", "1", "2"]
 
     def test_oversized_brute_bench(self, capsys):
         code, _, err = run(capsys, "bench", "--pipeline", "brute", "--n", "17")

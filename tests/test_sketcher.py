@@ -597,7 +597,7 @@ class TestBuildContract:
     @pytest.mark.parametrize("name", ["matroid", "submodular", "subadditive"])
     def test_group_sweep_repeats_no_call(self, name):
         """Within a group, no maximizer run repeats a (pool, k) and no
-        clause call repeats a (bundle, value)."""
+        clause call repeats a bundle."""
         calls = []  # holds each view, so no two views share an id
 
         class CountingCard:
@@ -756,7 +756,9 @@ class TestBuildContract:
 
 class _ViewWithoutItemTable(OracleView):
     """A group view whose item table stays empty, so threshold greedy
-    values each pool item's singleton by its one-item bundle."""
+    values each pool item's singleton by its one-item bundle. The view
+    files the seeded singletons in `answers` under their one-item bundles
+    instead, so it still answers those bundles uncounted."""
 
     @property
     def singles(self):
@@ -764,7 +766,7 @@ class _ViewWithoutItemTable(OracleView):
 
     @singles.setter
     def singles(self, table):
-        pass
+        self.answers.update((1 << j, value) for j, value in table.items())
 
 
 def _submodular_build_record(spec, view_class):
@@ -832,6 +834,55 @@ def test_greedy_reads_singletons_from_the_item_table(specs):
         assert plain[3] == sum(pools) and pools == plain[4]  # one lookup per pool item per run
         runs += len(pools)
     assert runs > 0
+
+
+def _recorded_builds(fixtures):
+    """Build each (pipeline name, InstanceSpec) of fixtures, recording every
+    group view the builds make and every clause call as (view, args)."""
+    views, clause_calls = [], []
+
+    class Recorded(OracleView):
+        def __init__(self, parent, scale):
+            super().__init__(parent, scale)
+            views.append(self)
+
+    def recorded(clause):
+        def wrapped(view, *args):
+            clause_calls.append((view, args))
+            return clause(view, *args)
+        return wrapped
+
+    with mock.patch.object(sketch_module, "OracleView", Recorded):
+        for name, spec in fixtures:
+            pipeline = vs.get_pipeline(name)
+            xos = dataclasses.replace(pipeline.xos, clause=recorded(pipeline.xos.clause))
+            vs.build_sketch(spec.build(vs.QueryLedger()), pipeline.card, xos)
+    return views, clause_calls
+
+
+def _recipe_fixtures(index):
+    pipeline, family, n, params = PERFBENCH_RECIPES[index]
+    return [(pipeline, vs.generate_instance(family, n, 0, **params))]
+
+
+@pytest.mark.parametrize("fixtures, calls", [
+    *(pytest.param(lambda i=i: _recipe_fixtures(i), calls, id=name) for i, (name, calls) in
+      enumerate([("matroid-value", 43), ("coverage-greedy", 75), ("xos-demand", 117)])),
+    pytest.param(vs.standard_fixture_corpus, None, id="corpus"),
+])
+def test_group_views_hold_each_value_once(fixtures, calls):
+    """A group's singletons live only in its item table, so after a build no
+    view's `answers` holds a one-item bundle; the build calls the clause
+    routine as clause(view, bundle), once for each distinct bundle of each
+    group, as many times on each perfbench recipe as it always has."""
+    views, clause_calls = _recorded_builds(fixtures())
+    assert views and all(view.singles for view in views)
+    stored = [key for view in views for key in view.answers if isinstance(key, int)]
+    assert stored and [key for key in stored if key.bit_count() == 1] == []
+    assert clause_calls and all(len(args) == 1 for _, args in clause_calls)
+    keys = [(id(view), bundle) for view, (bundle,) in clause_calls]
+    assert len(set(keys)) == len(keys)
+    assert calls is None or len(keys) == calls
 
 
 def test_demand_grid_splits_each_response_once_per_call(monkeypatch):

@@ -87,11 +87,11 @@ def checking_specs(calls):
         calls.append("card")
         return got
 
-    def clause(view, bundle, value_of_bundle):
+    def clause(view, bundle):
         stopping = fresh_view(view)
-        got = xos_clause_demand_uniform(stopping, bundle, value_of_bundle)
+        got = xos_clause_demand_uniform(stopping, bundle)
         with mock.patch.object(clauses, "_best_uniform_response", full_uniform_sweep):
-            want = xos_clause_demand_uniform(fresh_view(view), bundle, value_of_bundle)
+            want = xos_clause_demand_uniform(fresh_view(view), bundle)
         assert repr(got) == repr(want), hex(bundle)
         size = bundle.bit_count()
         assert stopping.parent.ledger.demand_queries <= 2 * (math.ceil(math.log2(4 * size)) + 1)

@@ -373,6 +373,19 @@ class TestWrappers:
         assert view.demand(prices) == view.demand(vs.UniformPrices(1.5, 0b011)) == 0b010
         assert led.totals() == (1, 1)
 
+    def test_view_answers_one_item_bundles_from_its_item_table(self):
+        """A one-item bundle the view has not stored is answered from
+        `singles`, uncounted and not stored; an item the table lacks, and
+        any larger bundle, goes to the root, which counts it."""
+        led = vs.QueryLedger()
+        view = OracleView(vs.AdditiveValuation([1, 2, 4], led), 2.0)
+        view.singles = {0: 0.5, 2: 7.0}  # a seeded value is answered as given
+        assert [view.value(b) for b in (0b001, 0b100, 0b001)] == [0.5, 7.0, 0.5]
+        assert led.totals() == (0, 0) and view.answers == {}
+        assert view.value(0b010) == 1.0 and view.value(0b101) == 2.5
+        assert led.totals() == (2, 0) and view.answers == {0b010: 1.0, 0b101: 2.5}
+        assert view.value(0) == 0.0 and led.totals() == (3, 0)
+
     @pytest.mark.parametrize("bundle", [0b1011, -1])  # item 3; bits past every item
     def test_view_hit_still_refuses_a_bad_bundle(self, bundle):
         v = vs.AdditiveValuation([1, 2, 4])

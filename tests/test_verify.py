@@ -80,7 +80,7 @@ class TestCoreClaim:
         oracle = vs.generate_instance("coverage", 8, 11).build(vs.QueryLedger())
         spec = vs.clause_marginal()
         for bundle in (0b11, 0b10110101, 0xFF):
-            clause, beta = spec.clause(oracle, bundle, oracle._value(bundle))
+            clause, beta = spec.clause(oracle, bundle)
             ok, info = check_core_claim(oracle, clause, beta)
             assert ok, info
 
