@@ -96,14 +96,19 @@ def greedy_threshold_steps(oracle: ValuationOracle | OracleView, ground: int, ep
     so every scanned w is the float a level-by-level run scans, and the
     run asks the same questions in the same order.
 
-    A view's `singles` table gives each pool item's singleton by its id; an
-    item it lacks, and every item of a bare oracle, is valued by its bundle.
+    A view's `singles` table gives each pool item's singleton by its id, all
+    read in one pass; an item it lacks, and every item of a bare oracle, is
+    then valued by its bundle, in ascending id order. A taken item's bound
+    becomes -inf, so later scans pass over it without reading the bundle.
     """
     items = bitsets.item_ids(ground)
     if not items:
         return
-    singles = getattr(oracle, "singles", {})
-    upper = {j: singles[j] if j in singles else oracle.value(1 << j) for j in items}
+    upper = dict(zip(items, map(getattr(oracle, "singles", {}).get, items)))
+    if None in upper.values():
+        for j in items:
+            if upper[j] is None:
+                upper[j] = oracle.value(1 << j)
     w_max = max(upper.values())
     if w_max <= 0:
         return
@@ -112,13 +117,11 @@ def greedy_threshold_steps(oracle: ValuationOracle | OracleView, ground: int, ep
     floor = (epsilon / len(items)) * w_max
     while w >= floor:
         top = -math.inf
-        for j in items:
-            if (bundle >> j) & 1:
-                continue
-            gain = upper[j]
+        for j, gain in upper.items():
             if gain >= w and bundle:
                 gain = upper[j] = oracle.value(bundle | (1 << j)) - total
             if gain >= w:
+                upper[j] = -math.inf  # taken: no level reaches it again
                 bundle |= 1 << j
                 total += gain
                 yield bundle, total

@@ -249,29 +249,37 @@ class OracleView:
 class RecentBundles(ValuationOracle):
     """A family whose value is _read(state) of an int state, a cover union or
     a rank, that _grow(base, state, bundle) takes from a subset to bundle.
-    The last RECENT bundles and states are remembered, least recently used
-    first; a value grows from the largest remembered subset of its bundle
-    and refreshes it, so a scan of B | j for a fixed B keeps B remembered."""
+    The last RECENT bundles are remembered as (bundle, size, state) entries
+    in a list, least recently used first; a value grows from the first
+    largest remembered subset of its bundle and moves it last, so a scan of
+    B | j for a fixed B keeps B remembered. The scan compares the stored
+    sizes before it tests for a subset, so a question counts the bits of
+    its own bundle only."""
 
     RECENT = 4
 
     def __init__(self, n: int, ledger: QueryLedger | None = None):
         super().__init__(n, ledger)
-        self._recent = {}  # bundle -> state, least recently used first
+        self._recent = []  # (bundle, size, state), least recently used first
 
     def _value(self, bundle: int) -> float:
         recent = self._recent
-        base = 0
-        for b in recent:
-            if b & bundle == b and b.bit_count() > base.bit_count():
-                base = b
-        state = 0
-        if base:
-            state = recent[base] = recent.pop(base)
+        size = bundle.bit_count()
+        hit, largest = None, 0
+        for entry in recent:
+            b, s, _ = entry
+            if largest < s <= size and b & bundle == b:
+                hit, largest = entry, s
+        base = state = 0
+        if hit is not None:
+            recent.remove(hit)  # bundles are distinct, so this is the hit itself
+            recent.append(hit)
+            base, _, state = hit
         if base != bundle:
-            state = recent[bundle] = self._grow(base, state, bundle)
+            state = self._grow(base, state, bundle)
+            recent.append((bundle, size, state))
             if len(recent) > self.RECENT:
-                del recent[next(iter(recent))]
+                del recent[0]
         return self._read(state)
 
     def _read(self, state: int) -> float:
@@ -334,8 +342,11 @@ class CoverageValuation(RecentBundles):
 
     def _grow(self, base: int, union: int, bundle: int) -> int:
         covers = self.covers
-        for j in bitsets.iter_items(bundle ^ base):
-            union |= covers[j]
+        rest = bundle ^ base
+        while rest:
+            low = rest & -rest
+            union |= covers[low.bit_length() - 1]
+            rest ^= low
         return union
 
     def _read(self, union: int) -> float:
@@ -386,8 +397,12 @@ class PartitionMatroidRank(RecentBundles):
 
     @cached_property
     def _block_of(self):
-        """item -> (its block's mask, cap), built on first use so constructing stays cheap."""
-        return {j: (bm, cap) for bm, cap in zip(self.blocks, self.caps) for j in bitsets.iter_items(bm)}
+        """Item j's (block mask, cap) at index j, built on first use so constructing stays cheap."""
+        block_of = [None] * self.n
+        for bm, cap in zip(self.blocks, self.caps):
+            for j in bitsets.iter_items(bm):
+                block_of[j] = bm, cap
+        return block_of
 
     def _grow(self, base: int, rank: int, bundle: int) -> int:
         block_of = self._block_of
@@ -395,7 +410,8 @@ class PartitionMatroidRank(RecentBundles):
         while rest:  # once per block that bundle ^ base touches
             bm, cap = block_of[(rest & -rest).bit_length() - 1]
             rest &= ~bm
-            rank += min((bundle & bm).bit_count(), cap) - min((base & bm).bit_count(), cap)
+            have, had = (bundle & bm).bit_count(), (base & bm).bit_count()
+            rank += (have if have < cap else cap) - (had if had < cap else cap)
         return rank
 
 

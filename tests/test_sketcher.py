@@ -928,7 +928,8 @@ BOUNDARY_WEIGHTS = [1.0, 1.0, 2.0, 2.0, 2.0 * (1 - _TOL / 2), 2.0 * (1 - _TOL),
 
 
 class TestPinnedOutput:
-    """What the builds make, and what they cost. The digests cover the
+    """What the builds make, what they cost and, for the perfbench
+    recipes, the order of their root questions. The digests cover the
     payload without build_queries, so they move only when a sketch does;
     a change that moves one must say why and re-record it here; last when
     floats began to be written exactly, which moved every sketch with an
@@ -973,6 +974,37 @@ class TestPinnedOutput:
         oracle, sketch = _build_recipe(*recipe)
         assert _payload_digest(sketch) == digest
         assert oracle.ledger.totals() == totals
+
+    @pytest.mark.parametrize(
+        "recipe, digest, asked",
+        zip(PERFBENCH_RECIPES, [
+            "9ea3281ce589e1cec376c608638b23d46952b150f6c7bf7a09c16314f98cb619",
+            "732279cd22b52d9b230c3f4facbd242387a67dd9f5473695bfcab648ad322dd2",
+            "15194446f85ded23caa5d587c3d7f6dd3d2c90e1e2f425e8afc8d864be29b959",
+        ], [3055, 8864, 3611]),
+        ids=["matroid-value", "coverage-greedy", "xos-demand"],
+    )
+    def test_benchmark_recipe_question_order(self, recipe, digest, asked):
+        """The root oracle's _value bundles and _demand_uniform (q, included)
+        pairs, in the order a build asks them: a change that reorders the
+        questions can keep the sketch bytes and the totals, not this."""
+        name, family, n, params = recipe
+        oracle = vs.generate_instance(family, n, 0, **params).build(vs.QueryLedger())
+        lines, value, demand = [], oracle._value, oracle._demand_uniform
+
+        def recorded_value(bundle):
+            lines.append(f"v {bitsets.to_hex(bundle)}")
+            return value(bundle)
+
+        def recorded_demand(q, included):
+            lines.append(f"d {q!r} {bitsets.to_hex(included)}")
+            return demand(q, included)
+
+        oracle._value, oracle._demand_uniform = recorded_value, recorded_demand
+        pipeline = vs.get_pipeline(name)
+        vs.build_sketch(oracle, pipeline.card, pipeline.xos)
+        assert len(lines) == asked
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "name, base, n, groups, digest, totals",

@@ -50,10 +50,13 @@ def full_scan_steps(oracle, ground, epsilon):
 
 
 class Recorder:
-    """Answers value questions uncounted (oracle._value) and keeps them."""
+    """Answers value questions uncounted (oracle._value) and keeps them;
+    with `singles` it carries an item table as a build's group view does."""
 
-    def __init__(self, oracle):
+    def __init__(self, oracle, singles=None):
         self.oracle, self.asked = oracle, []
+        if singles is not None:
+            self.singles = singles
 
     def value(self, bundle):
         self.asked.append(bundle)
@@ -61,12 +64,22 @@ class Recorder:
 
 
 def check_pool(oracle, pool, epsilon):
-    want, got = Recorder(oracle), Recorder(oracle)
+    """Greedy meets the full scan on a bare oracle, through an item table
+    for the whole pool and through one that lacks every other item: the
+    same steps, and the same questions once the singletons the table
+    holds are left out."""
+    want = Recorder(oracle)
     want_steps = [repr(s) for s in full_scan_steps(want, pool, epsilon)]
-    got_steps = [repr(s) for s in greedy_threshold_steps(got, pool, epsilon)]
-    assert got_steps == want_steps, (hex(pool), epsilon)
-    assert got.asked == want.asked, (hex(pool), epsilon)
-    return len(got_steps)
+    items = list(bitsets.iter_items(pool))
+    assert want.asked[:len(items)] == [1 << j for j in items]
+    singles = {j: oracle._value(1 << j) for j in items}
+    for table in (None, singles, {j: singles[j] for j in items[::2]}):
+        got = Recorder(oracle, table)
+        got_steps = [repr(s) for s in greedy_threshold_steps(got, pool, epsilon)]
+        assert got_steps == want_steps, (hex(pool), epsilon)
+        missing = [1 << j for j in items if j not in (table or {})]
+        assert got.asked == missing + want.asked[len(items):], (hex(pool), epsilon)
+    return len(want_steps)
 
 
 def sub_pools(n, seed, count=3):

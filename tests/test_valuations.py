@@ -23,6 +23,13 @@ from reference import (capped_block_sum, cheapest_split_caps_loop, lattice_class
                        subadditive_witness_loop, xos_consistent)
 
 
+def remembered(oracle):
+    """The bundles a RecentBundles oracle remembers, least recently used
+    first; each entry's stored size must be its bundle's."""
+    assert all(size == b.bit_count() for b, size, _ in oracle._recent)
+    return [b for b, _, _ in oracle._recent]
+
+
 def test_meets_tolerance_boundary():
     assert meets(1.0, 1.0)
     assert meets(1.0 - 5e-10, 1.0)
@@ -201,15 +208,15 @@ class TestFamilies:
 
     def test_coverage_scan_keeps_its_base_remembered(self):
         v = vs.CoverageValuation([1.0] * 3, [[j % 3] for j in range(130)])
-        assert v._recent == {}  # constructing remembers nothing
+        assert remembered(v) == []  # constructing remembers nothing
         base = (1 << 129) | 0b101
         assert v._value(base) == 2.0
         for j in range(64, 70):
             assert v._value(base | (1 << j)) == (3.0 if j % 3 == 1 else 2.0)
-            assert base in v._recent  # refreshed by each B | j, so never evicted
-        assert len(v._recent) == vs.CoverageValuation.RECENT
+            assert base in remembered(v)  # refreshed by each B | j, so never evicted
+        assert len(remembered(v)) == vs.CoverageValuation.RECENT
         # the last bundles asked, the base refreshed just before the newest
-        assert list(v._recent)[-2:] == [base, base | (1 << 69)]
+        assert remembered(v)[-2:] == [base, base | (1 << 69)]
 
     def test_coverage_memo_stays_bounded_through_a_build(self):
         pipeline = vs.get_pipeline("submodular")
@@ -749,13 +756,13 @@ def test_recent_memo_answers_every_walk_exactly(walk, data):
         assert coverage._value(bundle) == sum(weights[e] for e in bitsets.iter_items(union))
         for oracle in (matroid, coverage):
             assert isinstance(oracle, RecentBundles)
-            assert len(oracle._recent) <= RecentBundles.RECENT
-            assert not bundle or list(oracle._recent)[-1] == bundle
+            assert len(remembered(oracle)) <= RecentBundles.RECENT
+            assert not bundle or remembered(oracle)[-1] == bundle
 
 
 def test_partition_matroid_constructor_remembers_nothing():
     oracle = vs.generate_instance("partition-matroid", 512, 0, block_size=4, cap=1).build()
-    assert oracle._recent == {}
+    assert remembered(oracle) == []
     assert "_block_of" not in vars(oracle)  # the per-item table waits for the first value
     assert oracle._value(0b1011) == capped_block_sum(oracle.blocks, oracle.caps, 0b1011)
     assert "_block_of" in vars(oracle)
