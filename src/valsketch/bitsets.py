@@ -1,9 +1,12 @@
 """Bundles as dense bitsets.
 
 A bundle over the ground set {0, ..., n-1} is a plain int: bit j is set iff
-item j is in the bundle. The serialized form is lowercase hex with bit 0
-standing for item 0.
+item j is in the bundle. A sketch file (schema v2) writes it as padded
+standard base64 of its shortest little-endian bytes, so bit 0 of the first
+byte stands for item 0; v1 files and the command line use lowercase hex.
 """
+
+import binascii
 
 import numpy as np
 
@@ -74,6 +77,32 @@ def from_hex(text: str) -> int:
     if mask is None or len(text) != ((mask.bit_length() + 3) >> 2 or 1) or not text.isascii():
         raise MalformedBundleError(f"bundle {text!r} is not bare lowercase hex")
     return mask
+
+
+def to_base64(mask: int) -> str:
+    return binascii.b2a_base64(mask.to_bytes((mask.bit_length() + 7) // 8, "little"),
+                               newline=False).decode("ascii")
+
+
+# the characters whose unused low bits are zero, before one and before two pads
+_LAST_BEFORE_PADS = {1: "AEIMQUYcgkosw048", 2: "AQgw"}
+
+
+def from_base64(text: str) -> int:
+    """Parse to_base64's output and nothing else. a2b_base64 skips what is
+    not in the alphabet (spaces, newlines, url-safe - and _) and stops at
+    the padding, so a skipped character makes the text longer than its
+    bytes need. Also refused: a trailing zero byte, nonzero unused bits in
+    the last character, non-ASCII text."""
+    try:
+        raw = binascii.a2b_base64(text)
+    except ValueError:  # binascii.Error (bad padding) or non-ASCII text
+        raw = None
+    pads = 0 if raw is None else -len(raw) % 3
+    if (raw is None or len(text) != (len(raw) + pads) // 3 * 4 or raw[-1:] == b"\0"
+            or pads and text[-1 - pads] not in _LAST_BEFORE_PADS[pads]):
+        raise MalformedBundleError(f"bundle {text!r} is not canonical base64")
+    return int.from_bytes(raw, "little")
 
 
 def submasks(mask: int):

@@ -2,8 +2,9 @@
 
 Subcommands: gen (write an instance file), sketch (build and save a
 sketch), eval (estimate bundle values from a sketch file), verify
-(exhaustive desk-scale checks), bench (query counts and wall time as n
-grows). Exit codes: 0 success, 1 verification failure, 2 bad input.
+(exhaustive desk-scale checks), bench (query counts, sketch file size
+and wall time as n grows). Exit codes: 0 success, 1 verification
+failure, 2 bad input.
 """
 
 import argparse
@@ -17,7 +18,7 @@ from .errors import CapabilityError
 from .instances import FAMILIES, generate_instance, load_instance, save_instance
 from .ledger import QueryLedger
 from .pipelines import PIPELINES, bench_instance, get_pipeline
-from .sketch import build_sketch, evaluate, load_sketch, save_sketch
+from .sketch import build_sketch, evaluate, load_sketch, save_sketch, serialize
 from .verify import (brute_reference_table, exhaustive_ratio_report, family_invariant_check,
                      validate_class)
 
@@ -149,12 +150,12 @@ def cmd_bench(args) -> int:
         pipeline = get_pipeline(args.pipeline)
         oracle = spec.build(QueryLedger())
         start = time.perf_counter()
-        build_sketch(oracle, pipeline.card, pipeline.xos)
+        sketch = build_sketch(oracle, pipeline.card, pipeline.xos)
         wall_ms = (time.perf_counter() - start) * 1000.0
         value_q, demand_q = oracle.ledger.totals()
         rows.append({"n": n, "value_queries": value_q, "demand_queries": demand_q,
-                     "wall_ms": round(wall_ms, 3)})
-    header = ["n", "value_queries", "demand_queries", "wall_ms"]
+                     "sketch_bytes": len(serialize(sketch)), "wall_ms": round(wall_ms, 3)})
+    header = ["n", "value_queries", "demand_queries", "sketch_bytes", "wall_ms"]
     print(",".join(header))
     for row in rows:
         print(",".join(str(row[h]) for h in header))

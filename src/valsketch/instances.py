@@ -7,6 +7,7 @@ test fixtures stays exact.
 """
 
 import json
+import math
 import random
 import re
 from dataclasses import dataclass, field
@@ -273,13 +274,21 @@ def _build_coverage(n, p, ledger):
 
 
 def _build_xos_explicit(n, p, ledger):
+    """A clause whose weights are all equal and valid is built uniform,
+    with no per-item dict; any other goes through AdditiveClause, which
+    checks each weight and names the item of a bad one."""
     clauses = []
     for c in p["clauses"]:
         if c and not _ITEM_IDS.fullmatch(",".join(c) + ","):
             raise MalformedBundleError("clause keys must be item ids in plain decimal")
-        clauses.append(dict(zip(map(int, c), _numbers(list(c.values()), "clause weights"))))
-        bitsets.check_ids(clauses[-1], n, "clause item")
-    return XOSExplicitValuation(map(AdditiveClause, clauses), ledger, n=n)
+        ids, weights = list(map(int, c)), _numbers(list(c.values()), "clause weights")
+        bitsets.check_ids(ids, n, "clause item")
+        w = weights[0] if weights else -1
+        if weights.count(w) == len(weights) and 0 <= w < math.inf:
+            clauses.append(AdditiveClause.uniform(w, bitsets.from_items(ids)))
+        else:
+            clauses.append(AdditiveClause(dict(zip(ids, weights))))
+    return XOSExplicitValuation(clauses, ledger, n=n)
 
 
 # family -> (parameter generator, the parameter keys it writes,

@@ -30,7 +30,9 @@ from .clauses import XosOracleSpec
 from .errors import CapabilityError, ScaleError, SerializationError
 from .valuations import RELATIVE_TOL, OracleView, ValuationOracle, meets
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+# the bundle codec of each schema version a file may have; nothing else differs
+_BUNDLE_DECODERS = {1: bitsets.from_hex, 2: bitsets.from_base64}
 EVAL_CHUNK = 1024  # bundles per kernel call in evaluate_all
 
 
@@ -329,22 +331,23 @@ def sketch_errors(sketch: Sketch) -> list:
 
 
 def serialize(sketch: Sketch) -> str:
-    """Canonical JSON text; raises SerializationError if the sketch
-    breaks the file contract. Empty families are left out. Each float is
-    written as json.dumps writes it, the shortest text that reads back as
-    the same float, so deserialize gives back the sketch field by field."""
+    """Canonical JSON text, schema v2: each bundle as `bitsets.to_base64`
+    writes it. Raises SerializationError if the sketch breaks the file
+    contract. Empty families are left out. Each float is written as
+    json.dumps writes it, the shortest text that reads back as the same
+    float, so deserialize gives back the sketch field by field."""
     errors = sketch_errors(sketch)
     if errors:
         raise SerializationError(errors[0])
     groups = [
         {
             "leader": g.leader,
-            "items": bitsets.to_hex(g.items),
+            "items": bitsets.to_base64(g.items),
             "scale": float(g.scale),
             "alpha": float(g.alpha),
             "beta": float(g.beta_certified),
             "families": [
-                {"k": f.k, "r": float(f.r), "members": [bitsets.to_hex(m) for m in f.members]}
+                {"k": f.k, "r": float(f.r), "members": [bitsets.to_base64(m) for m in f.members]}
                 for f in g.families
                 if f.members
             ],
@@ -372,15 +375,20 @@ def _json(value, *types):
 def deserialize(text: str) -> Sketch:
     """Decode sketch JSON and hold it to the file contract; any fault
     raises SerializationError. Numbers must be JSON numbers, lists JSON
-    lists and bundles hex strings; k, leader, n and schema_version are ints."""
+    lists and bundles strings in the version's codec: base64 as
+    `bitsets.to_base64` writes it (v2), or hex (v1, so a v1 file loads to
+    the same sketch and is saved as v2); k, leader, n and schema_version
+    are ints."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SerializationError(f"sketch file is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or obj.get("kind") != "valuation-sketch":
         raise SerializationError("not a sketch payload")
-    if type(obj.get("schema_version")) is not int or obj["schema_version"] != SCHEMA_VERSION:
-        raise SerializationError(f"unsupported schema version {obj.get('schema_version')!r}")
+    version = obj.get("schema_version")
+    if type(version) is not int or version not in _BUNDLE_DECODERS:
+        raise SerializationError(f"unsupported schema version {version!r}")
+    decode = _BUNDLE_DECODERS[version]
     n = obj.get("n")
     if type(n) is not int or n < 1:
         raise SerializationError("bad ground set size")
@@ -388,13 +396,13 @@ def deserialize(text: str) -> Sketch:
         groups = [
             SketchGroup(
                 g["leader"],
-                bitsets.from_hex(g["items"]),
+                decode(g["items"]),
                 _json(g["scale"], int, float),
                 _json(g["alpha"], int, float),
                 _json(g["beta"], int, float),
                 [
                     SketchFamily(f["k"], _json(f["r"], int, float),
-                                 [bitsets.from_hex(m) for m in _json(f["members"], list)])
+                                 [decode(m) for m in _json(f["members"], list)])
                     for f in _json(g["families"], list)
                 ],
             )

@@ -1,9 +1,11 @@
+import json
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import valsketch as vs
+from valsketch import bitsets
 from valsketch.verify import brute_reference_table, family_invariant_check
 
 
@@ -15,6 +17,17 @@ class CorpusEntry:
     sketch: vs.Sketch
     truth: np.ndarray
     estimate: np.ndarray
+
+
+def v1_payload(text, spell=bitsets.to_hex):
+    """The payload of serialize's text as a schema v1 file, each bundle spelled by `spell`."""
+    payload = json.loads(text)
+    payload["schema_version"] = 1
+    for g in payload["groups"]:
+        g["items"] = spell(bitsets.from_base64(g["items"]))
+        for f in g["families"]:
+            f["members"] = [spell(bitsets.from_base64(m)) for m in f["members"]]
+    return payload
 
 
 def build_and_check(oracle, card, xos):

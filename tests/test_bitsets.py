@@ -48,6 +48,48 @@ def test_from_hex_refuses_other_spellings(text):
         bitsets.from_hex(text)
 
 
+def test_base64_examples():
+    # the shortest little-endian bytes: item 0 is bit 0 of the first byte
+    assert bitsets.to_base64(0) == ""
+    assert bitsets.to_base64(1) == "AQ=="
+    assert bitsets.to_base64(1 << 8) == "AAE="
+    assert bitsets.to_base64(0xFFFFFF) == "////"
+    assert bitsets.from_base64("AQID") == 0x030201
+
+
+@given(wide_masks)
+@example(0)
+@example(1)
+@example(1 << 7)
+@example(1 << 8)
+@example(1 << 63)
+@example(1 << 64)
+@example(1 << 2047)
+@example((1 << 2048) - 1)
+def test_base64_round_trip(mask):
+    text = bitsets.to_base64(mask)
+    assert bitsets.from_base64(text) == mask
+    assert len(text) == ((mask.bit_length() + 7) // 8 + 2) // 3 * 4
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "AQ== ", " AQ==", "A Q==", "AQ==\n", "AQ\n==",  # a2b_base64 skips spaces and newlines
+        "-_8=", "_w==", "+-8=",  # url-safe characters (to_base64 writes + and /)
+        "AQ==AQ==", "AQ==A", "AQ===",  # text after the padding
+        "AQ", "AQ=", "AQI", "A", "=", "==",  # missing or short padding
+        "AA==", "AAA=", "AQAA", "AAAA",  # a trailing zero byte, or only zero bytes
+        "AR==", "AQJ=", "Af==", "/9/=",  # nonzero unused bits in the last character
+        "AQ\u00e9=", "\u0661Q==", "\uff21Q==",  # non-ASCII text
+        "0x1", "1", "ff",  # hex, as a v1 file writes bundles
+    ],
+)
+def test_from_base64_refuses_other_spellings(text):
+    with pytest.raises(MalformedBundleError, match=re.escape(f"bundle {text!r} is not canonical")):
+        bitsets.from_base64(text)
+
+
 def test_check_bundle():
     bitsets.check_bundle(0b111, 3)
     with pytest.raises(MalformedBundleError):

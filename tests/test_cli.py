@@ -11,9 +11,11 @@ import tracemalloc
 import pytest
 
 import valsketch as vs
-from valsketch import cli
+from valsketch import bitsets, cli
 from valsketch.cli import main
 from valsketch.instances import FAMILIES
+
+from conftest import v1_payload
 
 HUGE_ID = 10 ** 8
 
@@ -590,6 +592,27 @@ class TestPipelineChain:
             code, _, err = run(capsys, "eval", "--sketch", str(bad), "--bundle", "1")
             assert code == 2 and "error:" in err
 
+    def test_eval_reads_bundles_in_the_codec_of_the_file_version(self, capsys, tmp_path):
+        """`sketch` writes schema v2; the same file as v1 with hex bundles
+        loads and estimates alike. Hex in a v2 file and base64 in a v1
+        file each exit 2 with nothing printed: the version picks the codec."""
+        inst = tmp_path / "inst.json"
+        sk = tmp_path / "sketch.json"
+        run(capsys, "gen", "--family", "coverage", "--n", "6", "--seed", "2", "--out", str(inst))
+        run(capsys, "sketch", "--instance", str(inst), "--pipeline", "submodular", "--out", str(sk))
+        saved = sk.read_text()
+        assert json.loads(saved)["schema_version"] == 2
+        argv = ("eval", "--sketch", str(sk), "--bundle", "3f", "--bundle", "5")
+        code, estimates, _ = run(capsys, *argv)
+        assert code == 0
+        hex_v1 = v1_payload(saved)
+        sk.write_text(json.dumps(hex_v1))
+        assert run(capsys, *argv) == (0, estimates, "")
+        for payload in ({**hex_v1, "schema_version": 2}, v1_payload(saved, bitsets.to_base64)):
+            sk.write_text(json.dumps(payload))
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "" and "error: malformed sketch payload: bundle" in err
+
 
 class TestBench:
     def test_stdout_table_and_csv(self, capsys, tmp_path):
@@ -598,12 +621,12 @@ class TestBench:
                             "--n", "6", "--n", "8", "--csv", str(csv_path))
         assert code == 0
         lines = text.strip().splitlines()
-        assert lines[0] == "n,value_queries,demand_queries,wall_ms"
+        assert lines[0] == "n,value_queries,demand_queries,sketch_bytes,wall_ms"
         assert len(lines) == 3
         first = lines[1].split(",")
         assert first[0] == "6" and int(first[1]) > 0 and first[2] == "0"
         saved = csv_path.read_text().strip().splitlines()
-        assert saved[0] == "n,value_queries,demand_queries,wall_ms"
+        assert saved[0] == "n,value_queries,demand_queries,sketch_bytes,wall_ms"
         assert len(saved) == 3
 
     @pytest.mark.parametrize(
@@ -616,8 +639,16 @@ class TestBench:
         # depend on the machine, so a change that moves them must say why
         code, text, _ = run(capsys, "bench", "--pipeline", pipeline, "--n", "256")
         assert code == 0
-        n, value_q, demand_q, _ = text.strip().splitlines()[1].split(",")
+        n, value_q, demand_q, *_ = text.strip().splitlines()[1].split(",")
         assert (n, f"{value_q},{demand_q}") == ("256", counts)
+
+    def test_sketch_bytes_is_the_length_of_the_saved_text(self, capsys):
+        code, text, _ = run(capsys, "bench", "--pipeline", "subadditive", "--n", "64")
+        row = dict(zip(*(line.split(",") for line in text.strip().splitlines())))
+        pipeline = vs.get_pipeline("subadditive")
+        oracle = vs.bench_instance("subadditive", 64).build(vs.QueryLedger())
+        sketch = vs.build_sketch(oracle, pipeline.card, pipeline.xos)
+        assert code == 0 and int(row["sketch_bytes"]) == len(vs.serialize(sketch)) == 3405
 
     @pytest.mark.parametrize("pipeline", ["matroid", "submodular", "subadditive", "brute"])
     def test_smallest_ground_sets(self, capsys, pipeline):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -39,6 +40,22 @@ def test_instance_files_take_plain_keys_numbers_and_empty_clauses():
                               ("subadditive-table", 1, {"table": [0, 1.5]}),
                               ("coverage", 1, {"universe": 0, "covers": [[]]})]:
         assert vs.InstanceSpec(family, n, params, 0).build().n == n
+
+
+def test_xos_clauses_of_one_weight_build_uniform():
+    """A clause whose weights are all equal is built as a uniform clause,
+    equal to the one AdditiveClause makes from its dict; a bad weight gets
+    AdditiveClause's message, naming the item."""
+    clauses = [{"0": 2, "3": 2.0}, {"1": 1, "2": 3}, {"4": 5}, {}]
+    oracle = vs.InstanceSpec("xos-explicit", 5, {"clauses": clauses}, 0).build()
+    assert [c._uniform_weight for c in oracle.clauses] == [2.0, None, 5.0, None]
+    assert [c._weights is None for c in oracle.clauses] == [True, False, True, False]
+    assert list(oracle.clauses) == [vs.AdditiveClause({int(j): w for j, w in c.items()})
+                                    for c in clauses]
+    for bad in (-1, -0.5, math.inf, math.nan):
+        spec = vs.InstanceSpec("xos-explicit", 5, {"clauses": [{"0": 1}, {"1": bad, "3": bad}]}, 0)
+        with pytest.raises(ValueError, match=r"^clause weight for item 1 must be finite and >= 0$"):
+            spec.build()
 
 
 @pytest.mark.parametrize("family", vs.instances.FAMILIES)

@@ -10,6 +10,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import pathlib
 import random
 from unittest import mock
 
@@ -25,7 +26,7 @@ from valsketch.errors import SerializationError
 from valsketch.sketch import GridParams, _estimates, well_bounded_partition
 from valsketch.valuations import OracleView
 
-from conftest import build_and_check
+from conftest import build_and_check, v1_payload
 
 seeds = st.integers(min_value=0, max_value=2_000)
 
@@ -43,6 +44,13 @@ def _build_recipe(name, family, n, params):
     pipeline = vs.get_pipeline(name)
     oracle = vs.generate_instance(family, n, 0, **params).build(vs.QueryLedger())
     return oracle, vs.build_sketch(oracle, pipeline.card, pipeline.xos)
+
+
+#: the n = 64 subadditive bench sketch at seed 0, as the schema v1 serializer
+#: wrote it: bundles in lowercase hex
+V1_FILE = pathlib.Path(__file__).parent / "data" / "subadditive-64.v1.json"
+#: the payload digest of that sketch, in its v2 form, as TestPinnedOutput pins it
+SUBADDITIVE_64_DIGEST = "6ca66cfe9763e87fa10017a55a6d215f9ef44120c758d44079cf6a9285932444"
 
 
 def _loop_estimate(sketch, bundle):
@@ -362,21 +370,39 @@ class TestSerialization:
         assert vs.evaluate(twin, 0b01) == vs.evaluate(sketch, 0b01) < math.inf
 
     def test_loaded_spellings_save_in_canonical_form(self):
-        """A file need not be canonical to load: an indented copy with
-        uppercase hex loads, and serialize writes it back canonically:
-        compact, lowercase hex, each float the shortest text that reads
-        back as the same float. The loaded sketch is the saved one."""
+        """A file need not be canonical to load: an indented schema v1 copy
+        with uppercase hex loads, and serialize writes it back canonically:
+        compact schema v2, base64 bundles, each float the shortest text
+        that reads back as the same float. The loaded sketch is the saved one."""
         oracle = vs.generate_instance("coverage", 8, 3).build(vs.QueryLedger())
         pipeline = vs.get_pipeline("submodular")
         text = vs.serialize(vs.build_sketch(oracle, pipeline.card, pipeline.xos))
-        payload = json.loads(text)
-        for g in payload["groups"]:
-            g["items"] = g["items"].upper()
-            for f in g["families"]:
-                f["members"] = [m.upper() for m in f["members"]]
-        spelled = json.dumps(payload, indent=2)
+        spelled = json.dumps(v1_payload(text, lambda m: bitsets.to_hex(m).upper()), indent=2)
         assert spelled.lower() != spelled  # some hex field has a letter digit
         assert vs.serialize(vs.deserialize(spelled)) == text
+
+    def test_v1_file_loads_as_the_built_sketch(self):
+        """A file the v1 serializer wrote loads to the sketch a fresh build
+        makes, estimates like it bit for bit, and is saved as v2, with the
+        digest TestPinnedOutput pins for the build."""
+        pipeline = vs.get_pipeline("subadditive")
+        oracle = vs.bench_instance("subadditive", 64).build(vs.QueryLedger())
+        built = vs.build_sketch(oracle, pipeline.card, pipeline.xos)
+        loaded = vs.load_sketch(str(V1_FILE))
+        assert json.loads(V1_FILE.read_text())["schema_version"] == 1
+        assert loaded == built
+        bundles = _sampled_bundles(built, 600, random.Random(0))
+        assert [vs.evaluate(loaded, b) for b in bundles] == [vs.evaluate(built, b) for b in bundles]
+        text = vs.serialize(loaded)
+        assert text == vs.serialize(built) and json.loads(text)["schema_version"] == 2
+        assert _payload_digest(loaded) == SUBADDITIVE_64_DIGEST
+
+    def test_v1_spellings_of_the_corpus_load_as_built(self, corpus):
+        """The version picks the bundle codec and nothing else: each corpus
+        sketch written as v1 loads to the same sketch as its v2 text."""
+        for entry in corpus:
+            v1 = json.dumps(v1_payload(vs.serialize(entry.sketch)))
+            assert vs.deserialize(v1) == entry.sketch
 
     def test_build_queries_survive(self):
         sketch, text = self.roundtrip()
@@ -460,6 +486,9 @@ class TestSerialization:
             {"build_queries": {"value_queries": float("nan"), "demand_queries": 0}},
             {"build_queries": {"value_queries": 1}},
             {"build_queries": {"value_queries": 1, "demand_queries": 0, "extra": 0}},
+            {"schema_version": 3},
+            {"schema_version": 0},
+            {"schema_version": 2.0},
         ],
     )
     def test_rejects_malformed_payloads(self, breakage):
@@ -932,8 +961,8 @@ class TestPinnedOutput:
     recipes, the order of their root questions. The digests cover the
     payload without build_queries, so they move only when a sketch does;
     a change that moves one must say why and re-record it here; last when
-    floats began to be written exactly, which moved every sketch with an
-    alpha or beta of more than 12 significant digits. The
+    schema v2 began to write bundles as base64, which moved every digest
+    with the same sketches (a v1 file still loads to each). The
     totals are re-recorded whenever the builds ask fewer questions:
     last when the matroid maximizer began to gallop to each augmenting
     item and drop the spanned items it passes for good."""
@@ -942,13 +971,12 @@ class TestPinnedOutput:
         "name, n, digest, totals",
         [
             ("matroid", 64,
-             "e8d042fe5ce1fdfb59f2400cae8701cb99692e0da1f8ffc8db9b82158f820baa", (243, 0)),
+             "0006ad7bbab6f7d8f13f316748cbdf197f673618ee76fdf87785a079e4e466a8", (243, 0)),
             ("submodular", 64,
-             "ce6e44b37b4a4ea522d63a02726ed8ae2b3c98df9eccbef8fcf86bc1c2f7b699", (691, 0)),
-            ("subadditive", 64,
-             "7e5010c56de28058b84dfa732351305280fe68623f6427205ac8a9599a7845fb", (78, 105)),
+             "5bec222aa37935b5bd2d7875178be7e0f1b9bc6ffc4d65c0a4e51b9e3b1f2085", (691, 0)),
+            ("subadditive", 64, SUBADDITIVE_64_DIGEST, (78, 105)),
             ("brute", 8,
-             "ba74877beeaf82d7ee58b2db810637a1d3088d744ec6e4000a063f0757c2e66f", (11, 0)),
+             "de6d5392e39360ed10fb9f23b0f1d5739e3f4c92592904d19bda73936dba685a", (11, 0)),
         ],
         # fixed ids, so re-recording a digest keeps the test names
         ids=["matroid-64", "submodular-64", "subadditive-64", "brute-8"],
@@ -963,9 +991,9 @@ class TestPinnedOutput:
     @pytest.mark.parametrize(
         "recipe, digest, totals",
         zip(PERFBENCH_RECIPES, [
-            "0155fb58238f532c30e80590ac904fb3a858f6cd8fe6ba2a378ae1acd24998a4",
-            "f19fbb349225cd709252a2a65eb347d8cc58fd6a2dbf0b1b527e777d3af6d320",
-            "480450ee1511098c47c61e3c4c73acaa5f99e1b133746c7a711b65e1eecd7942",
+            "e2367eae5eec051e81a616bbd47808a945790300935aa0a756cbda940392c3b2",
+            "fd6ecb69a7eb938768df84695cf21539cf9eb18519aa899e33c644e022a2bc3b",
+            "0e51bd32e2dab45b05f83b89e839a0a8e7e52d5a41683f663f7dc2b41fa3faad",
         ], [(3055, 0), (8864, 0), (2309, 1302)]),
         ids=["matroid-value", "coverage-greedy", "xos-demand"],
     )
@@ -1010,17 +1038,17 @@ class TestPinnedOutput:
         "name, base, n, groups, digest, totals",
         [
             ("submodular", 4, 8, 8,
-             "f284ba8ab18f44a9949539197020f40c086b75d0c99ff4850b33705c7901425a", (37, 0)),
+             "a2853bd180db20090f0547444328aad16f7a463e4f15d2b52e82e7bcab6068ce", (37, 0)),
             ("submodular", 4, 12, 6,
-             "65bf7b22e7b1018431edf8e09632bada6bec4aa5c24ab45438f3cb01dc5266b6", (38, 0)),
+             "e08b4a9eada489b852ec6641f927589d7c246b02ec9a7cc15463d6db8b315d2a", (38, 0)),
             ("submodular", 4, 16, 8,
-             "18999338e80a17c95214f5ad5c3e8546c8564d6001faca281f0b945ed198721c", (64, 0)),
+             "1df817ed9e80b6a8f08ecef5f52883234d6625429f8e49907f303c89579ab1a1", (64, 0)),
             ("subadditive", 3, 8, 4,
-             "b4c81840f7fd0cba24eaa5b77a8fd008fee5fe31f61e1bce6b8398f732fe35cd", (21, 97)),
+             "45d6845f3e4caeeb2d69841126575137ea2d30ef3488fe8ab8f39a4a55806b01", (21, 97)),
             ("subadditive", 3, 12, 6,
-             "708c2e7a1a2bef8c727c736dbf46af8668a2bab7d81aff3af0fc1fb043a7ea82", (41, 203)),
+             "b1fce56d0f0e014876152b4a7c56fa53e3de6160eafc96f2c78ff70260b10ff1", (41, 203)),
             ("subadditive", 3, 16, 8,
-             "f2462dda538b6d55f7f1e3a0ecbe8ca25dd5fd850fdb43d67ce3876e5ddb364a", (69, 357)),
+             "02c53137355824c6a1646b6ae9a55ffadb872f1d837bab75e44cf06a8ae42585", (69, 357)),
         ],
         ids=["submodular-4j-8", "submodular-4j-12", "submodular-4j-16",
              "subadditive-3j-8", "subadditive-3j-12", "subadditive-3j-16"],
@@ -1038,13 +1066,13 @@ class TestPinnedOutput:
     def test_corpus_payloads(self, corpus):
         assert len(corpus) == 201
         digest = _payload_digest(*(entry.sketch for entry in corpus))
-        assert digest == "b68d240a401272e9a11c38422dafd4495a3e49b3318ffa83152b6cd4ebccbab0"
+        assert digest == "ec5202889f37cc1c1e6bc72c16b9fc40d8d59835b0c657d50d86a0a8659b84fa"
 
     @pytest.mark.parametrize(
         "name, digest",
         [
-            ("submodular", "1a6489d505f06d34edfdd858b77b6ee0e5927eb0fe95aa1790ad0e86d7105a48"),
-            ("subadditive", "70199de2d4f08c329f310eef64082c18acc2ff07ed6e0f0b77d9965f15befe40"),
+            ("submodular", "c205cf06dbebbe88bd91f0b04975777479cb40163abafee2907c1a7214c89223"),
+            ("subadditive", "49a5b2667069ae0215893bc5433292302fa40f70b7203dfd494e112125d02ef6"),
         ],
         ids=["submodular", "subadditive"],
     )
