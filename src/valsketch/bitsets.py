@@ -1,7 +1,7 @@
 """Bundles as dense bitsets.
 
 A bundle over the ground set {0, ..., n-1} is a plain int: bit j is set iff
-item j is in the bundle. A sketch file (schema v2) writes it as padded
+item j is in the bundle. A sketch file (schema v2 and v3) writes it as padded
 standard base64 of its shortest little-endian bytes, so bit 0 of the first
 byte stands for item 0; v1 files and the command line use lowercase hex.
 """

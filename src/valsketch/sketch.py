@@ -30,9 +30,7 @@ from .clauses import XosOracleSpec
 from .errors import CapabilityError, ScaleError, SerializationError
 from .valuations import RELATIVE_TOL, OracleView, ValuationOracle, meets
 
-SCHEMA_VERSION = 2
-# the bundle codec of each schema version a file may have; nothing else differs
-_BUNDLE_DECODERS = {1: bitsets.from_hex, 2: bitsets.from_base64}
+SCHEMA_VERSION = 3
 EVAL_CHUNK = 1024  # bundles per kernel call in evaluate_all
 
 
@@ -331,14 +329,18 @@ def sketch_errors(sketch: Sketch) -> list:
 
 
 def serialize(sketch: Sketch) -> str:
-    """Canonical JSON text, schema v2: each bundle as `bitsets.to_base64`
-    writes it. Raises SerializationError if the sketch breaks the file
-    contract. Empty families are left out. Each float is written as
-    json.dumps writes it, the shortest text that reads back as the same
-    float, so deserialize gives back the sketch field by field."""
+    """Canonical JSON text, schema v3. A top-level "bundles" table holds
+    each distinct member bundle once, in order of first use (group, then
+    family, then member), and a family's "members" are indices into it; a
+    group's "items" are written inline. Each bundle is written as
+    `bitsets.to_base64` writes it. Raises SerializationError if the sketch
+    breaks the file contract. Empty families are left out. Each float is
+    written as json.dumps writes it, the shortest text that reads back as
+    the same float, so deserialize gives back the sketch field by field."""
     errors = sketch_errors(sketch)
     if errors:
         raise SerializationError(errors[0])
+    index = {}  # member bundle -> its entry in the table, in order of first use
     groups = [
         {
             "leader": g.leader,
@@ -347,7 +349,8 @@ def serialize(sketch: Sketch) -> str:
             "alpha": float(g.alpha),
             "beta": float(g.beta_certified),
             "families": [
-                {"k": f.k, "r": float(f.r), "members": [bitsets.to_base64(m) for m in f.members]}
+                {"k": f.k, "r": float(f.r),
+                 "members": [index.setdefault(m, len(index)) for m in f.members]}
                 for f in g.families
                 if f.members
             ],
@@ -359,6 +362,7 @@ def serialize(sketch: Sketch) -> str:
         "kind": "valuation-sketch",
         "n": sketch.n,
         "singletons": [float(v) for v in sketch.singletons],
+        "bundles": list(map(bitsets.to_base64, index)),
         "groups": groups,
         "build_queries": sketch.build_queries,
     }
@@ -372,13 +376,46 @@ def _json(value, *types):
     return value
 
 
+def _inline_members(obj, decode):
+    """v1 and v2: each member is a bundle string in the version's codec."""
+    return decode, lambda groups: None
+
+
+def _table_members(obj, decode):
+    """v3: each member is an index into the "bundles" table, whose entries
+    are decoded once, so equal members share one int. Returns the member
+    reader and a check of the loaded groups: the table must be exactly
+    what serialize writes, each member bundle once, in order of first use."""
+    table = [decode(text) for text in _json(obj["bundles"], list)]
+
+    def member(i):
+        if type(i) is not int or not 0 <= i < len(table):  # table[-1] would read
+            raise ValueError(f"member {i!r} is not an index into the bundles table")
+        return table[i]
+
+    def check(groups):
+        if list(dict.fromkeys(m for g in groups for f in g.families for m in f.members)) != table:
+            raise ValueError("the bundles table must hold each member bundle once, "
+                             "in order of first use")
+
+    return member, check
+
+
+# per schema version: the codec of every bundle string and the reader of a
+# family's members; nothing else differs
+_FORMATS = {1: (bitsets.from_hex, _inline_members), 2: (bitsets.from_base64, _inline_members),
+            3: (bitsets.from_base64, _table_members)}
+
+
 def deserialize(text: str) -> Sketch:
     """Decode sketch JSON and hold it to the file contract; any fault
     raises SerializationError. Numbers must be JSON numbers, lists JSON
     lists and bundles strings in the version's codec: base64 as
-    `bitsets.to_base64` writes it (v2), or hex (v1, so a v1 file loads to
-    the same sketch and is saved as v2); k, leader, n and schema_version
-    are ints."""
+    `bitsets.to_base64` writes it (v2, v3), or hex (v1). A v3 member is an
+    int index into the "bundles" table, which must hold each member bundle
+    once, in order of first use; v1 and v2 members are inline strings, so
+    those files load to the same sketch and are saved as v3. k, leader, n
+    and schema_version are ints."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -386,13 +423,14 @@ def deserialize(text: str) -> Sketch:
     if not isinstance(obj, dict) or obj.get("kind") != "valuation-sketch":
         raise SerializationError("not a sketch payload")
     version = obj.get("schema_version")
-    if type(version) is not int or version not in _BUNDLE_DECODERS:
+    if type(version) is not int or version not in _FORMATS:
         raise SerializationError(f"unsupported schema version {version!r}")
-    decode = _BUNDLE_DECODERS[version]
     n = obj.get("n")
     if type(n) is not int or n < 1:
         raise SerializationError("bad ground set size")
     try:
+        decode, read_members = _FORMATS[version]
+        member, check_members = read_members(obj, decode)
         groups = [
             SketchGroup(
                 g["leader"],
@@ -402,12 +440,13 @@ def deserialize(text: str) -> Sketch:
                 _json(g["beta"], int, float),
                 [
                     SketchFamily(f["k"], _json(f["r"], int, float),
-                                 [decode(m) for m in _json(f["members"], list)])
+                                 [member(m) for m in _json(f["members"], list)])
                     for f in _json(g["families"], list)
                 ],
             )
             for g in _json(obj["groups"], list)
         ]
+        check_members(groups)
         singletons = _json(obj["singletons"], list)
         if not set(map(type, singletons)) <= {int, float}:
             raise TypeError("singletons must be JSON numbers")

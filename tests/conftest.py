@@ -19,14 +19,17 @@ class CorpusEntry:
     estimate: np.ndarray
 
 
-def v1_payload(text, spell=bitsets.to_hex):
-    """The payload of serialize's text as a schema v1 file, each bundle spelled by `spell`."""
+def inline_payload(text, version, spell):
+    """The payload of serialize's text in the inline layout of schema v1
+    and v2: no bundles table, each member written in its family, and
+    every bundle spelled by `spell`, under schema_version `version`."""
     payload = json.loads(text)
-    payload["schema_version"] = 1
+    table = [bitsets.from_base64(b) for b in payload.pop("bundles")]
+    payload["schema_version"] = version
     for g in payload["groups"]:
         g["items"] = spell(bitsets.from_base64(g["items"]))
         for f in g["families"]:
-            f["members"] = [spell(bitsets.from_base64(m)) for m in f["members"]]
+            f["members"] = [spell(table[i]) for i in f["members"]]
     return payload
 
 

@@ -15,7 +15,7 @@ from valsketch import bitsets, cli
 from valsketch.cli import main
 from valsketch.instances import FAMILIES
 
-from conftest import v1_payload
+from conftest import inline_payload
 
 HUGE_ID = 10 ** 8
 
@@ -593,25 +593,42 @@ class TestPipelineChain:
             assert code == 2 and "error:" in err
 
     def test_eval_reads_bundles_in_the_codec_of_the_file_version(self, capsys, tmp_path):
-        """`sketch` writes schema v2; the same file as v1 with hex bundles
-        loads and estimates alike. Hex in a v2 file and base64 in a v1
-        file each exit 2 with nothing printed: the version picks the codec."""
+        """`sketch` writes schema v3; the same file in the inline layout, as
+        v1 with hex bundles and as v2 with base64 ones, loads and estimates
+        alike. Hex in a v2 file and base64 in a v1 file each exit 2 with
+        nothing printed: the version picks the codec."""
         inst = tmp_path / "inst.json"
         sk = tmp_path / "sketch.json"
         run(capsys, "gen", "--family", "coverage", "--n", "6", "--seed", "2", "--out", str(inst))
         run(capsys, "sketch", "--instance", str(inst), "--pipeline", "submodular", "--out", str(sk))
         saved = sk.read_text()
-        assert json.loads(saved)["schema_version"] == 2
+        assert json.loads(saved)["schema_version"] == 3
         argv = ("eval", "--sketch", str(sk), "--bundle", "3f", "--bundle", "5")
         code, estimates, _ = run(capsys, *argv)
         assert code == 0
-        hex_v1 = v1_payload(saved)
-        sk.write_text(json.dumps(hex_v1))
-        assert run(capsys, *argv) == (0, estimates, "")
-        for payload in ({**hex_v1, "schema_version": 2}, v1_payload(saved, bitsets.to_base64)):
-            sk.write_text(json.dumps(payload))
+        for version, spell in ((1, bitsets.to_hex), (2, bitsets.to_base64)):
+            sk.write_text(json.dumps(inline_payload(saved, version, spell)))
+            assert run(capsys, *argv) == (0, estimates, "")
+        for version, spell in ((2, bitsets.to_hex), (1, bitsets.to_base64)):
+            sk.write_text(json.dumps(inline_payload(saved, version, spell)))
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == "" and "error: malformed sketch payload: bundle" in err
+
+    @pytest.mark.parametrize("index", [-1, True], ids=["minus-one", "true"])
+    def test_eval_refuses_a_member_index_outside_the_table(self, capsys, tmp_path, index):
+        """A v3 member must be an int index into the bundles table: -1,
+        which Python would read as the last entry, and true exit 2 with
+        nothing printed."""
+        inst = tmp_path / "inst.json"
+        sk = tmp_path / "sketch.json"
+        run(capsys, "gen", "--family", "coverage", "--n", "6", "--seed", "2", "--out", str(inst))
+        run(capsys, "sketch", "--instance", str(inst), "--pipeline", "submodular", "--out", str(sk))
+        payload = json.loads(sk.read_text())
+        payload["groups"][0]["families"][-1]["members"][-1] = index
+        sk.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "eval", "--sketch", str(sk), "--bundle", "3f")
+        assert code == 2 and out == ""
+        assert f"error: malformed sketch payload: member {index!r} is not an index" in err
 
 
 class TestBench:
@@ -648,7 +665,7 @@ class TestBench:
         pipeline = vs.get_pipeline("subadditive")
         oracle = vs.bench_instance("subadditive", 64).build(vs.QueryLedger())
         sketch = vs.build_sketch(oracle, pipeline.card, pipeline.xos)
-        assert code == 0 and int(row["sketch_bytes"]) == len(vs.serialize(sketch)) == 3405
+        assert code == 0 and int(row["sketch_bytes"]) == len(vs.serialize(sketch)) == 1858
 
     @pytest.mark.parametrize("pipeline", ["matroid", "submodular", "subadditive", "brute"])
     def test_smallest_ground_sets(self, capsys, pipeline):

@@ -26,7 +26,7 @@ from valsketch.errors import SerializationError
 from valsketch.sketch import GridParams, _estimates, well_bounded_partition
 from valsketch.valuations import OracleView
 
-from conftest import build_and_check, v1_payload
+from conftest import build_and_check, inline_payload
 
 seeds = st.integers(min_value=0, max_value=2_000)
 
@@ -47,10 +47,12 @@ def _build_recipe(name, family, n, params):
 
 
 #: the n = 64 subadditive bench sketch at seed 0, as the schema v1 serializer
-#: wrote it: bundles in lowercase hex
+#: wrote it (bundles in lowercase hex, each member inline) and as the schema
+#: v2 serializer wrote it (bundles in base64, each member inline)
 V1_FILE = pathlib.Path(__file__).parent / "data" / "subadditive-64.v1.json"
-#: the payload digest of that sketch, in its v2 form, as TestPinnedOutput pins it
-SUBADDITIVE_64_DIGEST = "6ca66cfe9763e87fa10017a55a6d215f9ef44120c758d44079cf6a9285932444"
+V2_FILE = pathlib.Path(__file__).parent / "data" / "subadditive-64.v2.json"
+#: the payload digest of that sketch, in its v3 form, as TestPinnedOutput pins it
+SUBADDITIVE_64_DIGEST = "e1f6a9727fdf6301761d3b54913e9adc194a17b36d1cbeec0d77bd2656fec637"
 
 
 def _loop_estimate(sketch, bundle):
@@ -320,6 +322,15 @@ def _group(family=None, **overrides):
     return [group]
 
 
+def _v3(*members, bundles=("AQ==",)):
+    """Overrides that make the one-group payload schema v3: items {0, 1}
+    in base64, the bundles table `bundles`, and per list of member
+    indices one k = 1 family, at r = 1, 2, 4, ..."""
+    families = [{"k": 1, "r": float(1 << i), "members": list(m)} for i, m in enumerate(members)]
+    return {"schema_version": 3, "bundles": list(bundles),
+            "groups": _group(items="Aw==", families=families)}
+
+
 class TestSerialization:
     def roundtrip(self, seed=4):
         spec = vs.generate_instance("xos-explicit", 8, seed)
@@ -372,37 +383,49 @@ class TestSerialization:
     def test_loaded_spellings_save_in_canonical_form(self):
         """A file need not be canonical to load: an indented schema v1 copy
         with uppercase hex loads, and serialize writes it back canonically:
-        compact schema v2, base64 bundles, each float the shortest text
-        that reads back as the same float. The loaded sketch is the saved one."""
+        compact schema v3, the bundles table, base64 bundles, each float the
+        shortest text that reads back as the same float. The loaded sketch
+        is the saved one."""
         oracle = vs.generate_instance("coverage", 8, 3).build(vs.QueryLedger())
         pipeline = vs.get_pipeline("submodular")
         text = vs.serialize(vs.build_sketch(oracle, pipeline.card, pipeline.xos))
-        spelled = json.dumps(v1_payload(text, lambda m: bitsets.to_hex(m).upper()), indent=2)
+        spelled = json.dumps(inline_payload(text, 1, lambda m: bitsets.to_hex(m).upper()), indent=2)
         assert spelled.lower() != spelled  # some hex field has a letter digit
         assert vs.serialize(vs.deserialize(spelled)) == text
 
-    def test_v1_file_loads_as_the_built_sketch(self):
-        """A file the v1 serializer wrote loads to the sketch a fresh build
-        makes, estimates like it bit for bit, and is saved as v2, with the
+    @staticmethod
+    def assert_old_file_loads_as_built(path, version):
+        """A file an older serializer wrote loads to the sketch a fresh build
+        makes, estimates like it bit for bit, and is saved as v3, with the
         digest TestPinnedOutput pins for the build."""
         pipeline = vs.get_pipeline("subadditive")
         oracle = vs.bench_instance("subadditive", 64).build(vs.QueryLedger())
         built = vs.build_sketch(oracle, pipeline.card, pipeline.xos)
-        loaded = vs.load_sketch(str(V1_FILE))
-        assert json.loads(V1_FILE.read_text())["schema_version"] == 1
+        loaded = vs.load_sketch(str(path))
+        assert json.loads(path.read_text())["schema_version"] == version
         assert loaded == built
         bundles = _sampled_bundles(built, 600, random.Random(0))
         assert [vs.evaluate(loaded, b) for b in bundles] == [vs.evaluate(built, b) for b in bundles]
         text = vs.serialize(loaded)
-        assert text == vs.serialize(built) and json.loads(text)["schema_version"] == 2
+        assert text == vs.serialize(built) and json.loads(text)["schema_version"] == 3
         assert _payload_digest(loaded) == SUBADDITIVE_64_DIGEST
 
+    def test_v1_file_loads_as_the_built_sketch(self):
+        self.assert_old_file_loads_as_built(V1_FILE, 1)
+
+    def test_v2_file_loads_as_the_built_sketch(self):
+        self.assert_old_file_loads_as_built(V2_FILE, 2)
+
     def test_v1_spellings_of_the_corpus_load_as_built(self, corpus):
-        """The version picks the bundle codec and nothing else: each corpus
-        sketch written as v1 loads to the same sketch as its v2 text."""
+        """The version picks the bundle codec and the member reader and
+        nothing else: each corpus sketch written in the inline layout, as v1
+        with hex bundles and as v2 with base64 ones, loads to the same
+        sketch as its v3 text."""
         for entry in corpus:
-            v1 = json.dumps(v1_payload(vs.serialize(entry.sketch)))
-            assert vs.deserialize(v1) == entry.sketch
+            text = vs.serialize(entry.sketch)
+            for version, spell in ((1, bitsets.to_hex), (2, bitsets.to_base64)):
+                old = json.dumps(inline_payload(text, version, spell))
+                assert vs.deserialize(old) == entry.sketch
 
     def test_build_queries_survive(self):
         sketch, text = self.roundtrip()
@@ -436,6 +459,24 @@ class TestSerialization:
     def test_accepts_minimal_payload(self):
         sketch = vs.deserialize(self._payload())
         assert vs.evaluate(sketch, 0b11) == 1.0
+
+    def test_accepts_minimal_v3_payloads(self):
+        """The v3 payloads test_rejects_malformed_payloads breaks load, and
+        serialize writes their tables back as they are."""
+        for overrides in (_v3([0]), _v3([0, 1], bundles=("AQ==", "Ag==")),
+                          _v3([0], [0]), _v3([0], [1, 0], bundles=("Ag==", "AQ=="))):
+            sketch = vs.deserialize(self._payload(**overrides))
+            assert json.loads(vs.serialize(sketch))["bundles"] == overrides["bundles"]
+        first, second = sketch.groups[0].families
+        assert first.members == [0b10] and second.members == [0b01, 0b10]
+
+    def test_equal_members_share_one_int(self):
+        """The table is decoded once: a loaded sketch holds one int per
+        distinct member bundle, however many families store it."""
+        text = vs.serialize(vs.load_sketch(str(V2_FILE)))
+        table = json.loads(text)["bundles"]
+        members = [m for g in vs.deserialize(text).groups for f in g.families for m in f.members]
+        assert len(set(map(id, members))) == len(set(members)) == len(table) < len(members)
 
     @pytest.mark.parametrize(
         "breakage",
@@ -486,9 +527,24 @@ class TestSerialization:
             {"build_queries": {"value_queries": float("nan"), "demand_queries": 0}},
             {"build_queries": {"value_queries": 1}},
             {"build_queries": {"value_queries": 1, "demand_queries": 0, "extra": 0}},
-            {"schema_version": 3},
+            {"schema_version": 4},
             {"schema_version": 0},
             {"schema_version": 2.0},
+            # the v3 bundles table: an index must be an int, 0 <= i < its
+            # length, and the table each member bundle once in first-use order
+            _v3([-1]),
+            _v3([True]),
+            _v3([0.0]),
+            _v3(["0"]),
+            _v3([1]),
+            _v3([0], bundles=("AQ==", "Ag==")),  # an entry no family uses
+            _v3([1, 0], bundles=("AQ==", "Ag==")),  # entries out of first-use order
+            _v3([0], [1], bundles=("AQ==", "AQ==")),  # an entry that repeats another
+            {**_v3([0]), "bundles": "AQ=="},
+            {**_v3([0]), "bundles": ["1"]},  # an entry in hex
+            {key: value for key, value in _v3([0]).items() if key != "bundles"},
+            _v3(["AQ=="]),  # a v3 member written inline
+            {**_v3([0]), "schema_version": 2},  # a v2 member given as an index
         ],
     )
     def test_rejects_malformed_payloads(self, breakage):
@@ -961,8 +1017,9 @@ class TestPinnedOutput:
     recipes, the order of their root questions. The digests cover the
     payload without build_queries, so they move only when a sketch does;
     a change that moves one must say why and re-record it here; last when
-    schema v2 began to write bundles as base64, which moved every digest
-    with the same sketches (a v1 file still loads to each). The
+    schema v3 began to write each distinct member bundle once, in a table
+    the families index, which moved every digest with the same sketches
+    (v1 and v2 files still load to each). The
     totals are re-recorded whenever the builds ask fewer questions:
     last when the matroid maximizer began to gallop to each augmenting
     item and drop the spanned items it passes for good."""
@@ -971,12 +1028,12 @@ class TestPinnedOutput:
         "name, n, digest, totals",
         [
             ("matroid", 64,
-             "0006ad7bbab6f7d8f13f316748cbdf197f673618ee76fdf87785a079e4e466a8", (243, 0)),
+             "8e903401b7bf8dff96a0ae6bc35dbecfd659adba8499ee8d9f45c249356baffe", (243, 0)),
             ("submodular", 64,
-             "5bec222aa37935b5bd2d7875178be7e0f1b9bc6ffc4d65c0a4e51b9e3b1f2085", (691, 0)),
+             "2b24bbbe59ae9514a293f2567a35fe85079912cd745602457ad18d4d6d77a190", (691, 0)),
             ("subadditive", 64, SUBADDITIVE_64_DIGEST, (78, 105)),
             ("brute", 8,
-             "de6d5392e39360ed10fb9f23b0f1d5739e3f4c92592904d19bda73936dba685a", (11, 0)),
+             "fbe0c0245e02238adccb7fe635c1f2ecd0c66b538c8ff677c17d28fdcad6accc", (11, 0)),
         ],
         # fixed ids, so re-recording a digest keeps the test names
         ids=["matroid-64", "submodular-64", "subadditive-64", "brute-8"],
@@ -991,9 +1048,9 @@ class TestPinnedOutput:
     @pytest.mark.parametrize(
         "recipe, digest, totals",
         zip(PERFBENCH_RECIPES, [
-            "e2367eae5eec051e81a616bbd47808a945790300935aa0a756cbda940392c3b2",
-            "fd6ecb69a7eb938768df84695cf21539cf9eb18519aa899e33c644e022a2bc3b",
-            "0e51bd32e2dab45b05f83b89e839a0a8e7e52d5a41683f663f7dc2b41fa3faad",
+            "a015ce76122bb81fdc3137d66ff294a40736d61392528d57e882d5413ca148d2",
+            "6a0da1b64a9f653966840a28de4cc573d795f5752fcb31fe455f47d7970baa74",
+            "a24b3a0fe7f1cac4ae6d13665bb2b7e54107091c3876684268a5162125141cfe",
         ], [(3055, 0), (8864, 0), (2309, 1302)]),
         ids=["matroid-value", "coverage-greedy", "xos-demand"],
     )
@@ -1038,17 +1095,17 @@ class TestPinnedOutput:
         "name, base, n, groups, digest, totals",
         [
             ("submodular", 4, 8, 8,
-             "a2853bd180db20090f0547444328aad16f7a463e4f15d2b52e82e7bcab6068ce", (37, 0)),
+             "c870f8b19596c3cc52b1f44033a845c8f3b5504c5329d3037b1821e992ea0668", (37, 0)),
             ("submodular", 4, 12, 6,
-             "e08b4a9eada489b852ec6641f927589d7c246b02ec9a7cc15463d6db8b315d2a", (38, 0)),
+             "d577af239a074f2c4528927da12322bf3611448624ab6f58ab967e7a43f27133", (38, 0)),
             ("submodular", 4, 16, 8,
-             "1df817ed9e80b6a8f08ecef5f52883234d6625429f8e49907f303c89579ab1a1", (64, 0)),
+             "e48a0ad7ecc36600c0116429309860d7ec47488432ae3732f05cd910cc45a2ae", (64, 0)),
             ("subadditive", 3, 8, 4,
-             "45d6845f3e4caeeb2d69841126575137ea2d30ef3488fe8ab8f39a4a55806b01", (21, 97)),
+             "9787543b33f24c84c44041f3a9f0683f53365d06d2d3ea29101953977cc549e0", (21, 97)),
             ("subadditive", 3, 12, 6,
-             "b1fce56d0f0e014876152b4a7c56fa53e3de6160eafc96f2c78ff70260b10ff1", (41, 203)),
+             "27446a0e5190ed627c67603a18045e1f6adaf7873c3b735a733e1da43158a176", (41, 203)),
             ("subadditive", 3, 16, 8,
-             "02c53137355824c6a1646b6ae9a55ffadb872f1d837bab75e44cf06a8ae42585", (69, 357)),
+             "2d61eeaad2cd324a278f7d0ad4d9a68ca65cc39ff30793a188f637d39c6e8b5c", (69, 357)),
         ],
         ids=["submodular-4j-8", "submodular-4j-12", "submodular-4j-16",
              "subadditive-3j-8", "subadditive-3j-12", "subadditive-3j-16"],
@@ -1066,13 +1123,13 @@ class TestPinnedOutput:
     def test_corpus_payloads(self, corpus):
         assert len(corpus) == 201
         digest = _payload_digest(*(entry.sketch for entry in corpus))
-        assert digest == "ec5202889f37cc1c1e6bc72c16b9fc40d8d59835b0c657d50d86a0a8659b84fa"
+        assert digest == "417be9fddacca968578585d36afecc8dbd16538d1f04ea5dc1e5db6b0e034fe5"
 
     @pytest.mark.parametrize(
         "name, digest",
         [
-            ("submodular", "c205cf06dbebbe88bd91f0b04975777479cb40163abafee2907c1a7214c89223"),
-            ("subadditive", "49a5b2667069ae0215893bc5433292302fa40f70b7203dfd494e112125d02ef6"),
+            ("submodular", "07d867fcf1dfab3ab35bbf6b3599ef6b90c8fff3942b7013e134fa219a2ca538"),
+            ("subadditive", "2ab93ef70064350489dc0a393daa5ab860f1974cb6cba543f99f01122f2f88fb"),
         ],
         ids=["submodular", "subadditive"],
     )
