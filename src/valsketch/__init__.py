@@ -9,7 +9,6 @@ maximizer and clause oracles used.
 
 from .cardinality import (
     CardOracleSpec,
-    brute_force,
     demand_price_grid,
     greedy_threshold,
     matroid_augment,

@@ -3,8 +3,7 @@ return a bundle T, |T| <= k, whose value is within a known factor alpha
 of the best size-k bundle.
 
 Every routine returns (bundle, value) with the value in the oracle's own
-scale and never exceeds the size budget. brute_opt_k, the maximizer of
-the `brute` pipeline, enumerates and its queries are not counted.
+scale and never exceeds the size budget.
 
 A CardOracleSpec holds the maximizer itself, called as
 run(oracle, ground, k, max_singleton=M), and its certified alpha. M is
@@ -33,8 +32,7 @@ from itertools import islice
 from typing import Callable
 
 from . import bitsets
-from .errors import ScaleError
-from .valuations import ENUM_LIMIT, OracleView, UniformPrices, ValuationOracle
+from .valuations import OracleView, UniformPrices, ValuationOracle
 
 
 @dataclass(frozen=True)
@@ -76,12 +74,6 @@ def demand_price_grid() -> CardOracleSpec:
     """8-approximate on subadditive inputs, using a logarithmic number of
     uniform-price demand queries instead of value scans."""
     return CardOracleSpec(card_demand_price_grid, 8.0, needs_demand=True)
-
-
-def brute_force() -> CardOracleSpec:
-    return CardOracleSpec(
-        lambda oracle, ground, k, max_singleton=None: brute_opt_k(oracle, ground, k), 1.0
-    )
 
 
 def greedy_threshold_steps(oracle: ValuationOracle | OracleView, ground: int, epsilon: float):
@@ -218,19 +210,3 @@ def card_demand_price_grid(oracle: ValuationOracle | OracleView, ground: int, k:
             break
     return best_bundle, best_value
 
-
-def brute_opt_k(oracle: ValuationOracle | OracleView, ground: int, k: int):
-    """Exact optimum by enumeration; reference only, queries not counted.
-
-    Scans submasks in ascending numeric order with a strict improvement
-    test, so of all maximizers it returns the numerically smallest mask.
-    """
-    if ground.bit_count() > ENUM_LIMIT:
-        raise ScaleError(f"exhaustive search is limited to pools of {ENUM_LIMIT} items")
-    best_bundle, best_value = 0, 0.0
-    for sub in bitsets.submasks(ground):
-        if sub and sub.bit_count() <= k:
-            val = oracle._value(sub)
-            if val > best_value:
-                best_bundle, best_value = sub, val
-    return best_bundle, best_value

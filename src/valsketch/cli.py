@@ -156,14 +156,15 @@ def cmd_bench(args) -> int:
         rows.append({"n": n, "value_queries": value_q, "demand_queries": demand_q,
                      "sketch_bytes": len(serialize(sketch)), "wall_ms": round(wall_ms, 3)})
     header = ["n", "value_queries", "demand_queries", "sketch_bytes", "wall_ms"]
-    print(",".join(header))
-    for row in rows:
-        print(",".join(str(row[h]) for h in header))
+    # the file is written first, so a path that cannot be written prints no table
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=header)
             writer.writeheader()
             writer.writerows(rows)
+    print(",".join(header))
+    for row in rows:
+        print(",".join(str(row[h]) for h in header))
     return 0
 
 

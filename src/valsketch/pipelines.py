@@ -39,12 +39,6 @@ PIPELINES = {
             clauses.clause_demand_uniform(),
             "subadditive",
         ),
-        PipelineSpec(
-            "brute",
-            cardinality.brute_force(),
-            clauses.clause_marginal(),
-            "submodular",
-        ),
     )
 }
 
@@ -66,7 +60,6 @@ _BENCH_RECIPES = {
     "subadditive": lambda n: (
         "xos-explicit", {"clauses": 24, "support": max(2, n // 8), "uniform": True}
     ),
-    "brute": lambda n: ("subadditive-table", {}),  # the generator stops at n = 16
 }
 
 

@@ -1,9 +1,10 @@
 """Reference routines the tests check the system against.
 
-None of these runs in a pipeline, the CLI or the benchmark: the optimal
-uniform clause by enumeration (criterion 05), the weight-bucket core
-check (criterion 06), the demand pipeline's query ceilings
-(criterion 08), the XOS oracle's loops over every clause, the check
+None of these runs in a pipeline, the CLI or the benchmark: the exact
+size-k maximizer by enumeration and its spec (criterion 10 and the grid
+tests), the optimal uniform clause by enumeration (criterion 05), the
+weight-bucket core check (criterion 06), the demand pipeline's query
+ceilings (criterion 08), the XOS oracle's loops over every clause, the check
 that its clause list attains its values, the class checks' loops over
 the lattice and the partition matroid's rank without a memo. Valuations
 are read through the uncounted _value hook, so checking costs no counted
@@ -14,8 +15,33 @@ import math
 from dataclasses import dataclass
 
 from valsketch import bitsets
+from valsketch.cardinality import CardOracleSpec
 from valsketch.errors import ScaleError
-from valsketch.valuations import RELATIVE_TOL, AdditiveClause, ValuationOracle
+from valsketch.valuations import (ENUM_LIMIT, RELATIVE_TOL, AdditiveClause, OracleView,
+                                  ValuationOracle)
+
+
+def brute_force() -> CardOracleSpec:
+    return CardOracleSpec(
+        lambda oracle, ground, k, max_singleton=None: brute_opt_k(oracle, ground, k), 1.0
+    )
+
+
+def brute_opt_k(oracle: ValuationOracle | OracleView, ground: int, k: int):
+    """Exact optimum by enumeration; reference only, queries not counted.
+
+    Scans submasks in ascending numeric order with a strict improvement
+    test, so of all maximizers it returns the numerically smallest mask.
+    """
+    if ground.bit_count() > ENUM_LIMIT:
+        raise ScaleError(f"exhaustive search is limited to pools of {ENUM_LIMIT} items")
+    best_bundle, best_value = 0, 0.0
+    for sub in bitsets.submasks(ground):
+        if sub and sub.bit_count() <= k:
+            val = oracle._value(sub)
+            if val > best_value:
+                best_bundle, best_value = sub, val
+    return best_bundle, best_value
 
 
 def brute_best_uniform_clause(oracle: ValuationOracle, bundle: int):

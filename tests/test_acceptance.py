@@ -20,7 +20,8 @@ from valsketch import bitsets
 from valsketch.cli import main as cli_main
 from valsketch.valuations import RELATIVE_TOL
 
-from reference import brute_best_uniform_clause, check_core_claim, demand_pipeline_budgets
+from reference import (brute_best_uniform_clause, brute_force, check_core_claim,
+                       demand_pipeline_budgets)
 
 SLACK = 1.0 - RELATIVE_TOL
 
@@ -313,7 +314,7 @@ def test_criterion_09_determinism(tmp_path, capsys):
         assert cli_main(["eval", "--sketch", str(sk),
                          "--bundle", "3ff", "--bundle", "2a"]) == 0
         eval_out = capsys.readouterr().out
-        assert cli_main(["bench", "--pipeline", "brute", "--n", "8",
+        assert cli_main(["bench", "--pipeline", "submodular", "--n", "8",
                          "--csv", str(csv_path)]) == 0
         capsys.readouterr()
         sides.append({
@@ -335,7 +336,7 @@ def test_criterion_10_golden_trace():
     """The n = 4 free matroid, sketched with exact maximization and
     marginal clauses, reproduces the hand-derived sketch."""
     oracle = vs.UniformMatroidRank(4, 4)
-    sketch = vs.build_sketch(oracle, vs.brute_force(), vs.clause_marginal())
+    sketch = vs.build_sketch(oracle, brute_force(), vs.clause_marginal())
     cells = {
         (g.leader, f.k, f.r): f.members
         for g in sketch.groups

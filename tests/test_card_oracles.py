@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import valsketch as vs
 from valsketch import bitsets
-from valsketch.cardinality import brute_opt_k, card_demand_price_grid
+from valsketch.cardinality import card_demand_price_grid
+
+from reference import brute_force, brute_opt_k
 
 # the step maximizers with budget k, each replaying its steps from the start
 card_matroid_augment = vs.matroid_augment().run
@@ -193,7 +195,7 @@ def test_brute_is_uncounted():
 def test_spec_factories_expose_alphas():
     assert vs.matroid_augment().alpha == 1.0
     assert vs.demand_price_grid().alpha == 8.0
-    assert vs.brute_force().alpha == 1.0
+    assert brute_force().alpha == 1.0
     eps = 0.05
     assert vs.greedy_threshold(eps).alpha == pytest.approx(1 / (1 - 1 / math.e - eps))
     with pytest.raises(ValueError):
@@ -203,7 +205,7 @@ def test_spec_factories_expose_alphas():
 def test_empty_pool_and_zero_values():
     oracle = vs.AdditiveValuation([0.0, 0.0, 0.0])
     for spec in (vs.greedy_threshold(0.1), vs.matroid_augment(), vs.demand_price_grid(),
-                 vs.brute_force()):
+                 brute_force()):
         assert spec.run(oracle, 0, 3) == (0, 0.0)
         assert spec.run(oracle, 0b111, 2) == (0, 0.0)
 

@@ -302,7 +302,7 @@ class TestPipelineChain:
 
     def test_missing_instance_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "sketch", "--instance", str(tmp_path / "absent.json"),
-                           "--pipeline", "brute", "--out", str(tmp_path / "s.json"))
+                           "--pipeline", "submodular", "--out", str(tmp_path / "s.json"))
         assert code == 2 and "error:" in err
 
     @pytest.mark.parametrize(
@@ -413,7 +413,7 @@ class TestPipelineChain:
     def test_sketch_rejects_malformed_instance(self, capsys, tmp_path, body):
         inst = tmp_path / "inst.json"
         inst.write_text(json.dumps(body))
-        code, _, err = run(capsys, "sketch", "--instance", str(inst), "--pipeline", "brute",
+        code, _, err = run(capsys, "sketch", "--instance", str(inst), "--pipeline", "submodular",
                            "--out", str(tmp_path / "s.json"))
         assert code == 2 and err.startswith("error:")
 
@@ -435,7 +435,7 @@ class TestPipelineChain:
         tracemalloc.start()
         try:
             code, _, err = run(capsys, "sketch", "--instance", str(inst),
-                               "--pipeline", "brute", "--out", str(tmp_path / "s.json"))
+                               "--pipeline", "submodular", "--out", str(tmp_path / "s.json"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -453,7 +453,7 @@ class TestPipelineChain:
         tracemalloc.start()
         try:
             code, _, _ = run(capsys, "sketch", "--instance", str(inst),
-                             "--pipeline", "brute", "--out", str(tmp_path / "s.json"))
+                             "--pipeline", "submodular", "--out", str(tmp_path / "s.json"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -489,7 +489,7 @@ class TestPipelineChain:
         inst = tmp_path / "inst.json"
         sk = tmp_path / "sketch.json"
         run(capsys, "gen", "--family", "additive", "--n", "4", "--out", str(inst))
-        run(capsys, "sketch", "--instance", str(inst), "--pipeline", "brute",
+        run(capsys, "sketch", "--instance", str(inst), "--pipeline", "submodular",
             "--out", str(sk))
         payload = json.loads(sk.read_text())
         payload["groups"][0][field] = value
@@ -498,7 +498,7 @@ class TestPipelineChain:
         code, _, err = run(capsys, "eval", "--sketch", str(sk), "--bundle", "1")
         assert code == 2 and message in err
         code, _, err = run(capsys, "verify", "--instance", str(inst),
-                           "--pipeline", "brute", "--sketch", str(sk))
+                           "--pipeline", "submodular", "--sketch", str(sk))
         assert code == 2 and message in err
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -511,7 +511,7 @@ class TestPipelineChain:
         inst = tmp_path / "inst.json"
         sk = tmp_path / "sketch.json"
         run(capsys, "gen", "--family", "additive", "--n", "4", "--out", str(inst))
-        run(capsys, "sketch", "--instance", str(inst), "--pipeline", "brute",
+        run(capsys, "sketch", "--instance", str(inst), "--pipeline", "submodular",
             "--out", str(sk))
         code, _, err = run(capsys, "eval", "--sketch", str(sk), "--bundle", "0xffff")
         assert code == 2 and "error:" in err
@@ -527,7 +527,7 @@ class TestPipelineChain:
         inst = tmp_path / "inst.json"
         sk = tmp_path / "sketch.json"
         run(capsys, "gen", "--family", "additive", "--n", "1", "--out", str(inst))
-        run(capsys, "sketch", "--instance", str(inst), "--pipeline", "brute", "--out", str(sk))
+        run(capsys, "sketch", "--instance", str(inst), "--pipeline", "submodular", "--out", str(sk))
         code, out, _ = run(capsys, "eval", "--sketch", str(sk), "--bundle", "1")
         assert code == 0 and out.startswith("1 ")
         code, out, err = run(capsys, "eval", "--sketch", str(sk), "--bundle", "1", "--bundle", bad)
@@ -537,7 +537,7 @@ class TestPipelineChain:
         inst = tmp_path / "inst.json"
         run(capsys, "gen", "--family", "additive", "--n", "4", "--out", str(inst))
         monkeypatch.setattr(vs.AdditiveValuation, "_value", lambda self, bundle: float("nan"))
-        code, _, err = run(capsys, "sketch", "--instance", str(inst), "--pipeline", "brute",
+        code, _, err = run(capsys, "sketch", "--instance", str(inst), "--pipeline", "submodular",
                            "--out", str(tmp_path / "s.json"))
         assert code == 2 and "AdditiveValuation valued bundle" in err
 
@@ -545,13 +545,13 @@ class TestPipelineChain:
         inst = tmp_path / "inst.json"
         sk = tmp_path / "sketch.json"
         run(capsys, "gen", "--family", "additive", "--n", "4", "--out", str(inst))
-        run(capsys, "sketch", "--instance", str(inst), "--pipeline", "brute",
+        run(capsys, "sketch", "--instance", str(inst), "--pipeline", "submodular",
             "--out", str(sk))
         payload = json.loads(sk.read_text())
         payload["groups"][0]["leader"] = 4  # outside the ground set, so outside the group
         sk.write_text(json.dumps(payload))
         code, _, err = run(capsys, "verify", "--instance", str(inst),
-                           "--pipeline", "brute", "--sketch", str(sk))
+                           "--pipeline", "submodular", "--sketch", str(sk))
         assert code == 2 and "leader outside the group" in err
 
     def test_a_sketch_whose_unit_overflows_is_refused_at_load(self, capsys, tmp_path):
@@ -569,7 +569,7 @@ class TestPipelineChain:
         }))
         needle = "member unit r / (4 alpha beta) * scale overflows at k=1 r=1e+300"
         for argv in (("eval", "--sketch", str(sk), "--bundle", "1"),
-                     ("verify", "--instance", str(inst), "--pipeline", "brute",
+                     ("verify", "--instance", str(inst), "--pipeline", "submodular",
                       "--sketch", str(sk))):
             code, out, err = run(capsys, *argv)
             assert code == 2 and needle in err and out == "", argv
@@ -634,7 +634,7 @@ class TestPipelineChain:
 class TestBench:
     def test_stdout_table_and_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "rows.csv"
-        code, text, _ = run(capsys, "bench", "--pipeline", "brute",
+        code, text, _ = run(capsys, "bench", "--pipeline", "submodular",
                             "--n", "6", "--n", "8", "--csv", str(csv_path))
         assert code == 0
         lines = text.strip().splitlines()
@@ -667,15 +667,22 @@ class TestBench:
         sketch = vs.build_sketch(oracle, pipeline.card, pipeline.xos)
         assert code == 0 and int(row["sketch_bytes"]) == len(vs.serialize(sketch)) == 1858
 
-    @pytest.mark.parametrize("pipeline", ["matroid", "submodular", "subadditive", "brute"])
+    @pytest.mark.parametrize("pipeline", ["matroid", "submodular", "subadditive"])
     def test_smallest_ground_sets(self, capsys, pipeline):
         code, text, err = run(capsys, "bench", "--pipeline", pipeline, "--n", "1", "--n", "2")
         assert code == 0 and err == ""
         assert [line.split(",")[0] for line in text.strip().splitlines()] == ["n", "1", "2"]
 
-    def test_oversized_brute_bench(self, capsys):
-        code, _, err = run(capsys, "bench", "--pipeline", "brute", "--n", "17")
-        assert code == 2 and "error:" in err
+    def test_oversized_bench(self, capsys):
+        code, _, err = run(capsys, "bench", "--pipeline", "submodular", "--n", "65537")
+        assert code == 2 and "error: n must lie in 1..65536, got 65537" in err
+
+    def test_unwritable_csv_prints_no_table(self, capsys, tmp_path):
+        """The CSV is written before the table is printed, so a path that
+        cannot be written exits 2 with nothing on stdout."""
+        code, out, err = run(capsys, "bench", "--pipeline", "subadditive", "--n", "2",
+                             "--csv", str(tmp_path / "absent" / "rows.csv"))
+        assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_module_entry_point(tmp_path):

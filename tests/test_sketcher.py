@@ -27,6 +27,7 @@ from valsketch.sketch import GridParams, _estimates, well_bounded_partition
 from valsketch.valuations import OracleView
 
 from conftest import build_and_check, inline_payload
+from reference import brute_force
 
 seeds = st.integers(min_value=0, max_value=2_000)
 
@@ -190,7 +191,7 @@ class TestGoldenTrace:
     def trace(self):
         led = vs.QueryLedger()
         oracle = vs.UniformMatroidRank(4, 4, led)  # free matroid: v(S) = |S|
-        sketch = build_and_check(oracle, vs.brute_force(), vs.clause_marginal())
+        sketch = build_and_check(oracle, brute_force(), vs.clause_marginal())
         return oracle, sketch
 
     def test_structure(self):
@@ -241,19 +242,19 @@ class TestEvaluate:
 
     def test_rejects_foreign_bundle(self):
         oracle = vs.AdditiveValuation([1, 2])
-        sketch = vs.build_sketch(oracle, vs.brute_force(), vs.clause_marginal())
+        sketch = vs.build_sketch(oracle, brute_force(), vs.clause_marginal())
         with pytest.raises(vs.MalformedBundleError):
             vs.evaluate(sketch, 0b100)
 
     def test_all_zero_valuation(self):
         oracle = vs.AdditiveValuation([0.0, 0.0, 0.0])
-        sketch = vs.build_sketch(oracle, vs.brute_force(), vs.clause_marginal())
+        sketch = vs.build_sketch(oracle, brute_force(), vs.clause_marginal())
         assert sketch.groups == []
         assert vs.evaluate(sketch, 0b111) == 0.0
 
     def test_single_item(self):
         oracle = vs.AdditiveValuation([5.0])
-        sketch = vs.build_sketch(oracle, vs.brute_force(), vs.clause_marginal())
+        sketch = vs.build_sketch(oracle, brute_force(), vs.clause_marginal())
         assert vs.evaluate(sketch, 0b1) == 5.0
 
     def test_corpus_matches_loop_on_every_bundle(self, corpus):
@@ -276,7 +277,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("weights", [[0.0, 0.0, 0.0], [5.0], [0.0]])
     def test_degenerate_sketches_match_loop(self, weights):
         oracle = vs.AdditiveValuation(weights)
-        sketch = vs.build_sketch(oracle, vs.brute_force(), vs.clause_marginal())
+        sketch = vs.build_sketch(oracle, brute_force(), vs.clause_marginal())
         assert_dense_matches_loop(sketch)
         assert_matches_loop(sketch, list(range(1 << sketch.n)))
 
@@ -754,8 +755,8 @@ class TestBuildContract:
     def test_group_views_ask_only_about_their_group(self):
         """Every question a group's view is asked, counted or not, lies inside
         the group: each value bundle and each demand's priced set, on the
-        corpus and on each pipeline's bench instance (brute's stops at
-        n = 12). This traffic is why a view needs no mask of its own."""
+        corpus and on each pipeline's bench instance at n = 64. This traffic
+        is why a view needs no mask of its own."""
         asked = {"value": 0, "demand": 0}
         group = [0]
 
@@ -772,10 +773,6 @@ class TestBuildContract:
                 self.inside("value", bundle)
                 return super().value(bundle)
 
-            def _value(self, bundle):
-                self.inside("value", bundle)
-                return super()._value(bundle)
-
             def demand(self, prices):
                 self.inside("demand", prices.included)
                 return super().demand(prices)
@@ -786,15 +783,14 @@ class TestBuildContract:
             group[0] = bitsets.from_items(ranked)
             return build_group(oracle, ranked, *args)
 
-        runs = [*vs.standard_fixture_corpus(), ("brute", vs.bench_instance("brute", 8)),
-                *((name, vs.bench_instance(name, 64))
-                  for name in ("matroid", "submodular", "subadditive"))]
+        runs = [*vs.standard_fixture_corpus(),
+                *((name, vs.bench_instance(name, 64)) for name in vs.PIPELINES)]
         with mock.patch.object(sketch_module, "OracleView", Guarded), \
                 mock.patch.object(sketch_module, "build_group_sketch", noting_group):
             for name, spec in runs:
                 pipeline = vs.get_pipeline(name)
                 vs.build_sketch(spec.build(vs.QueryLedger()), pipeline.card, pipeline.xos)
-        # 16,379 value and 4,268 demand questions when this was written; the
+        # 12,173 value and 4,268 demand questions when last counted; the
         # floor only shows the checks ran
         assert asked["value"] > 10_000 and asked["demand"] > 2_000
 
@@ -829,7 +825,7 @@ class TestBuildContract:
         # one dominant item: its group is a singleton, covered by the
         # singleton term alone at every (k, r) it dominates
         oracle = vs.AdditiveValuation([100.0, 1.0, 1.0, 1.0])
-        sketch = build_and_check(oracle, vs.brute_force(), vs.clause_marginal())
+        sketch = build_and_check(oracle, brute_force(), vs.clause_marginal())
         by_leader = {g.leader: g for g in sketch.groups}
         assert set(by_leader) == {0, 1}
         assert by_leader[0].items == 0b0001
@@ -1032,11 +1028,9 @@ class TestPinnedOutput:
             ("submodular", 64,
              "2b24bbbe59ae9514a293f2567a35fe85079912cd745602457ad18d4d6d77a190", (691, 0)),
             ("subadditive", 64, SUBADDITIVE_64_DIGEST, (78, 105)),
-            ("brute", 8,
-             "fbe0c0245e02238adccb7fe635c1f2ecd0c66b538c8ff677c17d28fdcad6accc", (11, 0)),
         ],
         # fixed ids, so re-recording a digest keeps the test names
-        ids=["matroid-64", "submodular-64", "subadditive-64", "brute-8"],
+        ids=["matroid-64", "submodular-64", "subadditive-64"],
     )
     def test_bench_instance_bytes_and_totals(self, name, n, digest, totals):
         pipeline = vs.get_pipeline(name)

@@ -15,7 +15,7 @@ from valsketch import bitsets, cli
 from valsketch.sketch import Sketch, SketchFamily, SketchGroup
 from valsketch.verify import family_invariant_check
 
-from reference import check_core_claim, demand_pipeline_budgets, r_projection
+from reference import brute_force, check_core_claim, demand_pipeline_budgets, r_projection
 
 
 class TestProjection:
@@ -106,7 +106,7 @@ def _loop_ratios(truth, est):
 class TestRatioReport:
     def test_honest_sketch_passes(self):
         oracle = vs.AdditiveValuation([1.0, 2.0, 4.0])
-        sketch = vs.build_sketch(oracle, vs.brute_force(), vs.clause_marginal())
+        sketch = vs.build_sketch(oracle, brute_force(), vs.clause_marginal())
         report = vs.exhaustive_ratio_report(vs.brute_reference_table(oracle), sketch)
         assert report.sound and report.within_bound
         assert report.max_over <= 1.0
@@ -263,6 +263,16 @@ class TestBruteHelpers:
         assert str(table.value).startswith(f"AdditiveValuation valued bundle 2 at {bad!r};")
 
 
+@pytest.mark.parametrize("n", [1, 2, 8, 12, 16])
+@pytest.mark.parametrize("name", sorted(vs.PIPELINES))
+def test_bench_instances_lie_in_their_pipelines_class(name, n):
+    """Each pipeline's bench instance is in the class it is certified for,
+    so a bench row measures the pipeline where its factor holds."""
+    truth = vs.brute_reference_table(vs.bench_instance(name, n).build())
+    passed, witness = vs.validate_class(truth, vs.get_pipeline(name).property)
+    assert passed, (name, n, witness)
+
+
 def test_package_holds_only_what_the_system_runs():
     """Test-only routines live in tests/reference.py; src/ never reaches for them."""
     for name in ("greedy_classic", "clause_brute_uniform", "check_core_claim", "r_projection",
@@ -303,9 +313,13 @@ def test_package_holds_only_what_the_system_runs():
     assert not hasattr(vs.SubadditiveTableValuation, "FULL_CHECK_LIMIT")
     assert [f.name for f in dataclasses.fields(vs.CardOracleSpec)] == ["run", "alpha",
                                                                        "needs_demand"]
-    for name in ("brute_force", "brute_reference_table", "exhaustive_ratio_report",
+    for name in ("brute_reference_table", "exhaustive_ratio_report",
                  "family_invariant_check", "validate_class"):
         assert callable(getattr(vs, name)), name
+    # the exact maximizer counts no query, so it is a test reference, not a pipeline
+    assert "brute" not in vs.PIPELINES
+    for name in ("brute_force", "brute_opt_k"):
+        assert not hasattr(vs, name) and not hasattr(vs.cardinality, name), name
     src = os.path.dirname(os.path.abspath(vs.__file__))
     pattern = re.compile(r"^\s*(from|import)\s+(reference|tests|conftest)\b", re.M)
     for fname in sorted(os.listdir(src)):
