@@ -4,8 +4,8 @@
 For every corpus instance: validates the advertised valuation class,
 builds the pipeline's sketch, checks the structural invariants,
 compares the estimate against the truth on all 2^n bundles, and checks
-that the sketch loaded back from its file estimates every bundle bit for
-bit like the built one. Prints one
+that the sketch loaded back from its file saves to the same text and
+estimates every bundle bit for bit like the built one. Prints one
 line per fixture and a summary that gives the most groups any sketch
 has and ends with the value and demand queries the builds spent; exits
 1 if anything is violated.
@@ -34,8 +34,10 @@ def check_entry(pipeline_name: str, spec) -> tuple:
     sketch = vs.build_sketch(oracle, pipeline.card, pipeline.xos)
     violations = vs.family_invariant_check(sketch)
     report = vs.exhaustive_ratio_report(truth, sketch)
-    loaded = vs.deserialize(vs.serialize(sketch))
-    reloads = vs.evaluate_all(loaded).tobytes() == vs.evaluate_all(sketch).tobytes()
+    text = vs.serialize(sketch)
+    loaded = vs.deserialize(text)
+    reloads = (vs.serialize(loaded) == text
+               and vs.evaluate_all(loaded).tobytes() == vs.evaluate_all(sketch).tobytes())
 
     ok = class_ok and not violations and report.sound and report.within_bound and reloads
     notes = []
@@ -48,7 +50,8 @@ def check_entry(pipeline_name: str, spec) -> tuple:
         notes.append(f"coverage: under-ratio {report.max_under} at {report.argmax_under:x} "
                      f"> {report.bound}")
     if not reloads:
-        notes.append("the sketch loaded from its file estimates some bundle differently")
+        notes.append("the sketch loaded from its file saves to other text "
+                     "or estimates some bundle differently")
     return ok, sketch, report, notes, oracle.ledger.totals()
 
 

@@ -1,9 +1,11 @@
 """Bundles as dense bitsets.
 
 A bundle over the ground set {0, ..., n-1} is a plain int: bit j is set iff
-item j is in the bundle. A sketch file (schema v2 and v3) writes it as padded
-standard base64 of its shortest little-endian bytes, so bit 0 of the first
-byte stands for item 0; v1 files and the command line use lowercase hex.
+item j is in the bundle. A sketch file writes it as padded standard base64
+of its shortest little-endian bytes, so bit 0 of the first byte stands for
+item 0: every bundle in schema v2 and v3, a group's items in v4, whose
+member table is one deflated stream of fixed-width entries. v1 files and
+the command line use lowercase hex.
 """
 
 import binascii
@@ -79,28 +81,41 @@ def from_hex(text: str) -> int:
     return mask
 
 
+def encode_base64(raw: bytes) -> str:
+    """Padded standard base64 of raw, with no newline."""
+    return binascii.b2a_base64(raw, newline=False).decode("ascii")
+
+
 def to_base64(mask: int) -> str:
-    return binascii.b2a_base64(mask.to_bytes((mask.bit_length() + 7) // 8, "little"),
-                               newline=False).decode("ascii")
+    return encode_base64(mask.to_bytes((mask.bit_length() + 7) // 8, "little"))
 
 
 # the characters whose unused low bits are zero, before one and before two pads
 _LAST_BEFORE_PADS = {1: "AEIMQUYcgkosw048", 2: "AQgw"}
 
 
-def from_base64(text: str) -> int:
-    """Parse to_base64's output and nothing else. a2b_base64 skips what is
-    not in the alphabet (spaces, newlines, url-safe - and _) and stops at
-    the padding, so a skipped character makes the text longer than its
-    bytes need. Also refused: a trailing zero byte, nonzero unused bits in
-    the last character, non-ASCII text."""
+def decode_base64(text: str) -> bytes | None:
+    """The bytes of encode_base64's output, or None for any other text.
+    a2b_base64 skips what is not in the alphabet (spaces, newlines,
+    url-safe - and _) and stops at the padding, so a skipped character
+    makes the text longer than its bytes need. Also refused: nonzero
+    unused bits in the last character, non-ASCII text."""
     try:
         raw = binascii.a2b_base64(text)
     except ValueError:  # binascii.Error (bad padding) or non-ASCII text
-        raw = None
-    pads = 0 if raw is None else -len(raw) % 3
-    if (raw is None or len(text) != (len(raw) + pads) // 3 * 4 or raw[-1:] == b"\0"
+        return None
+    pads = -len(raw) % 3
+    if (len(text) != (len(raw) + pads) // 3 * 4
             or pads and text[-1 - pads] not in _LAST_BEFORE_PADS[pads]):
+        return None
+    return raw
+
+
+def from_base64(text: str) -> int:
+    """Parse to_base64's output and nothing else: decode_base64's text,
+    without a trailing zero byte."""
+    raw = decode_base64(text)
+    if raw is None or raw[-1:] == b"\0":
         raise MalformedBundleError(f"bundle {text!r} is not canonical base64")
     return int.from_bytes(raw, "little")
 

@@ -8,6 +8,7 @@ failure, 2 bad input.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -143,22 +144,25 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _bench_row(name: str, n: int, seed: int) -> dict:
+    spec = bench_instance(name, n, seed)
+    pipeline = get_pipeline(name)
+    oracle = spec.build(QueryLedger())
+    start = time.perf_counter()
+    sketch = build_sketch(oracle, pipeline.card, pipeline.xos)
+    wall_ms = (time.perf_counter() - start) * 1000.0
+    value_q, demand_q = oracle.ledger.totals()
+    return {"n": n, "value_queries": value_q, "demand_queries": demand_q,
+            "sketch_bytes": len(serialize(sketch)), "wall_ms": round(wall_ms, 3)}
+
+
 def cmd_bench(args) -> int:
-    rows = []
-    for n in args.n:
-        spec = bench_instance(args.pipeline, n, args.seed)
-        pipeline = get_pipeline(args.pipeline)
-        oracle = spec.build(QueryLedger())
-        start = time.perf_counter()
-        sketch = build_sketch(oracle, pipeline.card, pipeline.xos)
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        value_q, demand_q = oracle.ledger.totals()
-        rows.append({"n": n, "value_queries": value_q, "demand_queries": demand_q,
-                     "sketch_bytes": len(serialize(sketch)), "wall_ms": round(wall_ms, 3)})
     header = ["n", "value_queries", "demand_queries", "sketch_bytes", "wall_ms"]
-    # the file is written first, so a path that cannot be written prints no table
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
+    # the file is opened before the first build and the table printed after
+    # the last, so a path that cannot be written costs no build and prints nothing
+    with open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext() as fh:
+        rows = [_bench_row(args.pipeline, n, args.seed) for n in args.n]
+        if fh:
             writer = csv.DictWriter(fh, fieldnames=header)
             writer.writeheader()
             writer.writerows(rows)

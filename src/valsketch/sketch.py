@@ -16,6 +16,7 @@ items their supporting clause certifies as individually valuable.
 
 import json
 import math
+import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,7 +31,7 @@ from .clauses import XosOracleSpec
 from .errors import CapabilityError, ScaleError, SerializationError
 from .valuations import RELATIVE_TOL, OracleView, ValuationOracle, meets
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 EVAL_CHUNK = 1024  # bundles per kernel call in evaluate_all
 
 
@@ -329,14 +330,16 @@ def sketch_errors(sketch: Sketch) -> list:
 
 
 def serialize(sketch: Sketch) -> str:
-    """Canonical JSON text, schema v3. A top-level "bundles" table holds
+    """Canonical JSON text, schema v4. A top-level "bundles" table holds
     each distinct member bundle once, in order of first use (group, then
-    family, then member), and a family's "members" are indices into it; a
-    group's "items" are written inline. Each bundle is written as
-    `bitsets.to_base64` writes it. Raises SerializationError if the sketch
-    breaks the file contract. Empty families are left out. Each float is
-    written as json.dumps writes it, the shortest text that reads back as
-    the same float, so deserialize gives back the sketch field by field."""
+    family, then member), and a family's "members" are indices into it.
+    The table is one string: `bitsets.encode_base64` of the level-1 zlib
+    stream of its entries, each ceil(n/8) little-endian bytes. A group's
+    "items" are written inline, as `bitsets.to_base64` writes them. Raises
+    SerializationError if the sketch breaks the file contract. Empty
+    families are left out. Each float is written as json.dumps writes it,
+    the shortest text that reads back as the same float, so deserialize
+    gives back the sketch field by field."""
     errors = sketch_errors(sketch)
     if errors:
         raise SerializationError(errors[0])
@@ -357,12 +360,14 @@ def serialize(sketch: Sketch) -> str:
         }
         for g in sketch.groups
     ]
+    width = (sketch.n + 7) // 8
+    table = b"".join([m.to_bytes(width, "little") for m in index])
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "valuation-sketch",
         "n": sketch.n,
         "singletons": [float(v) for v in sketch.singletons],
-        "bundles": list(map(bitsets.to_base64, index)),
+        "bundles": bitsets.encode_base64(zlib.compress(table, 1)),
         "groups": groups,
         "build_queries": sketch.build_queries,
     }
@@ -381,12 +386,12 @@ def _inline_members(obj, decode):
     return decode, lambda groups: None
 
 
-def _table_members(obj, decode):
-    """v3: each member is an index into the "bundles" table, whose entries
-    are decoded once, so equal members share one int. Returns the member
-    reader and a check of the loaded groups: the table must be exactly
-    what serialize writes, each member bundle once, in order of first use."""
-    table = [decode(text) for text in _json(obj["bundles"], list)]
+def _table_members(table):
+    """v3 and v4: each member is an index into the "bundles" table, whose
+    entries are decoded once, so equal members share one int. Returns the
+    member reader and a check of the loaded groups: the table must be
+    exactly what serialize writes, each member bundle once, in order of
+    first use."""
 
     def member(i):
         if type(i) is not int or not 0 <= i < len(table):  # table[-1] would read
@@ -401,21 +406,53 @@ def _table_members(obj, decode):
     return member, check
 
 
-# per schema version: the codec of every bundle string and the reader of a
-# family's members; nothing else differs
+def _listed_table(obj, decode):
+    """v3: the table is a list of bundle strings in the version's codec."""
+    return _table_members([decode(text) for text in _json(obj["bundles"], list)])
+
+
+def _deflated_table(obj, decode):
+    """v4: the table is one string, canonical base64 of a zlib stream of
+    entries of ceil(n/8) little-endian bytes each (n was checked first).
+    The stream must end where the text does and hold no more entries than
+    the file has member indices; inflating stops one byte past that."""
+    blob = bitsets.decode_base64(_json(obj["bundles"], str))
+    if blob is None:
+        raise ValueError("the bundles table is not canonical base64")
+    width = (obj["n"] + 7) // 8
+    limit = sum(len(_json(f["members"], list))
+                for g in _json(obj["groups"], list) for f in _json(g["families"], list)) * width
+    stream = zlib.decompressobj()
+    try:
+        raw = stream.decompress(blob, limit + 1)  # max_length 0 would mean no limit
+    except zlib.error as exc:  # not a ValueError
+        raise ValueError(f"the bundles table does not inflate: {exc}") from None
+    if len(raw) > limit:
+        raise ValueError("the bundles table inflates to more entries than the file has members")
+    if not stream.eof or stream.unused_data:
+        raise ValueError("the bundles table's stream must end where its text does")
+    if len(raw) % width:
+        raise ValueError(f"the bundles table's length is not a multiple of {width} bytes")
+    return _table_members([int.from_bytes(raw[i:i + width], "little")
+                           for i in range(0, len(raw), width)])
+
+
+# per schema version: the codec of every inline bundle string and the
+# reader of a family's members; nothing else differs
 _FORMATS = {1: (bitsets.from_hex, _inline_members), 2: (bitsets.from_base64, _inline_members),
-            3: (bitsets.from_base64, _table_members)}
+            3: (bitsets.from_base64, _listed_table), 4: (bitsets.from_base64, _deflated_table)}
 
 
 def deserialize(text: str) -> Sketch:
     """Decode sketch JSON and hold it to the file contract; any fault
     raises SerializationError. Numbers must be JSON numbers, lists JSON
     lists and bundles strings in the version's codec: base64 as
-    `bitsets.to_base64` writes it (v2, v3), or hex (v1). A v3 member is an
-    int index into the "bundles" table, which must hold each member bundle
-    once, in order of first use; v1 and v2 members are inline strings, so
-    those files load to the same sketch and are saved as v3. k, leader, n
-    and schema_version are ints."""
+    `bitsets.to_base64` writes it (v2 to v4), or hex (v1). A v3 or v4
+    member is an int index into the "bundles" table, which must hold each
+    member bundle once, in order of first use: a list of base64 strings in
+    v3, one deflated string as serialize writes it in v4. v1 and v2
+    members are inline strings. Every version loads to the same sketch
+    and is saved as v4. k, leader, n and schema_version are ints."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

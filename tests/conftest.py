@@ -1,4 +1,6 @@
+import base64
 import json
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,12 +21,33 @@ class CorpusEntry:
     estimate: np.ndarray
 
 
+def table_bytes(payload):
+    """The inflated "bundles" table of a schema v4 payload."""
+    return zlib.decompress(base64.b64decode(payload["bundles"]))
+
+
+def table_entries(payload):
+    """The member bundles a schema v4 payload's table holds, in order."""
+    raw, width = table_bytes(payload), (payload["n"] + 7) // 8
+    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+
+
+def listed_payload(text):
+    """The payload of serialize's text in schema v3: the bundles table a
+    list of base64 strings, one per entry."""
+    payload = json.loads(text)
+    payload["bundles"] = list(map(bitsets.to_base64, table_entries(payload)))
+    payload["schema_version"] = 3
+    return payload
+
+
 def inline_payload(text, version, spell):
     """The payload of serialize's text in the inline layout of schema v1
     and v2: no bundles table, each member written in its family, and
     every bundle spelled by `spell`, under schema_version `version`."""
     payload = json.loads(text)
-    table = [bitsets.from_base64(b) for b in payload.pop("bundles")]
+    table = table_entries(payload)
+    del payload["bundles"]
     payload["schema_version"] = version
     for g in payload["groups"]:
         g["items"] = spell(bitsets.from_base64(g["items"]))

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import zlib
 
 import pytest
 
@@ -15,7 +16,7 @@ from valsketch import bitsets, cli
 from valsketch.cli import main
 from valsketch.instances import FAMILIES
 
-from conftest import inline_payload
+from conftest import inline_payload, listed_payload, table_bytes
 
 HUGE_ID = 10 ** 8
 
@@ -593,19 +594,22 @@ class TestPipelineChain:
             assert code == 2 and "error:" in err
 
     def test_eval_reads_bundles_in_the_codec_of_the_file_version(self, capsys, tmp_path):
-        """`sketch` writes schema v3; the same file in the inline layout, as
-        v1 with hex bundles and as v2 with base64 ones, loads and estimates
-        alike. Hex in a v2 file and base64 in a v1 file each exit 2 with
-        nothing printed: the version picks the codec."""
+        """`sketch` writes schema v4; the same file with a v3 list table,
+        and in the inline layout as v1 with hex bundles and as v2 with
+        base64 ones, loads and estimates alike. Hex in a v2 file and base64
+        in a v1 file each exit 2 with nothing printed: the version picks
+        the codec."""
         inst = tmp_path / "inst.json"
         sk = tmp_path / "sketch.json"
         run(capsys, "gen", "--family", "coverage", "--n", "6", "--seed", "2", "--out", str(inst))
         run(capsys, "sketch", "--instance", str(inst), "--pipeline", "submodular", "--out", str(sk))
         saved = sk.read_text()
-        assert json.loads(saved)["schema_version"] == 3
+        assert json.loads(saved)["schema_version"] == 4
         argv = ("eval", "--sketch", str(sk), "--bundle", "3f", "--bundle", "5")
         code, estimates, _ = run(capsys, *argv)
         assert code == 0
+        sk.write_text(json.dumps(listed_payload(saved)))
+        assert run(capsys, *argv) == (0, estimates, "")
         for version, spell in ((1, bitsets.to_hex), (2, bitsets.to_base64)):
             sk.write_text(json.dumps(inline_payload(saved, version, spell)))
             assert run(capsys, *argv) == (0, estimates, "")
@@ -629,6 +633,81 @@ class TestPipelineChain:
         code, out, err = run(capsys, "eval", "--sketch", str(sk), "--bundle", "3f")
         assert code == 2 and out == ""
         assert f"error: malformed sketch payload: member {index!r} is not an index" in err
+
+
+def _blob(raw, level=1):
+    """A v4 "bundles" string: raw deflated at `level`, in base64."""
+    return bitsets.encode_base64(zlib.compress(raw, level))
+
+
+def _flip(blob, i):
+    """blob with its i-th character replaced by another base64 character."""
+    return blob[:i] + ("A" if blob[i] != "A" else "B") + blob[i + 1:]
+
+
+#: 10 MB of zeros, deflated to a blob of 13 KB
+_FLOOD = _blob(bytes(10 ** 7), 9)
+
+
+class TestDeflatedTable:
+    """A v4 "bundles" table is canonical base64 of one zlib stream of
+    ceil(n/8)-byte entries; `eval` refuses every other table with exit 2,
+    nothing on stdout and a message that names the table or the fault."""
+
+    @pytest.mark.parametrize(
+        "n, rewrite, needle",
+        [
+            (6, lambda p, raw: _flip(p["bundles"], len(p["bundles"]) // 2), "the bundles table"),
+            (6, lambda p, raw: "-" + p["bundles"][1:], "is not canonical base64"),
+            (6, lambda p, raw: p["bundles"] + "\n", "is not canonical base64"),
+            (6, lambda p, raw: bitsets.encode_base64(zlib.compress(raw, 1)[:-1]),
+             "stream must end where its text does"),
+            (6, lambda p, raw: bitsets.encode_base64(zlib.compress(raw, 1) + b"\0"),
+             "stream must end where its text does"),
+            (12, lambda p, raw: _blob(raw[:-1]), "length is not a multiple of 2 bytes"),
+            (6, lambda p, raw: _FLOOD, "inflates to more entries than the file has members"),
+            (6, lambda p, raw: _blob(raw[:1] * 2 + raw[2:]), "each member bundle once"),
+            (6, lambda p, raw: _blob(bytes([raw[0] | 0x80]) + raw[1:]), "member leaves the group"),
+        ],
+        ids=["flipped", "not-base64", "newline", "truncated", "trailing-byte", "ragged",
+             "flood", "repeated-entry", "bit-past-n"],
+    )
+    def test_eval_refuses_a_broken_table(self, capsys, tmp_path, n, rewrite, needle):
+        sk = tmp_path / "sketch.json"
+        inst = tmp_path / "inst.json"
+        run(capsys, "gen", "--family", "coverage", "--n", str(n), "--seed", "2", "--out", str(inst))
+        run(capsys, "sketch", "--instance", str(inst), "--pipeline", "submodular", "--out", str(sk))
+        payload = json.loads(sk.read_text())
+        raw = table_bytes(payload)
+        assert len(raw) >= 2 * ((n + 7) // 8)  # two entries at least
+        payload["bundles"] = rewrite(payload, raw)
+        sk.write_text(json.dumps(payload))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "eval", "--sketch", str(sk), "--bundle", "3f")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == "" and err.startswith("error: ") and needle in err, err
+        assert peak < 1_000_000
+
+    def test_a_file_without_members_inflates_one_byte_at_most(self, capsys, tmp_path):
+        """With no member index in the file the table may hold no entry:
+        a tiny blob of 10 MB of zeros is refused after one inflated byte."""
+        sk = tmp_path / "sketch.json"
+        sk.write_text(json.dumps({
+            "schema_version": 4, "kind": "valuation-sketch", "n": 2, "singletons": [1.0, 1.0],
+            "bundles": _FLOOD, "groups": [], "build_queries": None}))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "eval", "--sketch", str(sk), "--bundle", "3")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == "" and peak < 1_000_000
+        assert "inflates to more entries than the file has members" in err
+        sk.write_text(sk.read_text().replace(_FLOOD, _blob(b"")))
+        assert run(capsys, "eval", "--sketch", str(sk), "--bundle", "3") == (0, "3 1\n", "")
 
 
 class TestBench:
@@ -665,7 +744,7 @@ class TestBench:
         pipeline = vs.get_pipeline("subadditive")
         oracle = vs.bench_instance("subadditive", 64).build(vs.QueryLedger())
         sketch = vs.build_sketch(oracle, pipeline.card, pipeline.xos)
-        assert code == 0 and int(row["sketch_bytes"]) == len(vs.serialize(sketch)) == 1858
+        assert code == 0 and int(row["sketch_bytes"]) == len(vs.serialize(sketch)) == 1748
 
     @pytest.mark.parametrize("pipeline", ["matroid", "submodular", "subadditive"])
     def test_smallest_ground_sets(self, capsys, pipeline):
@@ -683,6 +762,17 @@ class TestBench:
         code, out, err = run(capsys, "bench", "--pipeline", "subadditive", "--n", "2",
                              "--csv", str(tmp_path / "absent" / "rows.csv"))
         assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_unwritable_csv_costs_no_build(self, capsys, tmp_path, monkeypatch):
+        """The CSV file is opened before the first build, so a path that
+        cannot be written exits 2 before any sketch is built."""
+        calls = []
+        build = cli.build_sketch
+        monkeypatch.setattr(cli, "build_sketch", lambda *args: calls.append(args) or build(*args))
+        argv = ("bench", "--pipeline", "subadditive", "--n", "2", "--csv")
+        code, out, err = run(capsys, *argv, str(tmp_path / "absent" / "rows.csv"))
+        assert code == 2 and out == "" and err.startswith("error:") and calls == []
+        assert run(capsys, *argv, str(tmp_path / "rows.csv"))[0] == 0 and len(calls) == 1
 
 
 def test_module_entry_point(tmp_path):

@@ -2,13 +2,14 @@
 
 Each case takes a valid n = 6 instance file of one family, or the sketch
 built from it, and breaks it in one place: a key is deleted, a list gets
-one more entry, or a field is set to an odd JSON value. `sketch`,
-`verify` and `eval` then run on it in-process through `cli.main`. Each
-must exit 0 or 2, never raise; exit 1 ("verification failed") may come
-only from `verify`. The search is seeded (`derandomize`), writes nothing
-to the hypothesis database and caps each case's time; at n = 6 a case
-takes milliseconds, so a file that makes the program allocate without
-bound shows as a case over its deadline.
+one more entry, a field is set to an odd JSON value, or one character of
+the sketch's deflated member table is replaced or the table cut off
+there. `sketch`, `verify` and `eval` then run on it in-process through
+`cli.main`. Each must exit 0 or 2, never raise; exit 1 ("verification
+failed") may come only from `verify`. The search is seeded
+(`derandomize`), writes nothing to the hypothesis database and caps each
+case's time; at n = 6 a case takes milliseconds, so a file that makes
+the program allocate without bound shows as a case over its deadline.
 """
 
 import contextlib
@@ -36,6 +37,8 @@ PIPELINE = {
     "subadditive-table": "subadditive",
 }
 ODD_VALUES = [None, True, -1, 2.5, 1e308, 2 ** 70, "x", [], {}]
+# what replaces a character of the member table's base64; None cuts the table there
+BLOB_CHARS = [None, "A", "z", "/", "="]
 
 
 def _paths(obj, path=()):
@@ -55,11 +58,18 @@ def _paths(obj, path=()):
 
 @st.composite
 def mutations(draw, doc):
-    """One of: delete the entry at a path, append an entry to a list, or
-    set the entry at a path to an odd value."""
+    """One of: delete the entry at a path, append an entry to a list, set
+    the entry at a path to an odd value, or, in a sketch file, replace one
+    character of the "bundles" blob or cut the blob off before it."""
     paths = list(_paths(doc))
     lists = [p for p in paths if isinstance(_at(doc, p), list)]
-    kind = draw(st.sampled_from(["delete", "append", "set"] if lists else ["delete", "set"]))
+    kinds = ["delete", "append", "set"] if lists else ["delete", "set"]
+    if isinstance(doc.get("bundles"), str):
+        kinds.append("blob")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "blob":
+        at = draw(st.integers(0, len(doc["bundles"]) - 1))
+        return kind, ("bundles",), (at, draw(st.sampled_from(BLOB_CHARS)))
     path = draw(st.sampled_from(lists if kind == "append" else paths[1:]))
     return kind, path, None if kind == "delete" else draw(st.sampled_from(ODD_VALUES))
 
@@ -73,7 +83,11 @@ def _at(doc, path):
 def _mutated(text, mutation):
     doc = json.loads(text)
     kind, path, value = mutation
-    if kind == "append":
+    if kind == "blob":
+        at, char = value
+        blob = doc["bundles"]
+        doc["bundles"] = blob[:at] if char is None else blob[:at] + char + blob[at + 1:]
+    elif kind == "append":
         _at(doc, path).append(value)
     elif kind == "delete":
         del _at(doc, path[:-1])[path[-1]]

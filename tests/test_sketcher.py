@@ -12,6 +12,7 @@ import json
 import math
 import pathlib
 import random
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -26,7 +27,7 @@ from valsketch.errors import SerializationError
 from valsketch.sketch import GridParams, _estimates, well_bounded_partition
 from valsketch.valuations import OracleView
 
-from conftest import build_and_check, inline_payload
+from conftest import build_and_check, inline_payload, listed_payload, table_bytes, table_entries
 from reference import brute_force
 
 seeds = st.integers(min_value=0, max_value=2_000)
@@ -48,12 +49,14 @@ def _build_recipe(name, family, n, params):
 
 
 #: the n = 64 subadditive bench sketch at seed 0, as the schema v1 serializer
-#: wrote it (bundles in lowercase hex, each member inline) and as the schema
-#: v2 serializer wrote it (bundles in base64, each member inline)
+#: wrote it (bundles in lowercase hex, each member inline), as the schema v2
+#: serializer wrote it (bundles in base64, each member inline) and as the
+#: schema v3 serializer wrote it (a list of base64 bundles, members indexing it)
 V1_FILE = pathlib.Path(__file__).parent / "data" / "subadditive-64.v1.json"
 V2_FILE = pathlib.Path(__file__).parent / "data" / "subadditive-64.v2.json"
-#: the payload digest of that sketch, in its v3 form, as TestPinnedOutput pins it
-SUBADDITIVE_64_DIGEST = "e1f6a9727fdf6301761d3b54913e9adc194a17b36d1cbeec0d77bd2656fec637"
+V3_FILE = pathlib.Path(__file__).parent / "data" / "subadditive-64.v3.json"
+#: the payload digest of that sketch, in its v4 form, as TestPinnedOutput pins it
+SUBADDITIVE_64_DIGEST = "4b4675cea1d16dbbdc310c3d8e5f153d16549ee97d96c539cf22fd59103994b3"
 
 
 def _loop_estimate(sketch, bundle):
@@ -384,9 +387,9 @@ class TestSerialization:
     def test_loaded_spellings_save_in_canonical_form(self):
         """A file need not be canonical to load: an indented schema v1 copy
         with uppercase hex loads, and serialize writes it back canonically:
-        compact schema v3, the bundles table, base64 bundles, each float the
-        shortest text that reads back as the same float. The loaded sketch
-        is the saved one."""
+        compact schema v4, the deflated bundles table, base64 items, each
+        float the shortest text that reads back as the same float. The
+        loaded sketch is the saved one."""
         oracle = vs.generate_instance("coverage", 8, 3).build(vs.QueryLedger())
         pipeline = vs.get_pipeline("submodular")
         text = vs.serialize(vs.build_sketch(oracle, pipeline.card, pipeline.xos))
@@ -397,7 +400,7 @@ class TestSerialization:
     @staticmethod
     def assert_old_file_loads_as_built(path, version):
         """A file an older serializer wrote loads to the sketch a fresh build
-        makes, estimates like it bit for bit, and is saved as v3, with the
+        makes, estimates like it bit for bit, and is saved as v4, with the
         digest TestPinnedOutput pins for the build."""
         pipeline = vs.get_pipeline("subadditive")
         oracle = vs.bench_instance("subadditive", 64).build(vs.QueryLedger())
@@ -408,7 +411,7 @@ class TestSerialization:
         bundles = _sampled_bundles(built, 600, random.Random(0))
         assert [vs.evaluate(loaded, b) for b in bundles] == [vs.evaluate(built, b) for b in bundles]
         text = vs.serialize(loaded)
-        assert text == vs.serialize(built) and json.loads(text)["schema_version"] == 3
+        assert text == vs.serialize(built) and json.loads(text)["schema_version"] == 4
         assert _payload_digest(loaded) == SUBADDITIVE_64_DIGEST
 
     def test_v1_file_loads_as_the_built_sketch(self):
@@ -417,16 +420,33 @@ class TestSerialization:
     def test_v2_file_loads_as_the_built_sketch(self):
         self.assert_old_file_loads_as_built(V2_FILE, 2)
 
+    def test_v3_file_loads_as_the_built_sketch(self):
+        self.assert_old_file_loads_as_built(V3_FILE, 3)
+
     def test_v1_spellings_of_the_corpus_load_as_built(self, corpus):
         """The version picks the bundle codec and the member reader and
         nothing else: each corpus sketch written in the inline layout, as v1
-        with hex bundles and as v2 with base64 ones, loads to the same
-        sketch as its v3 text."""
+        with hex bundles and as v2 with base64 ones, and as v3 with a list
+        table, loads to the same sketch as its v4 text."""
         for entry in corpus:
             text = vs.serialize(entry.sketch)
             for version, spell in ((1, bitsets.to_hex), (2, bitsets.to_base64)):
                 old = json.dumps(inline_payload(text, version, spell))
                 assert vs.deserialize(old) == entry.sketch
+            assert vs.deserialize(json.dumps(listed_payload(text))) == entry.sketch
+
+    @pytest.mark.parametrize("level", [0, 9])
+    def test_any_deflate_level_loads_and_saves_at_level_1(self, level):
+        """The table's stream is read whatever level wrote it: the same
+        entries deflated at level 0 or 9 load to the same sketch, which is
+        saved back in the canonical form."""
+        sketch, text = self.roundtrip()
+        payload = json.loads(text)
+        payload["bundles"] = bitsets.encode_base64(zlib.compress(table_bytes(payload), level))
+        spelled = json.dumps(payload, separators=(",", ":"))
+        assert spelled != text
+        assert vs.deserialize(spelled) == sketch
+        assert vs.serialize(vs.deserialize(spelled)) == text
 
     def test_build_queries_survive(self):
         sketch, text = self.roundtrip()
@@ -463,11 +483,12 @@ class TestSerialization:
 
     def test_accepts_minimal_v3_payloads(self):
         """The v3 payloads test_rejects_malformed_payloads breaks load, and
-        serialize writes their tables back as they are."""
+        serialize writes their tables back with the same entries in v4."""
         for overrides in (_v3([0]), _v3([0, 1], bundles=("AQ==", "Ag==")),
                           _v3([0], [0]), _v3([0], [1, 0], bundles=("Ag==", "AQ=="))):
             sketch = vs.deserialize(self._payload(**overrides))
-            assert json.loads(vs.serialize(sketch))["bundles"] == overrides["bundles"]
+            table = table_entries(json.loads(vs.serialize(sketch)))
+            assert table == list(map(bitsets.from_base64, overrides["bundles"]))
         first, second = sketch.groups[0].families
         assert first.members == [0b10] and second.members == [0b01, 0b10]
 
@@ -475,7 +496,7 @@ class TestSerialization:
         """The table is decoded once: a loaded sketch holds one int per
         distinct member bundle, however many families store it."""
         text = vs.serialize(vs.load_sketch(str(V2_FILE)))
-        table = json.loads(text)["bundles"]
+        table = table_entries(json.loads(text))
         members = [m for g in vs.deserialize(text).groups for f in g.families for m in f.members]
         assert len(set(map(id, members))) == len(set(members)) == len(table) < len(members)
 
@@ -528,7 +549,7 @@ class TestSerialization:
             {"build_queries": {"value_queries": float("nan"), "demand_queries": 0}},
             {"build_queries": {"value_queries": 1}},
             {"build_queries": {"value_queries": 1, "demand_queries": 0, "extra": 0}},
-            {"schema_version": 4},
+            {"schema_version": 5},
             {"schema_version": 0},
             {"schema_version": 2.0},
             # the v3 bundles table: an index must be an int, 0 <= i < its
@@ -546,6 +567,7 @@ class TestSerialization:
             {key: value for key, value in _v3([0]).items() if key != "bundles"},
             _v3(["AQ=="]),  # a v3 member written inline
             {**_v3([0]), "schema_version": 2},  # a v2 member given as an index
+            {**_v3([0]), "schema_version": 4},  # a v4 table given as a list
         ],
     )
     def test_rejects_malformed_payloads(self, breakage):
@@ -1011,11 +1033,14 @@ BOUNDARY_WEIGHTS = [1.0, 1.0, 2.0, 2.0, 2.0 * (1 - _TOL / 2), 2.0 * (1 - _TOL),
 class TestPinnedOutput:
     """What the builds make, what they cost and, for the perfbench
     recipes, the order of their root questions. The digests cover the
-    payload without build_queries, so they move only when a sketch does;
-    a change that moves one must say why and re-record it here; last when
-    schema v3 began to write each distinct member bundle once, in a table
-    the families index, which moved every digest with the same sketches
-    (v1 and v2 files still load to each). The
+    payload without build_queries, so they move only when a sketch does,
+    or the file format; a change that moves one must say why and re-record
+    it here; last when schema v4 began to write the member table as one
+    deflated stream, which moved every digest with the same sketches (v1,
+    v2 and v3 files still load to each). That stream is the level-1
+    deflate of the running zlib (these were recorded with zlib 1.2.13):
+    another implementation, such as zlib-ng, may write other bytes, which
+    load to the same sketch, so there only these digests move. The
     totals are re-recorded whenever the builds ask fewer questions:
     last when the matroid maximizer began to gallop to each augmenting
     item and drop the spanned items it passes for good."""
@@ -1024,9 +1049,9 @@ class TestPinnedOutput:
         "name, n, digest, totals",
         [
             ("matroid", 64,
-             "8e903401b7bf8dff96a0ae6bc35dbecfd659adba8499ee8d9f45c249356baffe", (243, 0)),
+             "a23785d190fcd2888d104dfae94ae1e2a56add42261b1918dc7e7c328c441ce2", (243, 0)),
             ("submodular", 64,
-             "2b24bbbe59ae9514a293f2567a35fe85079912cd745602457ad18d4d6d77a190", (691, 0)),
+             "1def5c6582e780c6b0581e70dba4aa1b8b7083df8d9d765fdcd3a053bf97c2c3", (691, 0)),
             ("subadditive", 64, SUBADDITIVE_64_DIGEST, (78, 105)),
         ],
         # fixed ids, so re-recording a digest keeps the test names
@@ -1042,9 +1067,9 @@ class TestPinnedOutput:
     @pytest.mark.parametrize(
         "recipe, digest, totals",
         zip(PERFBENCH_RECIPES, [
-            "a015ce76122bb81fdc3137d66ff294a40736d61392528d57e882d5413ca148d2",
-            "6a0da1b64a9f653966840a28de4cc573d795f5752fcb31fe455f47d7970baa74",
-            "a24b3a0fe7f1cac4ae6d13665bb2b7e54107091c3876684268a5162125141cfe",
+            "45cc3f486203502b72517f5fb621cd4fbe87cadb944c27241926d657ce7cfd92",
+            "5137f21dec39eee90a243912a67427bd2f04949f83e55e76318ba32f3300f7f8",
+            "2a270b8aa1778010ddfd213808d895897e9e5f3a2b3e3682d9dc7ebd36847374",
         ], [(3055, 0), (8864, 0), (2309, 1302)]),
         ids=["matroid-value", "coverage-greedy", "xos-demand"],
     )
@@ -1089,17 +1114,17 @@ class TestPinnedOutput:
         "name, base, n, groups, digest, totals",
         [
             ("submodular", 4, 8, 8,
-             "c870f8b19596c3cc52b1f44033a845c8f3b5504c5329d3037b1821e992ea0668", (37, 0)),
+             "f1b76b1451a64a0cee8b3be04dd493aeab87ed7046057a01a96a006d53233d1f", (37, 0)),
             ("submodular", 4, 12, 6,
-             "d577af239a074f2c4528927da12322bf3611448624ab6f58ab967e7a43f27133", (38, 0)),
+             "969a442af30ed001e87b17a2ff8dd7dd94aa672550b031d17cab20ab0dfe2e61", (38, 0)),
             ("submodular", 4, 16, 8,
-             "e48a0ad7ecc36600c0116429309860d7ec47488432ae3732f05cd910cc45a2ae", (64, 0)),
+             "abf9ded47bd630f71fc356e0f97cc61cec32f874c6f002ac289f4abfc74e2d8e", (64, 0)),
             ("subadditive", 3, 8, 4,
-             "9787543b33f24c84c44041f3a9f0683f53365d06d2d3ea29101953977cc549e0", (21, 97)),
+             "5f81e745e7bc5a071b580c6c025eec153ba355dfb1547df98548bea8111d79bf", (21, 97)),
             ("subadditive", 3, 12, 6,
-             "27446a0e5190ed627c67603a18045e1f6adaf7873c3b735a733e1da43158a176", (41, 203)),
+             "e835d7fb730e38de31b201def76789664919476fc194a6712fd5ea55baf89213", (41, 203)),
             ("subadditive", 3, 16, 8,
-             "2d61eeaad2cd324a278f7d0ad4d9a68ca65cc39ff30793a188f637d39c6e8b5c", (69, 357)),
+             "ff5d8772f2485ed2c05d152c3d4c129d8db002910a7d1325a8745a4479008ca1", (69, 357)),
         ],
         ids=["submodular-4j-8", "submodular-4j-12", "submodular-4j-16",
              "subadditive-3j-8", "subadditive-3j-12", "subadditive-3j-16"],
@@ -1117,13 +1142,13 @@ class TestPinnedOutput:
     def test_corpus_payloads(self, corpus):
         assert len(corpus) == 201
         digest = _payload_digest(*(entry.sketch for entry in corpus))
-        assert digest == "417be9fddacca968578585d36afecc8dbd16538d1f04ea5dc1e5db6b0e034fe5"
+        assert digest == "2881500d26c660b29918c01bf4649b26d11d8a9f09b9f371bd094b48f0a9ac86"
 
     @pytest.mark.parametrize(
         "name, digest",
         [
-            ("submodular", "07d867fcf1dfab3ab35bbf6b3599ef6b90c8fff3942b7013e134fa219a2ca538"),
-            ("subadditive", "2ab93ef70064350489dc0a393daa5ab860f1974cb6cba543f99f01122f2f88fb"),
+            ("submodular", "b8cafc4df4201586de18578ab4120c0d9e69faefea239c5b88dbd662e21fc066"),
+            ("subadditive", "e88876c5912498684152388be58a04a2c901e6c3d89f4babf1a27627c8800b5c"),
         ],
         ids=["submodular", "subadditive"],
     )
