@@ -159,10 +159,13 @@ def _bench_row(name: str, n: int, seed: int) -> dict:
 def cmd_bench(args) -> int:
     header = ["n", "value_queries", "demand_queries", "sketch_bytes", "wall_ms"]
     # the file is opened before the first build and the table printed after
-    # the last, so a path that cannot be written costs no build and prints nothing
-    with open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext() as fh:
+    # the last, so a path that cannot be written costs no build and prints
+    # nothing; it is opened to append and emptied only once every row is
+    # built, so a failed build leaves an existing file as it was
+    with open(args.csv, "a", newline="") if args.csv else contextlib.nullcontext() as fh:
         rows = [_bench_row(args.pipeline, n, args.seed) for n in args.n]
         if fh:
+            fh.truncate(0)
             writer = csv.DictWriter(fh, fieldnames=header)
             writer.writeheader()
             writer.writerows(rows)

@@ -32,6 +32,10 @@ from .errors import CapabilityError, ScaleError, SerializationError
 from .valuations import RELATIVE_TOL, OracleView, ValuationOracle, meets
 
 SCHEMA_VERSION = 4
+# a v4 table inflates to at most this many bytes per character of its file,
+# so what a load holds grows in step with the text (the matroid bench sketch
+# reaches 10.4 at n = 65,536, the largest ground set an instance may have)
+INFLATE_PER_CHAR = 64
 EVAL_CHUNK = 1024  # bundles per kernel call in evaluate_all
 
 
@@ -336,7 +340,9 @@ def serialize(sketch: Sketch) -> str:
     The table is one string: `bitsets.encode_base64` of the level-1 zlib
     stream of its entries, each ceil(n/8) little-endian bytes. A group's
     "items" are written inline, as `bitsets.to_base64` writes them. Raises
-    SerializationError if the sketch breaks the file contract. Empty
+    SerializationError if the sketch breaks the file contract, or if its
+    table would inflate to more than INFLATE_PER_CHAR bytes per character
+    of the text, which deserialize refuses. Empty
     families are left out. Each float is written as json.dumps writes it,
     the shortest text that reads back as the same float, so deserialize
     gives back the sketch field by field."""
@@ -371,7 +377,11 @@ def serialize(sketch: Sketch) -> str:
         "groups": groups,
         "build_queries": sketch.build_queries,
     }
-    return json.dumps(payload, separators=(",", ":"))
+    text = json.dumps(payload, separators=(",", ":"))
+    if len(table) > INFLATE_PER_CHAR * len(text):
+        raise SerializationError(f"the bundles table inflates to more than {INFLATE_PER_CHAR} "
+                                 "bytes per character of the file")
+    return text
 
 
 def _json(value, *types):
@@ -381,7 +391,7 @@ def _json(value, *types):
     return value
 
 
-def _inline_members(obj, decode):
+def _inline_members(obj, decode, size):
     """v1 and v2: each member is a bundle string in the version's codec."""
     return decode, lambda groups: None
 
@@ -406,29 +416,35 @@ def _table_members(table):
     return member, check
 
 
-def _listed_table(obj, decode):
+def _listed_table(obj, decode, size):
     """v3: the table is a list of bundle strings in the version's codec."""
     return _table_members([decode(text) for text in _json(obj["bundles"], list)])
 
 
-def _deflated_table(obj, decode):
+def _deflated_table(obj, decode, size):
     """v4: the table is one string, canonical base64 of a zlib stream of
-    entries of ceil(n/8) little-endian bytes each (n was checked first).
-    The stream must end where the text does and hold no more entries than
-    the file has member indices; inflating stops one byte past that."""
+    entries of ceil(n/8) little-endian bytes each (n was checked against
+    the singletons first, so the text bounds the width). The stream must
+    end where the text does and hold no more entries than the file has
+    member indices, in at most INFLATE_PER_CHAR bytes per character of the
+    file (`size`); inflating stops one byte past the lesser bound."""
     blob = bitsets.decode_base64(_json(obj["bundles"], str))
     if blob is None:
         raise ValueError("the bundles table is not canonical base64")
     width = (obj["n"] + 7) // 8
-    limit = sum(len(_json(f["members"], list))
-                for g in _json(obj["groups"], list) for f in _json(g["families"], list)) * width
+    indices = sum(len(_json(f["members"], list))
+                  for g in _json(obj["groups"], list) for f in _json(g["families"], list))
+    limit = min(indices * width, INFLATE_PER_CHAR * size)
     stream = zlib.decompressobj()
     try:
         raw = stream.decompress(blob, limit + 1)  # max_length 0 would mean no limit
     except zlib.error as exc:  # not a ValueError
         raise ValueError(f"the bundles table does not inflate: {exc}") from None
-    if len(raw) > limit:
+    if len(raw) > indices * width:
         raise ValueError("the bundles table inflates to more entries than the file has members")
+    if len(raw) > limit:
+        raise ValueError(f"the bundles table inflates to more than {INFLATE_PER_CHAR} bytes "
+                         "per character of the file")
     if not stream.eof or stream.unused_data:
         raise ValueError("the bundles table's stream must end where its text does")
     if len(raw) % width:
@@ -450,7 +466,9 @@ def deserialize(text: str) -> Sketch:
     `bitsets.to_base64` writes it (v2 to v4), or hex (v1). A v3 or v4
     member is an int index into the "bundles" table, which must hold each
     member bundle once, in order of first use: a list of base64 strings in
-    v3, one deflated string as serialize writes it in v4. v1 and v2
+    v3, one deflated string as serialize writes it in v4, which may
+    inflate to at most INFLATE_PER_CHAR bytes per character of `text`
+    (n is checked against the singletons first). v1 and v2
     members are inline strings. Every version loads to the same sketch
     and is saved as v4. k, leader, n and schema_version are ints."""
     try:
@@ -466,8 +484,11 @@ def deserialize(text: str) -> Sketch:
     if type(n) is not int or n < 1:
         raise SerializationError("bad ground set size")
     try:
+        singletons = _json(obj["singletons"], list)
+        if len(singletons) != n:  # before the members, whose v4 width n sets
+            raise ValueError("singleton list length must equal n")
         decode, read_members = _FORMATS[version]
-        member, check_members = read_members(obj, decode)
+        member, check_members = read_members(obj, decode, len(text))
         groups = [
             SketchGroup(
                 g["leader"],
@@ -484,7 +505,6 @@ def deserialize(text: str) -> Sketch:
             for g in _json(obj["groups"], list)
         ]
         check_members(groups)
-        singletons = _json(obj["singletons"], list)
         if not set(map(type, singletons)) <= {int, float}:
             raise TypeError("singletons must be JSON numbers")
         sketch = Sketch(n, list(map(float, singletons)), groups, obj.get("build_queries"))

@@ -15,6 +15,7 @@ import valsketch as vs
 from valsketch import bitsets, cli
 from valsketch.cli import main
 from valsketch.instances import FAMILIES
+from valsketch.sketch import INFLATE_PER_CHAR
 
 from conftest import inline_payload, listed_payload, table_bytes
 
@@ -710,6 +711,43 @@ class TestDeflatedTable:
         assert run(capsys, "eval", "--sketch", str(sk), "--bundle", "3") == (0, "3 1\n", "")
 
 
+    @staticmethod
+    def refused_flood(capsys, tmp_path, n, members, raw):
+        """Run eval on a v4 file of n items, one group and family whose
+        member indices are `members`, and a table deflated from `raw`.
+        Returns its stderr, the length of its text and the traced peak."""
+        group = {"leader": 0, "items": "AQ==", "scale": 1.0, "alpha": 1.0, "beta": 1.0,
+                 "families": [{"k": 1, "r": 1.0, "members": members}]}
+        sk = tmp_path / "sketch.json"
+        sk.write_text(json.dumps({
+            "schema_version": 4, "kind": "valuation-sketch", "n": n, "singletons": [0] * min(n, 4096),
+            "bundles": _blob(raw, 9), "groups": [group], "build_queries": None}))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "eval", "--sketch", str(sk), "--bundle", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == "" and err.startswith("error: ")
+        return err, len(sk.read_text()), peak
+
+    def test_a_wide_ground_set_is_refused_before_the_table(self, capsys, tmp_path):
+        """n sets each entry's width, so it is held to the singletons, which
+        the text holds, before the table inflates: one member at n = 2^26
+        (8 MB entries) and a 10 KB blob are refused without inflating."""
+        err, _, peak = self.refused_flood(capsys, tmp_path, 2 ** 26, [0], bytes(2 ** 23))
+        assert "singleton list length must equal n" in err and peak < 1_000_000
+
+    def test_many_members_inflate_in_step_with_the_text(self, capsys, tmp_path):
+        """20,000 member indices at n = 4,096 would allow a 10 MB table; it
+        may inflate to INFLATE_PER_CHAR bytes per character of the file at
+        most, and the traced peak stays within a small multiple of that."""
+        err, size, peak = self.refused_flood(capsys, tmp_path, 4096, [0] * 20_000,
+                                             bytes(20_000 * 512))
+        assert f"more than {INFLATE_PER_CHAR} bytes per character of the file" in err
+        assert peak < 3 * INFLATE_PER_CHAR * size
+
+
 class TestBench:
     def test_stdout_table_and_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "rows.csv"
@@ -743,8 +781,13 @@ class TestBench:
         row = dict(zip(*(line.split(",") for line in text.strip().splitlines())))
         pipeline = vs.get_pipeline("subadditive")
         oracle = vs.bench_instance("subadditive", 64).build(vs.QueryLedger())
-        sketch = vs.build_sketch(oracle, pipeline.card, pipeline.xos)
-        assert code == 0 and int(row["sketch_bytes"]) == len(vs.serialize(sketch)) == 1748
+        text = vs.serialize(vs.build_sketch(oracle, pipeline.card, pipeline.xos))
+        assert code == 0 and int(row["sketch_bytes"]) == len(text)
+        # no zlib changes the bytes outside the deflated table; stock zlib
+        # (1.2.13) writes 1,748 B in all, zlib-ng may deflate to other bytes
+        assert len(text) - len(json.loads(text)["bundles"]) == 1636
+        if "zlib-ng" not in zlib.ZLIB_RUNTIME_VERSION:
+            assert len(text) == 1748
 
     @pytest.mark.parametrize("pipeline", ["matroid", "submodular", "subadditive"])
     def test_smallest_ground_sets(self, capsys, pipeline):
@@ -773,6 +816,19 @@ class TestBench:
         code, out, err = run(capsys, *argv, str(tmp_path / "absent" / "rows.csv"))
         assert code == 2 and out == "" and err.startswith("error:") and calls == []
         assert run(capsys, *argv, str(tmp_path / "rows.csv"))[0] == 0 and len(calls) == 1
+
+    def test_failed_bench_leaves_an_existing_csv_as_it_was(self, capsys, tmp_path):
+        """The CSV is emptied only once every row is built: a size the
+        generator refuses exits 2 and leaves the file as it was, and a run
+        that succeeds replaces it."""
+        path = tmp_path / "rows.csv"
+        path.write_text("kept\n")
+        code, out, err = run(capsys, "bench", "--pipeline", "submodular", "--n", "2",
+                             "--n", "65537", "--csv", str(path))
+        assert code == 2 and out == "" and "n must lie in 1..65536" in err
+        assert path.read_text() == "kept\n"
+        code, out, _ = run(capsys, "bench", "--pipeline", "submodular", "--n", "2", "--csv", str(path))
+        assert code == 0 and path.read_text().replace("\r\n", "\n") == out
 
 
 def test_module_entry_point(tmp_path):

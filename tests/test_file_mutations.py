@@ -4,7 +4,7 @@ Each case takes a valid n = 6 instance file of one family, or the sketch
 built from it, and breaks it in one place: a key is deleted, a list gets
 one more entry, a field is set to an odd JSON value, or one character of
 the sketch's deflated member table is replaced or the table cut off
-there. `sketch`, `verify` and `eval` then run on it in-process through
+there (a search of its own, so the other kinds keep their draws). `sketch`, `verify` and `eval` then run on it in-process through
 `cli.main`. Each must exit 0 or 2, never raise; exit 1 ("verification
 failed") may come only from `verify`. The search is seeded
 (`derandomize`), writes nothing to the hypothesis database and caps each
@@ -58,20 +58,21 @@ def _paths(obj, path=()):
 
 @st.composite
 def mutations(draw, doc):
-    """One of: delete the entry at a path, append an entry to a list, set
-    the entry at a path to an odd value, or, in a sketch file, replace one
-    character of the "bundles" blob or cut the blob off before it."""
+    """One of: delete the entry at a path, append an entry to a list, or
+    set the entry at a path to an odd value."""
     paths = list(_paths(doc))
     lists = [p for p in paths if isinstance(_at(doc, p), list)]
-    kinds = ["delete", "append", "set"] if lists else ["delete", "set"]
-    if isinstance(doc.get("bundles"), str):
-        kinds.append("blob")
-    kind = draw(st.sampled_from(kinds))
-    if kind == "blob":
-        at = draw(st.integers(0, len(doc["bundles"]) - 1))
-        return kind, ("bundles",), (at, draw(st.sampled_from(BLOB_CHARS)))
+    kind = draw(st.sampled_from(["delete", "append", "set"] if lists else ["delete", "set"]))
     path = draw(st.sampled_from(lists if kind == "append" else paths[1:]))
     return kind, path, None if kind == "delete" else draw(st.sampled_from(ODD_VALUES))
+
+
+@st.composite
+def blob_mutations(draw, doc):
+    """Replace one character of a sketch file's "bundles" blob, or cut the
+    blob off before it."""
+    at = draw(st.integers(0, len(doc["bundles"]) - 1))
+    return "blob", ("bundles",), (at, draw(st.sampled_from(BLOB_CHARS)))
 
 
 def _at(doc, path):
@@ -145,17 +146,27 @@ def test_a_mutated_instance_file_exits_0_or_2(files, family, data):
         _check(argv)
 
 
-# a sketch file has more fields than an instance file, and its cases run faster
-@pytest.mark.parametrize("family", FAMILIES)
-@cases(100)
-@given(data=st.data())
-def test_a_mutated_sketch_file_exits_0_or_2(files, family, data):
+def _check_sketch(files, family, mutation):
     root, out = files
     inst, _, sketch_text = out[family]
-    mutation = data.draw(mutations(json.loads(sketch_text)))
     bad = root / "bad.sketch.json"
     bad.write_text(_mutated(sketch_text, mutation))
     for argv in (("eval", "--sketch", str(bad), "--bundle", FULL, "--bundle", "1"),
                  ("verify", "--instance", str(inst), "--pipeline", PIPELINE[family],
                   "--sketch", str(bad))):
         _check(argv)
+
+
+# a sketch file has more fields than an instance file, and its cases run faster
+@pytest.mark.parametrize("family", FAMILIES)
+@cases(100)
+@given(data=st.data())
+def test_a_mutated_sketch_file_exits_0_or_2(files, family, data):
+    _check_sketch(files, family, data.draw(mutations(json.loads(files[1][family][2]))))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@cases(40)
+@given(data=st.data())
+def test_a_broken_table_blob_exits_0_or_2(files, family, data):
+    _check_sketch(files, family, data.draw(blob_mutations(json.loads(files[1][family][2]))))

@@ -55,8 +55,8 @@ def _build_recipe(name, family, n, params):
 V1_FILE = pathlib.Path(__file__).parent / "data" / "subadditive-64.v1.json"
 V2_FILE = pathlib.Path(__file__).parent / "data" / "subadditive-64.v2.json"
 V3_FILE = pathlib.Path(__file__).parent / "data" / "subadditive-64.v3.json"
-#: the payload digest of that sketch, in its v4 form, as TestPinnedOutput pins it
-SUBADDITIVE_64_DIGEST = "4b4675cea1d16dbbdc310c3d8e5f153d16549ee97d96c539cf22fd59103994b3"
+#: the payload digest of that sketch, as TestPinnedOutput pins it
+SUBADDITIVE_64_DIGEST = "e1f6a9727fdf6301761d3b54913e9adc194a17b36d1cbeec0d77bd2656fec637"
 
 
 def _loop_estimate(sketch, bundle):
@@ -447,6 +447,24 @@ class TestSerialization:
         assert spelled != text
         assert vs.deserialize(spelled) == sketch
         assert vs.serialize(vs.deserialize(spelled)) == text
+
+    def test_save_and_load_share_the_inflate_bound(self, monkeypatch):
+        """A table may inflate to at most INFLATE_PER_CHAR bytes per
+        character of its file. serialize refuses a sketch whose table would
+        not, so every saved file loads; a file written under a looser bound
+        is refused on load."""
+        oracle = vs.bench_instance("matroid", 1024).build(vs.QueryLedger())
+        pipeline = vs.get_pipeline("matroid")
+        sketch = vs.build_sketch(oracle, pipeline.card, pipeline.xos)
+        text = vs.serialize(sketch)
+        assert len(text) < len(table_bytes(json.loads(text))) < 2 * len(text)
+        monkeypatch.setattr(sketch_module, "INFLATE_PER_CHAR", 1)
+        with pytest.raises(SerializationError, match="more than 1 bytes per character"):
+            vs.serialize(sketch)
+        with pytest.raises(SerializationError, match="more than 1 bytes per character"):
+            vs.deserialize(text)
+        monkeypatch.setattr(sketch_module, "INFLATE_PER_CHAR", 2)
+        assert vs.deserialize(text) == sketch and vs.serialize(sketch) == text
 
     def test_build_queries_survive(self):
         sketch, text = self.roundtrip()
@@ -1014,9 +1032,12 @@ def test_demand_grid_splits_each_response_once_per_call(monkeypatch):
 
 
 def _payload_digest(*sketches):
-    """sha256 of the serialized sketches without build_queries, one per line:
-    what was built, whatever it cost in queries."""
-    texts = [vs.serialize(dataclasses.replace(s, build_queries=None)) for s in sketches]
+    """sha256 of the serialized sketches without build_queries, one per line,
+    each in the schema v3 layout whose table lists every entry in base64
+    (`listed_payload`): what was built, whatever it cost in queries, and
+    not which zlib deflated the table."""
+    texts = [json.dumps(listed_payload(vs.serialize(dataclasses.replace(s, build_queries=None))),
+                        separators=(",", ":")) for s in sketches]
     return hashlib.sha256("\n".join(texts).encode()).hexdigest()
 
 
@@ -1033,14 +1054,13 @@ BOUNDARY_WEIGHTS = [1.0, 1.0, 2.0, 2.0, 2.0 * (1 - _TOL / 2), 2.0 * (1 - _TOL),
 class TestPinnedOutput:
     """What the builds make, what they cost and, for the perfbench
     recipes, the order of their root questions. The digests cover the
-    payload without build_queries, so they move only when a sketch does,
-    or the file format; a change that moves one must say why and re-record
-    it here; last when schema v4 began to write the member table as one
-    deflated stream, which moved every digest with the same sketches (v1,
-    v2 and v3 files still load to each). That stream is the level-1
-    deflate of the running zlib (these were recorded with zlib 1.2.13):
-    another implementation, such as zlib-ng, may write other bytes, which
-    load to the same sketch, so there only these digests move. The
+    payload without build_queries, in the schema v3 layout, so they move
+    only when a sketch does, or the layout; a change that moves one must
+    say why and re-record it here; last when schema v3 began to write each
+    member bundle once in a table. Schema v4 deflates that table, with the
+    level-1 deflate of the running zlib; another implementation, such as
+    zlib-ng, may write other bytes that load to the same sketch, so the
+    digests hash the table inflated and listed as v3 wrote it. The
     totals are re-recorded whenever the builds ask fewer questions:
     last when the matroid maximizer began to gallop to each augmenting
     item and drop the spanned items it passes for good."""
@@ -1049,9 +1069,9 @@ class TestPinnedOutput:
         "name, n, digest, totals",
         [
             ("matroid", 64,
-             "a23785d190fcd2888d104dfae94ae1e2a56add42261b1918dc7e7c328c441ce2", (243, 0)),
+             "8e903401b7bf8dff96a0ae6bc35dbecfd659adba8499ee8d9f45c249356baffe", (243, 0)),
             ("submodular", 64,
-             "1def5c6582e780c6b0581e70dba4aa1b8b7083df8d9d765fdcd3a053bf97c2c3", (691, 0)),
+             "2b24bbbe59ae9514a293f2567a35fe85079912cd745602457ad18d4d6d77a190", (691, 0)),
             ("subadditive", 64, SUBADDITIVE_64_DIGEST, (78, 105)),
         ],
         # fixed ids, so re-recording a digest keeps the test names
@@ -1067,9 +1087,9 @@ class TestPinnedOutput:
     @pytest.mark.parametrize(
         "recipe, digest, totals",
         zip(PERFBENCH_RECIPES, [
-            "45cc3f486203502b72517f5fb621cd4fbe87cadb944c27241926d657ce7cfd92",
-            "5137f21dec39eee90a243912a67427bd2f04949f83e55e76318ba32f3300f7f8",
-            "2a270b8aa1778010ddfd213808d895897e9e5f3a2b3e3682d9dc7ebd36847374",
+            "a015ce76122bb81fdc3137d66ff294a40736d61392528d57e882d5413ca148d2",
+            "6a0da1b64a9f653966840a28de4cc573d795f5752fcb31fe455f47d7970baa74",
+            "a24b3a0fe7f1cac4ae6d13665bb2b7e54107091c3876684268a5162125141cfe",
         ], [(3055, 0), (8864, 0), (2309, 1302)]),
         ids=["matroid-value", "coverage-greedy", "xos-demand"],
     )
@@ -1114,17 +1134,17 @@ class TestPinnedOutput:
         "name, base, n, groups, digest, totals",
         [
             ("submodular", 4, 8, 8,
-             "f1b76b1451a64a0cee8b3be04dd493aeab87ed7046057a01a96a006d53233d1f", (37, 0)),
+             "c870f8b19596c3cc52b1f44033a845c8f3b5504c5329d3037b1821e992ea0668", (37, 0)),
             ("submodular", 4, 12, 6,
-             "969a442af30ed001e87b17a2ff8dd7dd94aa672550b031d17cab20ab0dfe2e61", (38, 0)),
+             "d577af239a074f2c4528927da12322bf3611448624ab6f58ab967e7a43f27133", (38, 0)),
             ("submodular", 4, 16, 8,
-             "abf9ded47bd630f71fc356e0f97cc61cec32f874c6f002ac289f4abfc74e2d8e", (64, 0)),
+             "e48a0ad7ecc36600c0116429309860d7ec47488432ae3732f05cd910cc45a2ae", (64, 0)),
             ("subadditive", 3, 8, 4,
-             "5f81e745e7bc5a071b580c6c025eec153ba355dfb1547df98548bea8111d79bf", (21, 97)),
+             "9787543b33f24c84c44041f3a9f0683f53365d06d2d3ea29101953977cc549e0", (21, 97)),
             ("subadditive", 3, 12, 6,
-             "e835d7fb730e38de31b201def76789664919476fc194a6712fd5ea55baf89213", (41, 203)),
+             "27446a0e5190ed627c67603a18045e1f6adaf7873c3b735a733e1da43158a176", (41, 203)),
             ("subadditive", 3, 16, 8,
-             "ff5d8772f2485ed2c05d152c3d4c129d8db002910a7d1325a8745a4479008ca1", (69, 357)),
+             "2d61eeaad2cd324a278f7d0ad4d9a68ca65cc39ff30793a188f637d39c6e8b5c", (69, 357)),
         ],
         ids=["submodular-4j-8", "submodular-4j-12", "submodular-4j-16",
              "subadditive-3j-8", "subadditive-3j-12", "subadditive-3j-16"],
@@ -1142,13 +1162,13 @@ class TestPinnedOutput:
     def test_corpus_payloads(self, corpus):
         assert len(corpus) == 201
         digest = _payload_digest(*(entry.sketch for entry in corpus))
-        assert digest == "2881500d26c660b29918c01bf4649b26d11d8a9f09b9f371bd094b48f0a9ac86"
+        assert digest == "417be9fddacca968578585d36afecc8dbd16538d1f04ea5dc1e5db6b0e034fe5"
 
     @pytest.mark.parametrize(
         "name, digest",
         [
-            ("submodular", "b8cafc4df4201586de18578ab4120c0d9e69faefea239c5b88dbd662e21fc066"),
-            ("subadditive", "e88876c5912498684152388be58a04a2c901e6c3d89f4babf1a27627c8800b5c"),
+            ("submodular", "07d867fcf1dfab3ab35bbf6b3599ef6b90c8fff3942b7013e134fa219a2ca538"),
+            ("subadditive", "2ab93ef70064350489dc0a393daa5ab860f1974cb6cba543f99f01122f2f88fb"),
         ],
         ids=["submodular", "subadditive"],
     )
