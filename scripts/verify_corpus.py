@@ -6,9 +6,10 @@ builds the pipeline's sketch, checks the structural invariants,
 compares the estimate against the truth on all 2^n bundles, and checks
 that the sketch loaded back from its file saves to the same text and
 estimates every bundle bit for bit like the built one. Prints one
-line per fixture and a summary that gives the most groups any sketch
-has and ends with the value and demand queries the builds spent; exits
-1 if anything is violated.
+line per fixture, under a failing one the lines `valsketch verify`
+prints, and a summary that gives the most groups any sketch has and
+ends with the value and demand queries the builds spent; exits 1 if
+anything is violated.
 
     python3 scripts/verify_corpus.py
     python3 scripts/verify_corpus.py --limit 20 --quiet
@@ -30,29 +31,16 @@ def check_entry(pipeline_name: str, spec) -> tuple:
     oracle = spec.build(vs.QueryLedger())
 
     truth = vs.brute_reference_table(oracle)
-    class_ok, witness = vs.validate_class(truth, pipeline.property)
     sketch = vs.build_sketch(oracle, pipeline.card, pipeline.xos)
-    violations = vs.family_invariant_check(sketch)
-    report = vs.exhaustive_ratio_report(truth, sketch)
+    ok, lines, report = vs.verdict(truth, sketch, pipeline.property)
     text = vs.serialize(sketch)
     loaded = vs.deserialize(text)
-    reloads = (vs.serialize(loaded) == text
-               and vs.evaluate_all(loaded).tobytes() == vs.evaluate_all(sketch).tobytes())
-
-    ok = class_ok and not violations and report.sound and report.within_bound and reloads
-    notes = []
-    if not class_ok:
-        notes.append(f"class violated at {witness}")
-    notes.extend(violations)
-    if not report.sound:
-        notes.append(f"unsound: over-ratio {report.max_over} at {report.argmax_over:x}")
-    if not report.within_bound:
-        notes.append(f"coverage: under-ratio {report.max_under} at {report.argmax_under:x} "
-                     f"> {report.bound}")
-    if not reloads:
-        notes.append("the sketch loaded from its file saves to other text "
+    if not (vs.serialize(loaded) == text
+            and vs.evaluate_all(loaded).tobytes() == vs.evaluate_all(sketch).tobytes()):
+        ok = False
+        lines.append("round trip: the sketch loaded from its file saves to other text "
                      "or estimates some bundle differently")
-    return ok, sketch, report, notes, oracle.ledger.totals()
+    return ok, sketch, report, lines, oracle.ledger.totals()
 
 
 def sizes(text: str) -> list:
@@ -72,6 +60,8 @@ def main(argv=None) -> int:
                         help="comma-separated ground-set sizes, each at seeds 0-3, "
                              "instead of the standard corpus")
     args = parser.parse_args(argv)
+    if args.limit is not None and args.limit < 1:
+        parser.error(f"argument --limit: N must be at least 1, got {args.limit}")
 
     if args.sizes:
         corpus = [fixture for n in args.sizes for seed in range(vs.pipelines.NET_SEEDS)
@@ -86,7 +76,7 @@ def main(argv=None) -> int:
     most_groups = 0
     value_queries = demand_queries = 0
     for pipeline_name, spec in corpus:
-        ok, sketch, report, notes, (value_q, demand_q) = check_entry(pipeline_name, spec)
+        ok, sketch, report, lines, (value_q, demand_q) = check_entry(pipeline_name, spec)
         worst = max(worst, report.max_under)
         most_groups = max(most_groups, len(sketch.groups))
         value_queries += value_q
@@ -100,8 +90,9 @@ def main(argv=None) -> int:
                 f"n={spec.n:<3} seed={spec.seed:<3} "
                 f"under={report.max_under:7.3f} bound={report.bound:9.1f}"
             )
-            for note in notes:
-                print(f"     {note}")
+            if not ok:
+                for line in lines:
+                    print(f"     {line}")
 
     print(f"checked {len(corpus)} fixtures: {failures} failures, worst ratio {worst:.3f}, "
           f"at most {most_groups} groups, queries {value_queries} value, {demand_queries} demand")

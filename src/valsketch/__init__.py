@@ -47,6 +47,6 @@ from .valuations import (
     XOSExplicitValuation,
 )
 from .verify import (RatioReport, brute_reference_table, exhaustive_ratio_report,
-                     family_invariant_check, validate_class)
+                     family_invariant_check, validate_class, verdict)
 
 __version__ = "0.1.0"

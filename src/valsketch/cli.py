@@ -20,8 +20,7 @@ from .instances import FAMILIES, generate_instance, load_instance, save_instance
 from .ledger import QueryLedger
 from .pipelines import PIPELINES, bench_instance, get_pipeline
 from .sketch import build_sketch, evaluate, load_sketch, save_sketch, serialize
-from .verify import (brute_reference_table, exhaustive_ratio_report, family_invariant_check,
-                     validate_class)
+from .verify import brute_reference_table, verdict
 
 # MalformedBundleError, ScaleError and SerializationError are ValueErrors
 USER_ERRORS = (CapabilityError, ValueError, OSError)
@@ -127,19 +126,8 @@ def cmd_verify(args) -> int:
         sketch = load_sketch(args.sketch)
     else:
         sketch = build_sketch(oracle, pipeline.card, pipeline.xos)
-    passed, witness = validate_class(truth, pipeline.property)
-    violations = family_invariant_check(sketch)
-    report = exhaustive_ratio_report(truth, sketch)
-
-    print(f"class {pipeline.property}: {'ok' if passed else f'violated at {witness}'}")
-    for line in violations:
-        print(f"invariant: {line}")
-    print(f"invariants: {'ok' if not violations else f'{len(violations)} violated'}")
-    print(f"soundness: max_over={report.max_over:.12f} at {bitsets.to_hex(report.argmax_over)} "
-          f"{'ok' if report.sound else 'VIOLATED'}")
-    print(f"coverage: max_under={report.max_under:.3f} at {bitsets.to_hex(report.argmax_under)} "
-          f"bound={report.bound:.1f} {'ok' if report.within_bound else 'VIOLATED'}")
-    ok = passed and not violations and report.sound and report.within_bound
+    ok, lines, _ = verdict(truth, sketch, pipeline.property)
+    print("\n".join(lines))
     print(f"verify {spec.family} n={spec.n} seed={spec.seed}: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 

@@ -12,12 +12,6 @@ class QueryLedger:
         self.value_queries = 0
         self.demand_queries = 0
 
-    def count_value(self) -> None:
-        self.value_queries += 1
-
-    def count_demand(self) -> None:
-        self.demand_queries += 1
-
     def totals(self) -> tuple[int, int]:
         return self.value_queries, self.demand_queries
 

@@ -2,6 +2,7 @@
 valuation class each is certified for, and ready-made instance sets.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import cardinality, clauses
@@ -16,6 +17,9 @@ class PipelineSpec:
     card: CardOracleSpec
     xos: XosOracleSpec
     property: str
+    #: n -> the instance family of the bench instance and its generator
+    #: parameters; queries on these stay cheap to answer
+    bench: Callable[[int], tuple]
 
 
 PIPELINES = {
@@ -26,18 +30,21 @@ PIPELINES = {
             cardinality.matroid_augment(),
             clauses.clause_marginal(),
             "matroid-rank",
+            lambda n: ("partition-matroid", {"block_size": 4, "cap": 1}),
         ),
         PipelineSpec(
             "submodular",
             cardinality.greedy_threshold(0.1),
             clauses.clause_marginal(),
             "submodular",
+            lambda n: ("coverage", {"universe": 2 * n}),
         ),
         PipelineSpec(
             "subadditive",
             cardinality.demand_price_grid(),
             clauses.clause_demand_uniform(),
             "subadditive",
+            lambda n: ("xos-explicit", {"clauses": 24, "support": max(2, n // 8), "uniform": True}),
         ),
     )
 }
@@ -52,20 +59,9 @@ def get_pipeline(name: str) -> PipelineSpec:
         ) from None
 
 
-#: per pipeline, the instance family of its bench instance and the
-#: generator parameters at n; queries on these stay cheap to answer
-_BENCH_RECIPES = {
-    "matroid": lambda n: ("partition-matroid", {"block_size": 4, "cap": 1}),
-    "submodular": lambda n: ("coverage", {"universe": 2 * n}),
-    "subadditive": lambda n: (
-        "xos-explicit", {"clauses": 24, "support": max(2, n // 8), "uniform": True}
-    ),
-}
-
-
 def bench_instance(pipeline: str, n: int, seed: int = 0) -> InstanceSpec:
     """A large-n instance whose demand/value queries stay cheap to answer."""
-    family, params = _BENCH_RECIPES[get_pipeline(pipeline).name](n)
+    family, params = get_pipeline(pipeline).bench(n)
     return generate_instance(family, n, seed, **params)
 
 

@@ -141,7 +141,7 @@ class ValuationOracle:
 
     def value(self, bundle: int) -> float:
         bitsets.check_bundle(bundle, self.n)
-        self.ledger.count_value()
+        self.ledger.value_queries += 1
         v = self._value(bundle)
         if not 0 <= v < math.inf:
             raise bad_value(self, bundle, v)
@@ -155,7 +155,7 @@ class ValuationOracle:
         bitsets.check_bundle(included, self.n)
         if not 0 <= q < math.inf:
             raise ValueError(f"prices must be finite and >= 0, got {q!r}")
-        self.ledger.count_demand()
+        self.ledger.demand_queries += 1
         answer = self._demand_uniform(q, included)
         # a negative int has bits outside any priced set
         if type(answer) is not int or answer & ~included:

@@ -1,5 +1,6 @@
 """Desk-scale verification, as `valsketch verify` runs it: the true
-value table, class checks, ratio reports and structural invariants.
+value table, class checks, ratio reports, structural invariants and the
+verdict that joins them.
 
 Everything here may read valuations through the uncounted _value hook;
 verification cost is deliberately kept out of the query ledger.
@@ -108,6 +109,24 @@ def family_invariant_check(sketch: Sketch) -> list:
         if sketch.singletons[j] > 0 and not (covered >> j) & 1:
             bad.append(f"item {j} has positive value but no group")
     return bad
+
+
+def verdict(truth: np.ndarray, sketch: Sketch, prop: str):
+    """(ok, lines, report): whether truth lies in class prop and the sketch
+    keeps its invariants, never overestimates and stays within its bound;
+    the lines `valsketch verify` prints for these four checks; and the
+    exhaustive ratio report."""
+    passed, witness = validate_class(truth, prop)
+    violations = family_invariant_check(sketch)
+    report = exhaustive_ratio_report(truth, sketch)
+    lines = [f"class {prop}: {'ok' if passed else f'violated at {witness}'}",
+             *(f"invariant: {line}" for line in violations),
+             f"invariants: {'ok' if not violations else f'{len(violations)} violated'}",
+             f"soundness: max_over={report.max_over:.12f} at {bitsets.to_hex(report.argmax_over)} "
+             f"{'ok' if report.sound else 'VIOLATED'}",
+             f"coverage: max_under={report.max_under:.3f} at {bitsets.to_hex(report.argmax_under)} "
+             f"bound={report.bound:.1f} {'ok' if report.within_bound else 'VIOLATED'}"]
+    return passed and not violations and report.sound and report.within_bound, lines, report
 
 
 def validate_class(truth: np.ndarray, prop: str):

@@ -381,16 +381,9 @@ def test_criterion_11_exhaustive_net(net):
     for entry in net:
         tag = f"{entry.spec.family} n={entry.spec.n} seed={entry.spec.seed}"
         prop = vs.get_pipeline(entry.pipeline).property
-        passed, witness = vs.validate_class(entry.truth, prop)
-        report = vs.exhaustive_ratio_report(entry.truth, entry.sketch)
-        violations = vs.family_invariant_check(entry.sketch)
+        passed, lines, report = vs.verdict(entry.truth, entry.sketch, prop)
         if not passed:
-            problems.append(f"{tag}: class {prop} violated at {witness}")
-        if violations:
-            problems.append(f"{tag}: {violations[0]}")
-        if not (report.sound and report.within_bound):
-            problems.append(f"{tag}: max_over {report.max_over}, max_under {report.max_under} "
-                            f"against bound {report.bound}")
+            problems.append(f"{tag}: {'; '.join(lines)}")
         block = "matroid" if entry.pipeline == "matroid" else entry.spec.family
         pos = entry.truth > 0
         better = entry.estimate > _singletons_only(entry.sketch) * (1.0 + RELATIVE_TOL)

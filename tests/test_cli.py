@@ -189,6 +189,44 @@ class TestPipelineChain:
         assert int(over.group(1), 16) == report.argmax_over
         assert int(under.group(1), 16) == report.argmax_under
 
+    @pytest.mark.parametrize("case, code, expected", [
+        ("pass", 0, "class submodular: ok\n"
+                    "invariants: ok\n"
+                    "soundness: max_over=1.000000000000 at 0 ok\n"
+                    "coverage: max_under=3.500 at 6f bound=20457.6 ok\n"
+                    "verify coverage n=8 seed=0: PASS\n"),
+        ("tampered", 1, "class submodular: ok\n"
+                        "invariants: ok\n"
+                        "soundness: max_over=3.000000000000 at 1 VIOLATED\n"
+                        "coverage: max_under=3.000 at 6e bound=20457.6 ok\n"
+                        "verify coverage n=8 seed=0: FAIL\n"),
+        ("class", 1, "class matroid-rank: violated at (0, 2)\n"
+                     "invariants: ok\n"
+                     "soundness: max_over=1.000000000000 at 0 ok\n"
+                     "coverage: max_under=3.500 at c7 bound=6997.6 ok\n"
+                     "verify coverage n=10 seed=3: FAIL\n"),
+    ])
+    def test_verify_stdout_is_pinned(self, capsys, tmp_path, case, code, expected):
+        """The whole stdout and exit code of verify: a PASS, the same sketch
+        file with singleton 0 tripled, and coverage under the matroid pipeline."""
+        inst = tmp_path / "inst.json"
+        sk = tmp_path / "sketch.json"
+        if case == "class":
+            run(capsys, "gen", "--family", "coverage", "--n", "10", "--seed", "3",
+                "--out", str(inst))
+            argv = ("--pipeline", "matroid")
+        else:
+            run(capsys, "gen", "--family", "coverage", "--n", "8", "--seed", "0",
+                "--out", str(inst))
+            run(capsys, "sketch", "--instance", str(inst), "--pipeline", "submodular",
+                "--out", str(sk))
+            argv = ("--pipeline", "submodular", "--sketch", str(sk))
+        if case == "tampered":
+            payload = json.loads(sk.read_text())
+            payload["singletons"][0] *= 3
+            sk.write_text(json.dumps(payload))
+        assert run(capsys, "verify", "--instance", str(inst), *argv) == (code, expected, "")
+
     @pytest.mark.parametrize("family, pipeline, prop", [("coverage", "submodular", "submodular"),
                                                         ("partition-matroid", "matroid",
                                                          "matroid-rank")])

@@ -4,9 +4,8 @@ from valsketch.valuations import AdditiveValuation, OracleView, UniformPrices
 
 def test_snapshot_shape():
     led = QueryLedger()
-    led.count_value()
-    led.count_value()
-    led.count_demand()
+    led.value_queries = 2
+    led.demand_queries = 1
     assert led.totals() == (2, 1)
     assert led.snapshot() == {"value_queries": 2, "demand_queries": 1}
 

@@ -293,6 +293,14 @@ class TestEvaluate:
         with pytest.raises(SerializationError, match="overflows"):
             vs.evaluate_all(sketch)
 
+    def test_evaluate_all_refuses_more_than_20_items(self):
+        # 2^21 bundles are refused before the table is built or any estimate made
+        sketch = vs.Sketch(21, [0.0] * 21, [])
+        with pytest.raises(vs.ScaleError, match="needs n <= 20"):
+            vs.evaluate_all(sketch)
+        assert "_table" not in vars(sketch)
+        assert vs.evaluate(sketch, (1 << 21) - 1) == 0.0
+
     def test_table_is_built_on_first_evaluate_not_on_load(self):
         oracle = vs.generate_instance("coverage", 8, 2).build(vs.QueryLedger())
         pipeline = vs.get_pipeline("submodular")

@@ -328,29 +328,33 @@ def test_package_holds_only_what_the_system_runs():
                 assert not pattern.search(fh.read()), fname
 
 
-def test_verify_corpus_script_smoke():
-    """scripts/verify_corpus.py runs the invariant and ratio checks end to end."""
+def _verify_corpus(*argv) -> subprocess.CompletedProcess:
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    proc = subprocess.run(
-        [sys.executable, os.path.join(root, "scripts", "verify_corpus.py"),
-         "--limit", "8", "--quiet"],
-        cwd=root, env=env, capture_output=True, text=True,
-    )
+    return subprocess.run([sys.executable, os.path.join(root, "scripts", "verify_corpus.py"),
+                           *argv], cwd=root, env=env, capture_output=True, text=True)
+
+
+def test_verify_corpus_script_smoke():
+    """scripts/verify_corpus.py runs the invariant and ratio checks end to end."""
+    proc = _verify_corpus("--limit", "8", "--quiet")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "checked 8 fixtures: 0 failures" in proc.stdout
     assert re.search(r", queries \d+ value, \d+ demand\n\Z", proc.stdout), proc.stdout
 
 
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_verify_corpus_script_refuses_a_limit_below_one(limit):
+    """--limit 0 checked the whole corpus and a negative N its tail; both are
+    usage errors, refused before any fixture is checked."""
+    proc = _verify_corpus("--limit", limit, "--quiet")
+    assert proc.returncode == 2 and proc.stdout == "", proc.stdout + proc.stderr
+    assert f"argument --limit: N must be at least 1, got {limit}" in proc.stderr
+
+
 def test_verify_corpus_script_checks_the_net_sizes():
     """--sizes checks the corpus's four blocks at each size, seeds 0-3, as the net fixture does."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    proc = subprocess.run(
-        [sys.executable, os.path.join(root, "scripts", "verify_corpus.py"),
-         "--sizes", "14", "--quiet"],
-        cwd=root, env=env, capture_output=True, text=True,
-    )
+    proc = _verify_corpus("--sizes", "14", "--quiet")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout == ("checked 16 fixtures: 0 failures, worst ratio 6.000, at most 2 groups, "
                            "queries 780 value, 577 demand\n")
