@@ -42,7 +42,6 @@ from .valuations import (
     PartitionMatroidRank,
     SubadditiveTableValuation,
     UniformMatroidRank,
-    UniformPrices,
     ValuationOracle,
     XOSExplicitValuation,
 )

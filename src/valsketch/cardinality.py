@@ -32,7 +32,7 @@ from itertools import islice
 from typing import Callable
 
 from . import bitsets
-from .valuations import OracleView, UniformPrices, ValuationOracle
+from .valuations import OracleView, ValuationOracle
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,7 @@ def card_demand_price_grid(oracle: ValuationOracle | OracleView, ground: int, k:
     best_bundle, best_value, last = 0, 0.0, None
     for t in range(math.ceil(math.log2(8 * k * k)) + 1):
         q = max_singleton / (4 * k) * (1 << t)
-        resp = oracle.demand(UniformPrices(q, ground))
+        resp = oracle.demand((q, ground))
         if resp == last:
             # the last level's oversized response, whose blocks were valued there
             continue

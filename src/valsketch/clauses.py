@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import bitsets
-from .valuations import AdditiveClause, OracleView, UniformPrices, ValuationOracle
+from .valuations import AdditiveClause, OracleView, ValuationOracle
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def _best_uniform_response(oracle: ValuationOracle | OracleView, bundle: int, ba
     resp = 0
     for t in range(levels):
         q = basis / (1 << (t + 1))
-        resp = oracle.demand(UniformPrices(q, bundle))
+        resp = oracle.demand((q, bundle))
         score = q * resp.bit_count()
         if score > best_score:
             best_q, best_resp, best_score = q, resp, score

@@ -4,8 +4,8 @@ Conventions used throughout the package:
 
   * bundles are int bitsets (see bitsets), values are nonnegative floats,
     v(empty) = 0, and every shipped family is monotone
-  * a demand query asks one price q for every item of a bundle and
-    excludes every other item (UniformPrices)
+  * a demand query demand((q, included)) asks one price q for every item
+    of the bundle `included` and excludes every other item
   * demand ties break toward smaller cardinality, then the numerically
     smaller bitset; profit comparisons are exact, so fixtures that need
     reproducible ties should stick to dyadic rationals
@@ -109,24 +109,14 @@ class AdditiveClause:
         return f"AdditiveClause({self.weights!r})"
 
 
-class UniformPrices:
-    """One price q for every item of `included`, everything else excluded."""
-
-    __slots__ = ("q", "included")
-
-    def __init__(self, q: float, included: int):
-        self.q = float(q)
-        self.included = included
-
-
 class ValuationOracle:
     """Black-box valuation with query accounting.
 
-    Subclasses implement _value and may override _demand_uniform; the
-    inherited one answers by enumeration (_demand), so without an override
-    has_demand holds only up to ENUM_LIMIT items. The public value()/demand()
-    wrappers count and check each answer, so internal computations never
-    inflate the ledger.
+    Subclasses implement _value and may override _demand_uniform, which
+    answers demand((q, included)); the inherited one is the enumeration
+    _demand itself, so without an override has_demand holds only up to
+    ENUM_LIMIT items. The public value()/demand() wrappers count and check
+    each answer, so internal computations never inflate the ledger.
     """
 
     def __init__(self, n: int, ledger: QueryLedger | None = None):
@@ -147,11 +137,13 @@ class ValuationOracle:
             raise bad_value(self, bundle, v)
         return v
 
-    def demand(self, prices: UniformPrices) -> int:
-        """Profit-maximizing bundle at one price on prices.included (one demand query)."""
+    def demand(self, prices: tuple[float, int]) -> int:
+        """Profit-maximizing bundle at one price q on every item of `included`,
+        given as prices = (q, included) (one demand query)."""
         if not self.has_demand:
             raise CapabilityError(f"{type(self).__name__} does not answer demand queries")
-        q, included = prices.q, prices.included
+        q, included = prices
+        q = float(q)
         bitsets.check_bundle(included, self.n)
         if not 0 <= q < math.inf:
             raise ValueError(f"prices must be finite and >= 0, got {q!r}")
@@ -169,9 +161,6 @@ class ValuationOracle:
 
     def _value(self, bundle: int) -> float:
         raise NotImplementedError
-
-    def _demand_uniform(self, q: float, included: int) -> int:
-        return self._demand(q, included)
 
     def _demand(self, q: float, included: int) -> int:
         """Exhaustive demand: enumerate the submasks of `included`.
@@ -197,18 +186,20 @@ class ValuationOracle:
                 best_profit, best_card, best_mask = profit, card, sub
         return best_mask
 
+    _demand_uniform = _demand
+
 
 class OracleView:
     """The parent valuation in units of `scale`: values are divided by it
-    and prices multiplied by it. The view only remembers and converts:
-    each question it has not seen goes to the parent's counted value() or
-    demand(), so the root oracle counts, checks and names every answer,
-    once.
+    and prices multiplied by it. The view answers only value(bundle) and
+    demand((q, included)), and only remembers and converts: each question
+    it has not seen goes to the parent's counted value() or demand(), so
+    the root oracle counts, checks and names every answer, once.
 
     `answers` maps a question to its answer: a value question by its
-    bundle, a demand question by `(q, included)`. Only a question the root
-    accepted is stored, so a repeat is answered from the table, unchecked
-    and uncounted. `singles` maps an item id to the value of its one-item
+    bundle, a demand question by its pair `(q, included)`. Only a question
+    the root accepted is stored, so a repeat is answered from the table,
+    unchecked and uncounted. `singles` maps an item id to the value of its one-item
     bundle, in the view's scale, for a caller to seed with values it holds:
     a one-item bundle missing from `answers` is answered from it, uncounted
     and not stored, and a maximizer may read it by id instead of by bundle.
@@ -234,16 +225,12 @@ class OracleView:
             self.answers[bundle] = answer
         return answer
 
-    def demand(self, prices: UniformPrices) -> int:
-        key = prices.q, prices.included
-        answer = self.answers.get(key)
+    def demand(self, prices: tuple[float, int]) -> int:
+        answer = self.answers.get(prices)
         if answer is None:
-            answer = self.answers[key] = self.parent.demand(
-                UniformPrices(prices.q * self.scale, prices.included))
+            q, included = prices
+            answer = self.answers[prices] = self.parent.demand((q * self.scale, included))
         return answer
-
-    def _value(self, bundle: int) -> float:
-        return self.parent._value(bundle) / self.scale
 
 
 class RecentBundles(ValuationOracle):

@@ -32,13 +32,16 @@ def brute_opt_k(oracle: ValuationOracle | OracleView, ground: int, k: int):
 
     Scans submasks in ascending numeric order with a strict improvement
     test, so of all maximizers it returns the numerically smallest mask.
+    A view answers only counted questions, so given one it reads its
+    parent's _value in the view's units.
     """
     if ground.bit_count() > ENUM_LIMIT:
         raise ScaleError(f"exhaustive search is limited to pools of {ENUM_LIMIT} items")
+    root, scale = (oracle.parent, oracle.scale) if isinstance(oracle, OracleView) else (oracle, 1.0)
     best_bundle, best_value = 0, 0.0
     for sub in bitsets.submasks(ground):
         if sub and sub.bit_count() <= k:
-            val = oracle._value(sub)
+            val = root._value(sub) / scale
             if val > best_value:
                 best_bundle, best_value = sub, val
     return best_bundle, best_value

@@ -87,6 +87,47 @@ def test_demand_uniform_query_budget(seed, bundle):
     assert led.value_queries == 1  # v(S) itself
 
 
+class Scripted(vs.ValuationOracle):
+    """v(S) = 32 on four items; a demand question (q, included) is answered
+    from `script`, the empty bundle when it has no entry, and recorded."""
+
+    def __init__(self, script):
+        super().__init__(4)
+        self.script, self.asked = script, []
+
+    def _value(self, bundle):
+        return 32.0 if bundle else 0.0
+
+    def _demand_uniform(self, q, included):
+        self.asked.append((q, included))
+        return self.script.get((q, included), 0)
+
+
+# the first sweep on S = 0b1111 prices 16, 8, 4, 2, 1 (levels = 5); only the
+# last answer is nonempty, one item for a score of 1 < v(S) / (4 * levels)
+FIRST_SWEEP = {(1.0, 0b1111): 0b0001}
+
+
+@pytest.mark.parametrize("second, clause, beta", [
+    ({(8.0, 0b0001): 0b0001}, vs.AdditiveClause.uniform(8.0, 0b0001), 4.0),
+    ({}, vs.AdditiveClause.uniform(1.0, 0b0001), 32.0),  # scores 0: the first clause stays
+])
+def test_demand_uniform_refinement_pass(second, clause, beta):
+    """A first sweep whose every answer scores below v(S) / (4 levels)
+    ends on an answer `last` that is not the bundle, so a second sweep
+    prices `last` from the same basis v(S); the better-scoring clause is
+    returned. An oracle whose demand answers are optimal never reaches
+    this pass on 16 items or fewer, hence the scripted answers."""
+    oracle = Scripted({**FIRST_SWEEP, **second})
+    assert xos_clause_demand_uniform(oracle, 0b1111) == (clause, beta)
+    first = [(32.0 / (1 << (t + 1)), 0b1111) for t in range(5)]
+    # |last| = 1 gives 3 levels; the answer 0b0001 at 8 is the whole of last
+    refined = [(16.0, 0b0001), (8.0, 0b0001)] + ([] if second else [(4.0, 0b0001)])
+    assert oracle.asked == first + refined
+    assert oracle.ledger.demand_queries <= 2 * (math.ceil(math.log2(4 * 4)) + 1)
+    assert oracle.ledger.value_queries == 1
+
+
 def test_demand_uniform_zero_bundle_value():
     oracle = vs.AdditiveValuation([0.0, 0.0])
     clause, beta = xos_clause_demand_uniform(oracle, 0b11)

@@ -1,5 +1,5 @@
 from valsketch.ledger import QueryLedger
-from valsketch.valuations import AdditiveValuation, OracleView, UniformPrices
+from valsketch.valuations import AdditiveValuation, OracleView
 
 
 def test_snapshot_shape():
@@ -16,7 +16,7 @@ def test_oracle_counts_through_wrappers_once():
     view = OracleView(v)
     assert view.value(0b011) == 3.0
     assert led.value_queries == 1
-    view.demand(UniformPrices(1.5, 0b011))
+    view.demand((1.5, 0b011))
     assert led.totals() == (1, 1)
 
 

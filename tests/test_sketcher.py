@@ -822,7 +822,7 @@ class TestBuildContract:
                 return super().value(bundle)
 
             def demand(self, prices):
-                self.inside("demand", prices.included)
+                self.inside("demand", prices[1])
                 return super().demand(prices)
 
         build_group = sketch_module.build_group_sketch

@@ -17,7 +17,7 @@ import valsketch as vs
 from valsketch import bitsets, clauses
 from valsketch.cardinality import card_demand_price_grid
 from valsketch.clauses import xos_clause_demand_uniform
-from valsketch.valuations import OracleView, UniformPrices
+from valsketch.valuations import OracleView
 
 from conftest import build_and_check
 
@@ -35,7 +35,7 @@ def full_price_grid(oracle, ground, k, *, max_singleton=None):
     cache = {}
     for t in range(math.ceil(math.log2(8 * k * k)) + 1):
         q = max_singleton / (4 * k) * (1 << t)
-        resp = oracle.demand(UniformPrices(q, ground))
+        resp = oracle.demand((q, ground))
         blocks = [resp] if resp.bit_count() <= k else bitsets.chunks(resp, k)
         for block in blocks:
             if not block:
@@ -58,7 +58,7 @@ def full_uniform_sweep(oracle, bundle, basis):
     resp = 0
     for t in range(levels):
         q = basis / (1 << (t + 1))
-        resp = oracle.demand(UniformPrices(q, bundle))
+        resp = oracle.demand((q, bundle))
         score = q * resp.bit_count()
         if score > best_score:
             best_q, best_resp, best_score = q, resp, score

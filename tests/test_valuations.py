@@ -357,7 +357,7 @@ class TestWrappers:
     def test_scaled_divides_value(self):
         v = vs.AdditiveValuation([2, 4])
         s = OracleView(v, 2.0)
-        assert s._value(0b11) == 3.0
+        assert s.value(0b11) == 3.0
 
     def test_scaled_rejects_bad_scale(self):
         v = vs.AdditiveValuation([1])
@@ -376,8 +376,8 @@ class TestWrappers:
         led = vs.QueryLedger()
         view = OracleView(vs.AdditiveValuation([1, 2, 4], led))
         assert [view.value(b) for b in (0b011, 0b011)] == [3.0, 3.0]
-        prices = vs.UniformPrices(1.5, 0b011)
-        assert view.demand(prices) == view.demand(vs.UniformPrices(1.5, 0b011)) == 0b010
+        prices = (1.5, 0b011)
+        assert view.demand(prices) == view.demand((1.5, 0b011)) == 0b010
         assert led.totals() == (1, 1)
 
     def test_view_answers_one_item_bundles_from_its_item_table(self):
@@ -413,7 +413,7 @@ class TestWrappers:
         with pytest.raises(vs.MalformedBundleError, match="outside 0..2"):
             inner.value(bad)
         with pytest.raises(vs.MalformedBundleError, match="outside 0..2"):
-            inner.demand(vs.UniformPrices(1.0, bad))
+            inner.demand((1.0, bad))
         assert v.ledger.totals() == (0, 0)
         assert inner.answers == outer.answers == {}
 
@@ -432,11 +432,11 @@ class TestWrappers:
 
     def test_view_refuses_a_bad_demand_question_after_answering(self):
         view = OracleView(vs.AdditiveValuation([1, 2, 4]))
-        assert view.demand(vs.UniformPrices(1.5, 0b011)) == 0b010
+        assert view.demand((1.5, 0b011)) == 0b010
         with pytest.raises(vs.MalformedBundleError):
-            view.demand(vs.UniformPrices(1.5, 0b1011))  # item 3 is outside the ground set
+            view.demand((1.5, 0b1011))  # item 3 is outside the ground set
         with pytest.raises(ValueError, match="prices must be finite"):
-            view.demand(vs.UniformPrices(-1.5, 0b011))
+            view.demand((-1.5, 0b011))
         assert view.parent.ledger.totals() == (0, 1) and len(view.answers) == 1
 
     def test_view_refuses_a_value_that_overflows_its_scale(self):
@@ -464,14 +464,14 @@ class TestWrappers:
             inner = OracleView(OracleView(root, s_out), s_in)
             bundle, q = rng.getrandbits(6), rng.uniform(0.0, 10.0)
             assert inner.value(bundle) == root._value(bundle) / s_out / s_in
-            inner.demand(vs.UniformPrices(q, bundle))
+            inner.demand((q, bundle))
             assert root.asked == (q * s_in * s_out, bundle)
 
     def test_stacked_views_count_a_repeat_once(self):
         led = vs.QueryLedger()
         inner = OracleView(OracleView(vs.AdditiveValuation([1, 2, 4], led), 2.0))
         assert inner.value(0b101) == inner.value(0b101) == 2.5
-        prices = vs.UniformPrices(0.75, 0b101)  # 1.5 in the root's units
+        prices = (0.75, 0b101)  # 1.5 in the root's units
         assert inner.demand(prices) == inner.demand(prices) == 0b100
         assert led.totals() == (1, 1)
 

@@ -278,8 +278,11 @@ def test_package_holds_only_what_the_system_runs():
     for name in ("greedy_classic", "clause_brute_uniform", "check_core_claim", "r_projection",
                  "demand_pipeline_budgets", "query_budget_check", "max_value_bundles"):
         assert not hasattr(vs, name), name
-    # demand has one form, a uniform price on a bundle; views are made as OracleView
+    # demand has one form, demand((q, included)); views are made as OracleView
     assert not hasattr(vs, "EXCLUDED") and not hasattr(vs.valuations, "EXCLUDED")
+    assert not hasattr(vs, "UniformPrices") and not hasattr(vs.valuations, "UniformPrices")
+    # the inherited demand hook is the enumeration itself
+    assert vs.ValuationOracle._demand_uniform is vs.ValuationOracle._demand
     assert not hasattr(vs.valuations, "_demand_brute")
     assert not hasattr(vs.ValuationOracle, "restrict")
     # a cardinality spec is one callable and its alpha; the group view remembers answers
@@ -291,7 +294,7 @@ def test_package_holds_only_what_the_system_runs():
     assert list(inspect.signature(vs.valuations.OracleView).parameters) == ["parent", "scale"]
     for name in ("_answerer", "_reach"):
         assert not hasattr(oracle, name), name
-    for name in ("_demand_uniform", "has_demand", "ledger", "mask", "n"):
+    for name in ("_value", "_demand_uniform", "has_demand", "ledger", "mask", "n"):
         assert not hasattr(view, name), name
     # bit counts come from numpy; each subparser carries its handler
     assert not hasattr(vs.valuations, "popcount_table")
